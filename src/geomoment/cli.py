@@ -9,10 +9,11 @@ from .bounds import DiscreteDist, check_target_bound, fisher_rao_univariate, hil
 from .embedding import EmbeddingParams, embed
 from .errors import ConfigError, GeomomentError, NonFiniteLoss
 from .gradcheck import audit_dist_loss, audit_network
+from .losses import DIST_KINDS
 from .matrixio import fmt, matrix_text, read_matrix, read_moments, write_matrix
 from .rng import stream
 from .runner import load_run_config, run_experiment, sweep_dim
-from .spd import dist_airm, dist_hilbert, dist_logeuclid
+from .spd import dist_airm, dist_hilbert, dist_logeuclid, validate_spd
 
 
 def _cmd_embed(args):
@@ -29,8 +30,8 @@ _DISTS = {"airm": dist_airm, "hilbert": dist_hilbert, "logeuclid": dist_logeucli
 
 
 def _cmd_dist(args):
-    P1 = read_matrix(args.p1)
-    P2 = read_matrix(args.p2)
+    P1 = validate_spd(read_matrix(args.p1))
+    P2 = validate_spd(read_matrix(args.p2))
     print(fmt(_DISTS[args.kind](P1, P2)))
     return 0
 
@@ -111,11 +112,7 @@ def build_parser():
 
     p = sub.add_parser("gradcheck", help="random-instance gradient audit")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--kind",
-        choices=("airm", "hilbert", "mean_euclid", "coral_frob", "log_euclid"),
-        default=None,
-    )
+    p.add_argument("--kind", choices=DIST_KINDS, default=None)
     p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser("bound-check", help="TV vs tanh-of-Hilbert bound sweep -> CSV")

@@ -59,18 +59,6 @@ class GateResult:
     det: float
 
 
-def embed_entries(m, params=EmbeddingParams()):
-    """Raw (n+1) x (n+1) block matrix for the moment pair, no validation."""
-    a = params.a
-    n = m.dim
-    P = np.empty((n + 1, n + 1))
-    P[:n, :n] = m.cov + a * np.outer(m.mean, m.mean)
-    P[:n, n] = a * m.mean
-    P[n, :n] = a * m.mean
-    P[n, n] = a
-    return P
-
-
 def embed(m, params=EmbeddingParams()):
     """Embed a moment pair as an SPD matrix of size dim+1.
 
@@ -79,8 +67,14 @@ def embed(m, params=EmbeddingParams()):
     eigenvalue check is run on the block matrix.
     """
     validate_spd(m.cov)
-    P = embed_entries(m, params)
-    return SpdMatrix(dim=m.dim + 1, entries=sym(P))
+    a = params.a
+    n = m.dim
+    P = np.empty((n + 1, n + 1))
+    P[:n, :n] = m.cov + a * np.outer(m.mean, m.mean)
+    P[:n, n] = a * m.mean
+    P[n, :n] = a * m.mean
+    P[n, n] = a
+    return SpdMatrix(dim=n + 1, entries=sym(P))
 
 
 def unembed(P, params=EmbeddingParams()):

@@ -112,9 +112,3 @@ def audit_network(seed=0):
                     worst = max(worst, rel_err(fd, garr[idx]))
     return worst
 
-
-def audit_all(seed=0):
-    return {
-        "dist_loss": audit_dist_loss(seed=seed),
-        "network": audit_network(seed=seed),
-    }

@@ -1,17 +1,20 @@
 """Adaptation losses and their exact gradients w.r.t. per-sample features.
 
-The geometric kinds chain distance -> embedding -> batch moments; the
+The geometric kinds chain distance -> embedding -> batch moments, with
+value and gradient from one pencil eigendecomposition; the
 baseline kinds are squared Euclidean discrepancies between the raw
 moments. Gradients are hand-derived and checked against central finite
 differences in the test suite.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .embedding import EmbeddingParams, embed
 from .errors import (
+    BatchTooSmall,
     DegenerateSpectrum,
     GateClosed,
     NearZeroDistance,
@@ -19,7 +22,7 @@ from .errors import (
     NotSymmetric,
 )
 from .moments import FeatureBatch, batch_moments
-from .spd import as_matrix, dist_airm, dist_hilbert, eigh_sym, pencil_eigh, sym, validate_spd
+from .spd import SPECTRAL_DISTS, as_matrix, eigh_sym, pencil_eigh, sym, validate_spd
 
 DIST_KINDS = ("airm", "hilbert", "mean_euclid", "coral_frob", "log_euclid")
 
@@ -40,32 +43,20 @@ def _rows(z):
     return np.asarray(z, dtype=float)
 
 
-def grad_spd_pair(P1, P2, kind):
-    """Gradients of dist_airm or dist_hilbert w.r.t. both SPD arguments.
+def _eigenpair_grads(kind, lam, V, value):
+    """Gradients of a pencil-spectrum distance w.r.t. both SPD arguments.
 
     Uses the generalized eigenpairs P2 v = lambda P1 v with v^T P1 v = 1,
     for which d(lambda)/dP2 = v v^T and d(lambda)/dP1 = -lambda v v^T.
     """
-    if kind not in ("airm", "hilbert"):
-        raise ValueError(f"kind must be airm or hilbert, got {kind!r}")
-    P1 = as_matrix(P1)
-    P2 = as_matrix(P2)
-    lam, V = pencil_eigh(P1, P2)
-    if lam[0] <= 0:
-        raise NotPositiveDefinite(
-            f"pencil eigenvalue {lam[0]:.6e} <= 0", lambda_min=float(lam[0])
-        )
     if kind == "airm":
-        logs = np.log(lam)
-        d = np.sqrt(0.5 * np.sum(logs**2))
-        if d < DIST_EPS:
-            raise NearZeroDistance(f"distance {d:.3e} below {DIST_EPS:.1e}")
+        if value < DIST_EPS:
+            raise NearZeroDistance(f"distance {value:.3e} below {DIST_EPS:.1e}")
         # d(dist)/d(lambda_i) = log(lambda_i) / (2 d lambda_i)
-        c2 = logs / (2.0 * d * lam)
-        c1 = -logs / (2.0 * d)
-        dP2 = sym((V * c2) @ V.T)
-        dP1 = sym((V * c1) @ V.T)
-        return dP1, dP2
+        logs = np.log(lam)
+        c2 = logs / (2.0 * value * lam)
+        c1 = -logs / (2.0 * value)
+        return sym((V * c1) @ V.T), sym((V * c2) @ V.T)
 
     lo, hi = lam[0], lam[-1]
     if hi - lo <= DEGEN_RTOL * hi:
@@ -79,9 +70,16 @@ def grad_spd_pair(P1, P2, kind):
     Vl = V[:, lo_idx]
     Gmax = sym(Vh @ Vh.T) / hi_idx.size
     Gmin = sym(Vl @ Vl.T) / lo_idx.size
-    dP2 = Gmax / hi - Gmin / lo
-    dP1 = Gmin - Gmax
-    return dP1, dP2
+    return Gmin - Gmax, Gmax / hi - Gmin / lo
+
+
+def grad_spd_pair(P1, P2, kind):
+    """(value, dP1, dP2) of dist_airm or dist_hilbert from one pencil factorization."""
+    if kind not in SPECTRAL_DISTS:
+        raise ValueError(f"kind must be airm or hilbert, got {kind!r}")
+    lam, V = pencil_eigh(as_matrix(P1), as_matrix(P2))
+    value = SPECTRAL_DISTS[kind](lam)
+    return (value, *_eigenpair_grads(kind, lam, V, value))
 
 
 def grad_embed(m, upstream, params=EmbeddingParams()):
@@ -119,33 +117,25 @@ def _log_derivative_coeffs(lam):
     diff = li - lj
     close = np.abs(diff) <= 1e-12 * np.maximum(li, lj)
     safe = np.where(close, 1.0, diff)
-    K = np.where(close, 2.0 / (li + lj), (np.log(li) - np.log(lj)) / safe)
-    return K
+    return np.where(close, 2.0 / (li + lj), (np.log(li) - np.log(lj)) / safe)
 
 
-def _validated_embed(m, params):
+@contextmanager
+def _spd_or_gate_closed():
+    """Map a covariance failing SPD validation to GateClosed."""
     try:
-        P = embed(m, params)
-        validate_spd(P.entries)
-    except (NotPositiveDefinite, NotSymmetric) as exc:
-        raise GateClosed(f"embedded matrix failed SPD validation: {exc}") from exc
-    return P
-
-
-def _validated_cov(m):
-    try:
-        validate_spd(m.cov)
+        yield
     except (NotPositiveDefinite, NotSymmetric) as exc:
         raise GateClosed(f"covariance failed SPD validation: {exc}") from exc
-    return m.cov
 
 
 def dist_loss(zs, zt, kind, params=EmbeddingParams()):
     """Distance loss between two feature batches with per-row gradients.
 
-    Raises GateClosed when a geometric kind cannot be evaluated because
-    an embedded matrix (or covariance, for log_euclid) is not SPD; the
-    trainer treats that as "skip adaptation this step".
+    Raises GateClosed when a geometric kind or log_euclid cannot be
+    evaluated because a covariance is not SPD; the trainer treats that
+    as "skip adaptation this step". airm and hilbert take their value
+    and gradients from one factorization of the embedded pencil.
     """
     if kind not in DIST_KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {DIST_KINDS}")
@@ -155,16 +145,28 @@ def dist_loss(zs, zt, kind, params=EmbeddingParams()):
         raise ValueError(
             f"feature dims differ: {zs_data.shape[1]} vs {zt_data.shape[1]}"
         )
+    if kind == "mean_euclid":
+        b = min(zs_data.shape[0], zt_data.shape[0])
+        if b < 2:
+            raise BatchTooSmall(f"need at least 2 rows, got {b}")
+        diff = zs_data.mean(axis=0) - zt_data.mean(axis=0)
+        value = float(diff @ diff)
+        zero = np.zeros((diff.size, diff.size))
+        gs = grad_moments(zs_data, 2.0 * diff, zero)
+        gt = grad_moments(zt_data, -2.0 * diff, zero)
+        return LossEval(value=value, grad_source=gs, grad_target=gt)
+
     ms = batch_moments(zs_data)
     mt = batch_moments(zt_data)
 
-    if kind in ("airm", "hilbert"):
-        Ps = _validated_embed(ms, params)
-        Pt = _validated_embed(mt, params)
-        dist = dist_airm if kind == "airm" else dist_hilbert
-        value = dist(Ps, Pt)
+    if kind in SPECTRAL_DISTS:
+        with _spd_or_gate_closed():
+            Ps = embed(ms, params).entries
+            Pt = embed(mt, params).entries
+        lam, V = pencil_eigh(Ps, Pt)
+        value = SPECTRAL_DISTS[kind](lam)
         try:
-            dPs, dPt = grad_spd_pair(Ps, Pt, kind)
+            dPs, dPt = _eigenpair_grads(kind, lam, V, value)
             dmean_s, dcov_s = grad_embed(ms, dPs, params)
             dmean_t, dcov_t = grad_embed(mt, dPt, params)
             gs = grad_moments(zs_data, dmean_s, dcov_s)
@@ -172,13 +174,6 @@ def dist_loss(zs, zt, kind, params=EmbeddingParams()):
         except (NearZeroDistance, DegenerateSpectrum):
             gs = np.zeros_like(zs_data)
             gt = np.zeros_like(zt_data)
-        return LossEval(value=value, grad_source=gs, grad_target=gt)
-
-    if kind == "mean_euclid":
-        diff = ms.mean - mt.mean
-        value = float(diff @ diff)
-        gs = grad_moments(zs_data, 2.0 * diff, np.zeros_like(ms.cov))
-        gt = grad_moments(zt_data, -2.0 * diff, np.zeros_like(mt.cov))
         return LossEval(value=value, grad_source=gs, grad_target=gt)
 
     if kind == "coral_frob":
@@ -190,10 +185,11 @@ def dist_loss(zs, zt, kind, params=EmbeddingParams()):
         return LossEval(value=value, grad_source=gs, grad_target=gt)
 
     # log_euclid on the covariances directly
-    Ss = _validated_cov(ms)
-    St = _validated_cov(mt)
-    lam_s, Qs = eigh_sym(Ss)
-    lam_t, Qt = eigh_sym(St)
+    with _spd_or_gate_closed():
+        validate_spd(ms.cov)
+        validate_spd(mt.cov)
+    lam_s, Qs = eigh_sym(ms.cov)
+    lam_t, Qt = eigh_sym(mt.cov)
     Ls = sym((Qs * np.log(lam_s)) @ Qs.T)
     Lt = sym((Qt * np.log(lam_t)) @ Qt.T)
     diff = Ls - Lt

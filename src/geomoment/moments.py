@@ -36,23 +36,6 @@ class FeatureBatch:
     def n(self):
         return self.data.shape[1]
 
-    def to_csv_text(self):
-        lines = ["domain,b,n", f"{self.domain},{self.b},{self.n}"]
-        for row in self.data:
-            lines.append(",".join(format(v, ".17g") for v in row))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_csv_text(cls, text):
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0] != "domain,b,n":
-            raise ValueError("expected header line 'domain,b,n'")
-        domain, b, n = lines[1].split(",")
-        data = np.array([[float(v) for v in ln.split(",")] for ln in lines[2:]])
-        if data.shape != (int(b), int(n)):
-            raise ValueError(f"data shape {data.shape} does not match header ({b},{n})")
-        return cls(domain=domain, data=data)
-
 
 @dataclass(frozen=True)
 class RegimeCheck:

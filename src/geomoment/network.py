@@ -132,12 +132,6 @@ def stack_backward(plan, params, caches, dout):
     return dh, grads
 
 
-def encode(spec, params, x):
-    plan = encoder_plan(spec)
-    z, _ = stack_forward(plan, params[: len(plan)], x)
-    return z
-
-
 def model_forward(spec, params, x):
     ep = encoder_plan(spec)
     hp = head_plan(spec)

@@ -349,13 +349,36 @@ def _with_dim(cfg, dim, kind, seed):
     )
 
 
-def sweep_dim(cfg, dims, out_dir=None):
+def _sweep_row(dim, kind, seed, ratio, report=None):
+    """One sweep.csv row; a dim that was never run (report None) is flagged with NaN metrics."""
+    nan = float("nan")
+    row = {
+        "dim": dim, "kind": kind, "seed": seed, "regime_ok": 0, "ratio": ratio,
+        "target_metric": nan, "source_metric": nan,
+        "det_min": nan, "det_mean": nan, "det_final": nan, "gate_open_epoch": -1,
+    }
+    if report is not None:
+        row.update(
+            regime_ok=1,
+            target_metric=float(report.target_metric[-1]),
+            source_metric=float(report.source_metric[-1]),
+            det_min=float(report.det_ps.min()),
+            det_mean=float(report.det_ps.mean()),
+            det_final=float(report.det_ps[-1]),
+            gate_open_epoch=report.gate_open_epoch,
+        )
+    return row
+
+
+def sweep_dim(cfg, dims):
     """Run the dimensionality sweep and write sweep.csv plus a best-dim summary.
 
-    Dims that violate the 10x batch-size regime are recorded as flagged
-    rows with NaN metrics instead of being run.
+    Every output lands under cfg.out_dir: the sweep files at its root and
+    each run's report in a d{dim}_{kind}_s{seed} subdirectory. Dims that
+    violate the 10x batch-size regime are recorded as flagged rows with
+    NaN metrics instead of being run.
     """
-    out_dir = out_dir or cfg.out_dir
+    out_dir = cfg.out_dir
     kinds = cfg.sweep_kinds or (cfg.train_cfg.dist_kind,)
     seeds = cfg.sweep_seeds or (cfg.train_cfg.seed,)
     os.makedirs(out_dir, exist_ok=True)
@@ -364,63 +387,23 @@ def sweep_dim(cfg, dims, out_dir=None):
         for kind in kinds:
             for seed in seeds:
                 regime = check_regime(cfg.train_cfg.batch_source, dim)
-                if not regime.ok:
-                    rows.append(
-                        {
-                            "dim": dim, "kind": kind, "seed": seed,
-                            "regime_ok": 0, "ratio": regime.ratio,
-                            "target_metric": float("nan"),
-                            "source_metric": float("nan"),
-                            "det_min": float("nan"), "det_mean": float("nan"),
-                            "det_final": float("nan"), "gate_open_epoch": -1,
-                        }
-                    )
-                    continue
-                sub = _with_dim(cfg, dim, kind, seed)
-                try:
-                    _, report = run_experiment(
-                        sub, metrics_path=os.path.join(out_dir, "metrics.csv")
-                    )
-                except RegimeViolation:
-                    rows.append(
-                        {
-                            "dim": dim, "kind": kind, "seed": seed,
-                            "regime_ok": 0, "ratio": regime.ratio,
-                            "target_metric": float("nan"),
-                            "source_metric": float("nan"),
-                            "det_min": float("nan"), "det_mean": float("nan"),
-                            "det_final": float("nan"), "gate_open_epoch": -1,
-                        }
-                    )
-                    continue
-                rows.append(
-                    {
-                        "dim": dim, "kind": kind, "seed": seed,
-                        "regime_ok": 1, "ratio": regime.ratio,
-                        "target_metric": float(report.target_metric[-1]),
-                        "source_metric": float(report.source_metric[-1]),
-                        "det_min": float(report.det_ps.min()),
-                        "det_mean": float(report.det_ps.mean()),
-                        "det_final": float(report.det_ps[-1]),
-                        "gate_open_epoch": report.gate_open_epoch,
-                    }
-                )
+                report = None
+                if regime.ok:
+                    try:
+                        _, report = run_experiment(
+                            _with_dim(cfg, dim, kind, seed),
+                            metrics_path=os.path.join(out_dir, "metrics.csv"),
+                        )
+                    except RegimeViolation:
+                        pass
+                rows.append(_sweep_row(dim, kind, seed, regime.ratio, report))
 
     csv_path = os.path.join(out_dir, "sweep.csv")
     with open(csv_path, "w") as fh:
         fh.write(SWEEP_HEADER + "\n")
         for r in rows:
-            fh.write(
-                ",".join(
-                    [
-                        str(r["dim"]), r["kind"], str(r["seed"]), str(r["regime_ok"]),
-                        fmt(r["ratio"]), fmt(r["target_metric"]), fmt(r["source_metric"]),
-                        fmt(r["det_min"]), fmt(r["det_mean"]), fmt(r["det_final"]),
-                        str(r["gate_open_epoch"]),
-                    ]
-                )
-                + "\n"
-            )
+            cells = (r[k] for k in SWEEP_HEADER.split(","))
+            fh.write(",".join(fmt(v) if isinstance(v, float) else str(v) for v in cells) + "\n")
 
     higher_better = cfg.task == "blobs"
     best = {}

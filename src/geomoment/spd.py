@@ -13,7 +13,7 @@ Conventions used throughout:
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
 
 from .errors import ConvergenceFailure, NotPositiveDefinite, NotSymmetric
 
@@ -120,12 +120,16 @@ def _cholesky(P):
         raise NotPositiveDefinite(f"Cholesky failed: {exc}") from exc
 
 
-def pencil_eigvals(P1, P2):
-    """Eigenvalues of P1^{-1} P2 from the symmetric pencil form, ascending."""
+def _pencil_form(P1, P2):
+    """Cholesky factor L of P1 and the symmetric pencil form L^{-1} P2 L^{-T}."""
     L = _cholesky(P1)
     W = solve_triangular(L, as_matrix(P2), lower=True)
-    M = solve_triangular(L, W.T, lower=True)
-    return eigvals_sym(M)
+    return L, solve_triangular(L, W.T, lower=True)
+
+
+def pencil_eigvals(P1, P2):
+    """Eigenvalues of P1^{-1} P2 from the symmetric pencil form, ascending."""
+    return eigvals_sym(_pencil_form(P1, P2)[1])
 
 
 def pencil_eigh(P1, P2):
@@ -134,32 +138,40 @@ def pencil_eigh(P1, P2):
     Returns (lam, V) with lam ascending and columns of V normalized so
     that V^T P1 V = I.
     """
-    L = _cholesky(P1)
-    W = solve_triangular(L, as_matrix(P2), lower=True)
-    M = solve_triangular(L, W.T, lower=True)
+    L, M = _pencil_form(P1, P2)
     lam, Y = eigh_sym(M)
-    V = solve_triangular(L, Y, lower=True, trans="T")
-    return lam, V
+    return lam, solve_triangular(L, Y, lower=True, trans="T")
+
+
+def _positive(lam):
+    if lam[0] <= 0:
+        raise NotPositiveDefinite(
+            f"pencil eigenvalue {lam[0]:.6e} <= 0", lambda_min=float(lam[0])
+        )
+    return lam
+
+
+def airm_from_spectrum(lam):
+    """sqrt(0.5 * sum log^2 lambda_i) of an ascending pencil spectrum."""
+    return float(np.sqrt(0.5 * np.sum(np.log(_positive(lam)) ** 2)))
+
+
+def hilbert_from_spectrum(lam):
+    """log(lambda_max / lambda_min) of an ascending pencil spectrum."""
+    return float(np.log(_positive(lam)[-1]) - np.log(lam[0]))
+
+
+SPECTRAL_DISTS = {"airm": airm_from_spectrum, "hilbert": hilbert_from_spectrum}
 
 
 def dist_airm(P1, P2):
     """Affine-invariant Riemannian distance sqrt(0.5 * sum log^2 lambda_i(P1^{-1}P2))."""
-    lam = pencil_eigvals(P1, P2)
-    if lam[0] <= 0:
-        raise NotPositiveDefinite(
-            f"pencil eigenvalue {lam[0]:.6e} <= 0", lambda_min=float(lam[0])
-        )
-    return float(np.sqrt(0.5 * np.sum(np.log(lam) ** 2)))
+    return airm_from_spectrum(pencil_eigvals(P1, P2))
 
 
 def dist_hilbert(P1, P2):
     """Hilbert projective distance log(lambda_max / lambda_min) of P1^{-1}P2."""
-    lam = pencil_eigvals(P1, P2)
-    if lam[0] <= 0:
-        raise NotPositiveDefinite(
-            f"pencil eigenvalue {lam[0]:.6e} <= 0", lambda_min=float(lam[0])
-        )
-    return float(np.log(lam[-1]) - np.log(lam[0]))
+    return hilbert_from_spectrum(pencil_eigvals(P1, P2))
 
 
 def dist_logeuclid(P1, P2):
@@ -171,10 +183,7 @@ def inner_affine(P, V1, V2):
     """Affine-invariant metric tr(P^{-1} V1 P^{-1} V2) at base point P."""
     V1 = check_symmetric(V1)
     V2 = check_symmetric(V2)
-    try:
-        c = cho_factor(as_matrix(P), lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"Cholesky failed: {exc}") from exc
+    c = (_cholesky(P), True)
     X1 = cho_solve(c, V1)
     X2 = cho_solve(c, V2)
     return float(np.sum(X1 * X2.T))

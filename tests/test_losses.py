@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from geomoment import embedding, losses, spd
 from geomoment.embedding import EmbeddingParams, GaussianMoments, embed
-from geomoment.errors import DegenerateSpectrum, GateClosed, NearZeroDistance
+from geomoment.errors import BatchTooSmall, DegenerateSpectrum, GateClosed, NearZeroDistance
 from geomoment.gradcheck import audit_dist_loss
 from geomoment.losses import DIST_KINDS, dist_loss, grad_embed, grad_moments, grad_spd_pair
+from geomoment.moments import batch_moments
+from geomoment.rng import stream
 from geomoment.spd import dist_airm, dist_hilbert
 from helpers import fd_sym_grad, max_rel_err, rand_spd, rng_for, sym_grad_pairs
 
@@ -57,6 +62,21 @@ def test_gate_closed_on_collapsed_batch():
         dist_loss(zs, zt, kind)
 
 
+def test_large_mean_batch_keeps_gate_open():
+    # the embedded matrix's smallest eigenvalue falls like 1/|mean|^2 while a
+    # trace-relative tolerance on it grows like |mean|^2; only the covariance decides
+    rng = rng_for("loss-large-mean")
+    zs, zt = rand_batches(rng, 64, 2)
+    zs[:, 0] += 1e3
+    zt[:, 0] += 1e3
+    Ps = embed(batch_moments(zs))
+    Pt = embed(batch_moments(zt))
+    for kind, dist in (("airm", dist_airm), ("hilbert", dist_hilbert)):
+        le = dist_loss(zs, zt, kind)
+        assert le.value == pytest.approx(dist(Ps, Pt), rel=1e-9)
+        assert np.all(np.isfinite(le.grad_source)) and np.any(le.grad_source)
+
+
 def test_unknown_kind_rejected():
     rng = rng_for("loss-kind")
     zs, zt = rand_batches(rng, 20, 2)
@@ -79,6 +99,74 @@ def test_descent_step_decreases_geometric_losses():
             assert le2.value < le.value
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 3, 5]),
+    seed=st.integers(0, 2**31 - 1),
+    scale=st.floats(0.25, 4.0),
+    shift=st.floats(-3.0, 3.0),
+)
+def test_geometric_loss_value_is_the_embedded_distance(n, seed, scale, shift):
+    rng = stream(seed, 0)
+    b = 12 + 4 * n
+    zs = rng.standard_normal((b, n))
+    zt = scale * rng.standard_normal((b, n)) + shift * rng.standard_normal(n)
+    Ps = embed(batch_moments(zs))
+    Pt = embed(batch_moments(zt))
+    for kind, dist in (("airm", dist_airm), ("hilbert", dist_hilbert)):
+        ref = dist(Ps, Pt)
+        assert dist_loss(zs, zt, kind).value == pytest.approx(ref, rel=1e-12)
+        assert grad_spd_pair(Ps, Pt, kind)[0] == pytest.approx(ref, rel=1e-12)
+
+
+def test_geometric_loss_factors_once_and_validates_each_side_once(monkeypatch):
+    calls = []
+
+    def counted(label, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(label)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(losses, "pencil_eigh", counted("factor", losses.pencil_eigh))
+    monkeypatch.setattr(spd, "pencil_eigvals", counted("factor", spd.pencil_eigvals))
+    for module in (losses, embedding):
+        monkeypatch.setattr(module, "validate_spd", counted("validate", module.validate_spd))
+    zs, zt = rand_batches(rng_for("loss-count"), 30, 3)
+    for kind in ("airm", "hilbert"):
+        calls.clear()
+        dist_loss(zs, zt, kind)
+        assert calls.count("factor") == 1
+        assert calls.count("validate") == 2
+
+
+def test_mean_euclid_matches_moment_formula_bitwise():
+    rng = rng_for("loss-mean-euclid")
+    for _ in range(20):
+        n = int(rng.integers(1, 9))
+        zs = rng.standard_normal((int(rng.integers(2, 60)), n)) + rng.standard_normal(n)
+        zt = 3.0 * rng.standard_normal((int(rng.integers(2, 60)), n))
+        # the formula written over full batch moments, covariances included
+        ms, mt = batch_moments(zs), batch_moments(zt)
+        diff = ms.mean - mt.mean
+        gs = grad_moments(zs, 2.0 * diff, np.zeros_like(ms.cov))
+        gt = grad_moments(zt, -2.0 * diff, np.zeros_like(mt.cov))
+        le = dist_loss(zs, zt, "mean_euclid")
+        assert le.value == float(diff @ diff)
+        assert np.array_equal(le.grad_source, gs)
+        assert np.array_equal(le.grad_target, gt)
+
+
+def test_single_row_batch_rejected_all_kinds():
+    zs, zt = rand_batches(rng_for("loss-one-row"), 10, 2)
+    for kind in DIST_KINDS:
+        with pytest.raises(BatchTooSmall):
+            dist_loss(zs[:1], zt, kind)
+        with pytest.raises(BatchTooSmall):
+            dist_loss(zs, zt[:1], kind)
+
+
 # ------------------------------------------------------------ grad_spd_pair
 
 
@@ -88,7 +176,7 @@ def test_grad_spd_pair_fd():
         for _ in range(5):
             P1 = rand_spd(rng, 4)
             P2 = rand_spd(rng, 4)
-            dP1, dP2 = grad_spd_pair(P1, P2, kind)
+            _, dP1, dP2 = grad_spd_pair(P1, P2, kind)
             dist = dist_airm if kind == "airm" else dist_hilbert
             fd1 = fd_sym_grad(lambda M: dist(M, P2), P1)
             fd2 = fd_sym_grad(lambda M: dist(P1, M), P2)
@@ -113,7 +201,7 @@ def test_hilbert_euler_identity():
     for _ in range(20):
         P1 = rand_spd(rng, 4)
         P2 = rand_spd(rng, 4)
-        dP1, dP2 = grad_spd_pair(P1, P2, "hilbert")
+        _, dP1, dP2 = grad_spd_pair(P1, P2, "hilbert")
         total = np.sum(dP1 * P1) + np.sum(dP2 * P2)
         assert abs(total) <= 1e-10
 

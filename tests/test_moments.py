@@ -73,10 +73,3 @@ def test_check_regime():
     r = check_regime(64, 32)
     assert not r.ok and r.ratio == pytest.approx(2.0)
 
-
-def test_feature_batch_csv_roundtrip():
-    rng = rng_for("batch-csv")
-    fb = FeatureBatch(domain="target", data=rng.standard_normal((5, 3)))
-    back = FeatureBatch.from_csv_text(fb.to_csv_text())
-    assert back.domain == "target"
-    assert np.array_equal(back.data, fb.data)

@@ -160,6 +160,12 @@ def test_sweep_dim_cardinality_and_flags(tmp_path):
     assert set(best) <= {"airm", "mean_euclid"}
     for kind, info in best.items():
         assert info["best_dim"] in (2, 3)
+    # sweep files and every per-run report share the config's out_dir as root
+    root = tmp_path / "sweep"
+    for r in rows:
+        if r["regime_ok"]:
+            assert (root / f"d{r['dim']}_{r['kind']}_s{r['seed']}" / "report.csv").exists()
+    assert sorted(os.listdir(tmp_path)) == ["run.cfg", "sweep"]
 
 
 # ----------------------------------------------------------------------- CLI
@@ -181,6 +187,23 @@ def test_cli_embed_and_dist(tmp_path, capsys):
     printed = capsys.readouterr().out.strip()
     assert float(printed) == pytest.approx(np.log(4.0), abs=1e-15)
     assert len(printed) >= 17  # 17 significant digits
+
+
+def test_cli_dist_rejects_non_spd_files(tmp_path, capsys):
+    eye = tmp_path / "eye.txt"
+    write_matrix(eye, np.eye(2))
+    bad = {
+        "asym.txt": np.array([[2.0, 0.3], [0.9, 1.0]]),
+        "indefinite.txt": np.array([[1.0, 2.0], [2.0, 1.0]]),
+    }
+    for name, M in bad.items():
+        path = tmp_path / name
+        write_matrix(path, M)
+        for args in ([str(path), str(eye)], [str(eye), str(path)]):
+            assert main(["dist", *args, "--kind", "airm"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
 
 
 def test_cli_oracle_fr(capsys):
