@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 
+from .blas import pin_blas_threads
 from .bounds import DiscreteDist, check_target_bound, fisher_rao_univariate, hilbert_discrete, tv_discrete
 from .embedding import EmbeddingParams, embed
 from .errors import ConfigError, GeomomentError, NonFiniteLoss
@@ -145,6 +146,7 @@ def build_parser():
 
 
 def main(argv=None):
+    pin_blas_threads()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

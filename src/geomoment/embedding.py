@@ -64,7 +64,8 @@ def embed(m, params=EmbeddingParams()):
 
     Raises NotPositiveDefinite when the covariance itself is not SPD;
     for an SPD covariance the output is SPD by congruence, so no second
-    eigenvalue check is run on the block matrix.
+    eigenvalue check is run on the block matrix. The block matrix is
+    exactly symmetric as built, since the covariance is.
     """
     validate_spd(m.cov)
     a = params.a
@@ -74,7 +75,7 @@ def embed(m, params=EmbeddingParams()):
     P[:n, n] = a * m.mean
     P[n, :n] = a * m.mean
     P[n, n] = a
-    return SpdMatrix(dim=n + 1, entries=sym(P))
+    return SpdMatrix(dim=n + 1, entries=P)
 
 
 def unembed(P, params=EmbeddingParams()):

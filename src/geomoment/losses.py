@@ -29,12 +29,17 @@ DIST_KINDS = ("airm", "hilbert", "mean_euclid", "coral_frob", "log_euclid")
 DIST_EPS = 1e-8  # below this the airm gradient is defined as zero
 DEGEN_RTOL = 1e-9  # relative gap deciding eigenvalue degeneracy
 
+# Where a geometric gradient is undefined it is returned as zero, labelled by the cause.
+_ZEROING = (NearZeroDistance, DegenerateSpectrum)
+ZERO_GRAD_REASONS = tuple(e.__name__ for e in _ZEROING)
+
 
 @dataclass(frozen=True)
 class LossEval:
     value: float
     grad_source: np.ndarray
     grad_target: np.ndarray
+    zero_grad_reason: str = ""  # one of ZERO_GRAD_REASONS when both gradients were zeroed
 
 
 def _rows(z):
@@ -88,9 +93,8 @@ def grad_embed(m, upstream, params=EmbeddingParams()):
     a = params.a
     n = m.dim
     Gtl = G[:n, :n]
-    dcov = sym(Gtl)
     dmean = a * (Gtl + Gtl.T) @ m.mean + 2.0 * a * G[:n, n]
-    return dmean, dcov
+    return dmean, Gtl
 
 
 def grad_moments(batch, dmean, dcov):
@@ -102,12 +106,11 @@ def grad_moments(batch, dmean, dcov):
     """
     data = _rows(batch)
     b = data.shape[0]
-    mean = data.mean(axis=0)
-    out = np.broadcast_to(np.asarray(dmean, dtype=float) / b, data.shape).copy()
+    row_dmean = np.asarray(dmean, dtype=float) / b
     D = sym(dcov)
-    if np.any(D):
-        out += (data - mean) @ (D * (2.0 / (b - 1)))
-    return out
+    if not np.any(D):
+        return np.broadcast_to(row_dmean, data.shape).copy()
+    return (data - data.mean(axis=0)) @ (D * (2.0 / (b - 1))) + row_dmean
 
 
 def _log_derivative_coeffs(lam):
@@ -129,13 +132,17 @@ def _spd_or_gate_closed():
         raise GateClosed(f"covariance failed SPD validation: {exc}") from exc
 
 
-def dist_loss(zs, zt, kind, params=EmbeddingParams()):
+def dist_loss(zs, zt, kind, params=EmbeddingParams(), source_moments=None):
     """Distance loss between two feature batches with per-row gradients.
 
     Raises GateClosed when a geometric kind or log_euclid cannot be
     evaluated because a covariance is not SPD; the trainer treats that
     as "skip adaptation this step". airm and hilbert take their value
-    and gradients from one factorization of the embedded pencil.
+    and gradients from one factorization of the embedded pencil; where
+    that gradient is undefined both gradients are zero and
+    zero_grad_reason names the cause. source_moments, when given, must
+    be batch_moments(zs): a caller that already has them (the trainer's
+    gate) saves computing them again.
     """
     if kind not in DIST_KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {DIST_KINDS}")
@@ -149,14 +156,15 @@ def dist_loss(zs, zt, kind, params=EmbeddingParams()):
         b = min(zs_data.shape[0], zt_data.shape[0])
         if b < 2:
             raise BatchTooSmall(f"need at least 2 rows, got {b}")
-        diff = zs_data.mean(axis=0) - zt_data.mean(axis=0)
+        mean_s = zs_data.mean(axis=0) if source_moments is None else source_moments.mean
+        diff = mean_s - zt_data.mean(axis=0)
         value = float(diff @ diff)
         zero = np.zeros((diff.size, diff.size))
         gs = grad_moments(zs_data, 2.0 * diff, zero)
         gt = grad_moments(zt_data, -2.0 * diff, zero)
         return LossEval(value=value, grad_source=gs, grad_target=gt)
 
-    ms = batch_moments(zs_data)
+    ms = batch_moments(zs_data) if source_moments is None else source_moments
     mt = batch_moments(zt_data)
 
     if kind in SPECTRAL_DISTS:
@@ -167,13 +175,13 @@ def dist_loss(zs, zt, kind, params=EmbeddingParams()):
         value = SPECTRAL_DISTS[kind](lam)
         try:
             dPs, dPt = _eigenpair_grads(kind, lam, V, value)
-            dmean_s, dcov_s = grad_embed(ms, dPs, params)
-            dmean_t, dcov_t = grad_embed(mt, dPt, params)
-            gs = grad_moments(zs_data, dmean_s, dcov_s)
-            gt = grad_moments(zt_data, dmean_t, dcov_t)
-        except (NearZeroDistance, DegenerateSpectrum):
-            gs = np.zeros_like(zs_data)
-            gt = np.zeros_like(zt_data)
+        except _ZEROING as exc:
+            zero_s, zero_t = np.zeros_like(zs_data), np.zeros_like(zt_data)
+            return LossEval(value, zero_s, zero_t, zero_grad_reason=type(exc).__name__)
+        dmean_s, dcov_s = grad_embed(ms, dPs, params)
+        dmean_t, dcov_t = grad_embed(mt, dPt, params)
+        gs = grad_moments(zs_data, dmean_s, dcov_s)
+        gt = grad_moments(zt_data, dmean_t, dcov_t)
         return LossEval(value=value, grad_source=gs, grad_target=gt)
 
     if kind == "coral_frob":

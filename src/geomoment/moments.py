@@ -6,7 +6,6 @@ import numpy as np
 
 from .embedding import GaussianMoments
 from .errors import BatchTooSmall
-from .spd import sym
 
 
 @dataclass(frozen=True)
@@ -47,8 +46,9 @@ def batch_moments(batch):
     """Row mean and unbiased covariance of a feature batch.
 
     Two-pass: mean first, then centered outer products with 1/(b-1)
-    normalization, symmetrized exactly. The covariance may come out
-    singular (identical rows); downstream gating detects that.
+    normalization; GaussianMoments symmetrizes the covariance exactly.
+    The covariance may come out singular (identical rows); downstream
+    gating detects that.
     """
     data = batch.data if isinstance(batch, FeatureBatch) else np.asarray(batch, dtype=float)
     b = data.shape[0]
@@ -56,8 +56,7 @@ def batch_moments(batch):
         raise BatchTooSmall(f"need at least 2 rows, got {b}")
     mean = data.mean(axis=0)
     centered = data - mean
-    cov = sym(centered.T @ centered / (b - 1))
-    return GaussianMoments(mean=mean, cov=cov)
+    return GaussianMoments(mean=mean, cov=centered.T @ centered / (b - 1))
 
 
 def check_regime(b, n):

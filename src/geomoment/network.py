@@ -170,24 +170,40 @@ class Sgd:
 
 
 class Adam:
+    """Adam over one flat parameter buffer.
+
+    The constructor copies the parameter arrays into one buffer and
+    rebinds every entry of params to a view of it, so the caller's lists
+    see each update while a step runs its three elementwise update
+    expressions once over all parameters. step takes the same list.
+    """
+
     def __init__(self, params, learn_rate, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = learn_rate
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [[np.zeros_like(W), np.zeros_like(b)] for W, b in params]
-        self.v = [[np.zeros_like(W), np.zeros_like(b)] for W, b in params]
+        self.params = params
+        self.flat = np.concatenate([a for pair in params for a in pair], axis=None)
+        offset = 0
+        for pair in params:
+            for j, a in enumerate(pair):
+                pair[j] = self.flat[offset : offset + a.size].reshape(a.shape)
+                offset += a.size
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
 
     def step(self, params, grads):
+        if params is not self.params:
+            raise ValueError("Adam.step needs the parameter list it was built with")
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            for j in range(2):
-                m[j] = self.beta1 * m[j] + (1.0 - self.beta1) * g[j]
-                v[j] = self.beta2 * v[j] + (1.0 - self.beta2) * g[j] ** 2
-                p[j] -= self.lr * (m[j] / c1) / (np.sqrt(v[j] / c2) + self.eps)
+        g = np.concatenate([a for pair in grads for a in pair], axis=None)
+        self.m = self.beta1 * self.m + (1.0 - self.beta1) * g
+        self.v = self.beta2 * self.v + (1.0 - self.beta2) * g**2
+        self.flat -= self.lr * (self.m / c1) / (np.sqrt(self.v / c2) + self.eps)
 
 
 def make_optimizer(name, params, learn_rate):

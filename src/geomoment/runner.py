@@ -12,6 +12,7 @@ import os
 import time
 from dataclasses import dataclass
 
+from .blas import blas_threads
 from .datasets import BlobsConfig, DenoiseConfig, gen_blobs, gen_denoise
 from .errors import ConfigError, RegimeViolation
 from .losses import DIST_KINDS
@@ -318,6 +319,8 @@ def run_experiment(cfg, metrics_path=None):
     }
     summary = dict(row)
     summary["wall_time_s"] = wall
+    summary["zeroed_grad_steps"] = report.zeroed_grad_steps
+    summary["blas_threads"] = blas_threads()
     summary["config"] = {k: _jsonable(v) for k, v in (cfg.echo or {}).items()}
     with open(os.path.join(cfg.out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True, default=_jsonable)

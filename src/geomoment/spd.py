@@ -13,11 +13,13 @@ Conventions used throughout:
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_solve, get_lapack_funcs
 
 from .errors import ConvergenceFailure, NotPositiveDefinite, NotSymmetric
 
 SYM_RTOL = 1e-12  # relative asymmetry allowed before a matrix is rejected
+
+_TRTRS = get_lapack_funcs("trtrs", dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -59,18 +61,30 @@ def check_symmetric(M, rtol=SYM_RTOL):
 def validate_spd(M, spd_tol=None):
     """Check that M is SPD and wrap it.
 
-    Symmetry is enforced by averaging (M + M^T)/2 before the eigenvalue
-    check. When spd_tol is None it defaults to 1e-10 * trace(M)/dim,
-    separating genuine rank deficiency from double-precision noise.
+    M must be symmetric to within SYM_RTOL; it is then symmetrized
+    exactly, (M + M^T)/2. It is accepted when lambda_min(M) > spd_tol,
+    where spd_tol defaults to 1e-10 * trace(M)/dim, separating genuine
+    rank deficiency from double-precision noise. One Cholesky
+    factorization of M - spd_tol * I decides that rule (its success
+    means the shifted matrix is positive definite), so only a rejected
+    matrix pays for an eigensolve, which fills NotPositiveDefinite's
+    lambda_min. Within rounding of spd_tol the two may disagree; the
+    Cholesky decides. A non-finite M is rejected.
     """
-    M = check_symmetric(M)
-    M = sym(M)
+    M = sym(check_symmetric(M))
     n = M.shape[0]
     if spd_tol is None:
         scale = np.trace(M) / n
         spd_tol = 1e-10 * (scale if scale > 0 else 1.0)
-    lam_min = float(eigvals_sym(M)[0])
-    if not lam_min > spd_tol:
+    shifted = M.copy()
+    shifted.flat[:: n + 1] -= spd_tol
+    try:
+        # cholesky lets NaN through without raising, so the factor must be finite too
+        ok = np.isfinite(np.linalg.cholesky(shifted)).all()
+    except np.linalg.LinAlgError:
+        ok = False
+    if not ok:
+        lam_min = float(eigvals_sym(M)[0])
         raise NotPositiveDefinite(
             f"smallest eigenvalue {lam_min:.6e} not above tolerance {spd_tol:.1e}",
             lambda_min=lam_min,
@@ -120,11 +134,24 @@ def _cholesky(P):
         raise NotPositiveDefinite(f"Cholesky failed: {exc}") from exc
 
 
+def _solve_lower(L, B, trans):
+    """Solve L X = B (trans 0) or L^T X = B (trans 1) for a C-ordered lower factor L.
+
+    Calls LAPACK trtrs on the Fortran-ordered upper view L^T, exactly as
+    scipy's solve_triangular does for such an L, without its per-call
+    argument checks; the inputs here come from a Cholesky factor.
+    """
+    X, info = _TRTRS(L.T, B, lower=0, trans=1 - trans)
+    if info:
+        raise ValueError(f"trtrs failed with info {info}")
+    return X
+
+
 def _pencil_form(P1, P2):
     """Cholesky factor L of P1 and the symmetric pencil form L^{-1} P2 L^{-T}."""
     L = _cholesky(P1)
-    W = solve_triangular(L, as_matrix(P2), lower=True)
-    return L, solve_triangular(L, W.T, lower=True)
+    W = _solve_lower(L, as_matrix(P2), 0)
+    return L, _solve_lower(L, W.T, 0)
 
 
 def pencil_eigvals(P1, P2):
@@ -140,14 +167,14 @@ def pencil_eigh(P1, P2):
     """
     L, M = _pencil_form(P1, P2)
     lam, Y = eigh_sym(M)
-    return lam, solve_triangular(L, Y, lower=True, trans="T")
+    return lam, _solve_lower(L, Y, 1)
 
 
 def _positive(lam):
-    if lam[0] <= 0:
-        raise NotPositiveDefinite(
-            f"pencil eigenvalue {lam[0]:.6e} <= 0", lambda_min=float(lam[0])
-        )
+    # lam > 0 everywhere also rejects the NaN spectrum of a non-finite pencil
+    if not np.all(lam > 0):
+        lam_min = float(np.min(lam))
+        raise NotPositiveDefinite(f"pencil eigenvalue {lam_min:.6e} <= 0", lambda_min=lam_min)
     return lam
 
 

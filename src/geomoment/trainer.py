@@ -14,7 +14,7 @@ import numpy as np
 
 from .embedding import EmbeddingParams, schur_gate
 from .errors import GateClosed, NonFiniteLoss, RegimeViolation
-from .losses import DIST_KINDS, dist_loss
+from .losses import DIST_KINDS, ZERO_GRAD_REASONS, dist_loss
 from .moments import batch_moments, check_regime
 from .network import (
     ClassifierHead,
@@ -94,6 +94,7 @@ class TrainReport:
     target_metric: np.ndarray
     skipped_steps: np.ndarray
     gate_open_epoch: int  # 1-based; -1 when the gate never opened
+    zeroed_grad_steps: dict  # reason -> adaptation steps whose distance gradients were zeroed
     params: list = field(repr=False)
 
     @property
@@ -175,6 +176,7 @@ def train(config, spec, source, target, eval_source=None, eval_target=None):
     }
     gate_on = np.zeros(config.epochs, dtype=bool)
     skipped = np.zeros(config.epochs, dtype=int)
+    zeroed = dict.fromkeys(ZERO_GRAD_REASONS, 0)
 
     for epoch in range(config.epochs):
         task_sum = 0.0
@@ -197,7 +199,8 @@ def train(config, spec, source, target, eval_source=None, eval_target=None):
                 )
             dz, head_grads = stack_backward(hp, params[n_enc:], head_caches, dout)
 
-            gate = schur_gate(batch_moments(z_s), config.eta)
+            ms = batch_moments(z_s)  # shared by the gate and the distance loss
+            gate = schur_gate(ms, config.eta)
             det_sum += gate.det
             if gate.open and not latch:
                 latch = True
@@ -207,7 +210,7 @@ def train(config, spec, source, target, eval_source=None, eval_target=None):
             if latch and config.beta > 0:
                 z_t, t_caches = stack_forward(ep, params[:n_enc], target.x[idx_t])
                 try:
-                    le = dist_loss(z_s, z_t, config.dist_kind, _A1)
+                    le = dist_loss(z_s, z_t, config.dist_kind, _A1, source_moments=ms)
                     if not math.isfinite(le.value):
                         raise NonFiniteLoss(
                             f"distance loss became non-finite at epoch {epoch + 1} "
@@ -217,6 +220,8 @@ def train(config, spec, source, target, eval_source=None, eval_target=None):
                         )
                     dist_sum += le.value
                     dist_steps += 1
+                    if le.zero_grad_reason:
+                        zeroed[le.zero_grad_reason] += 1
                     dz = dz + config.beta * le.grad_source
                     _, grads_t = stack_backward(
                         ep, params[:n_enc], t_caches, config.beta * le.grad_target
@@ -251,5 +256,6 @@ def train(config, spec, source, target, eval_source=None, eval_target=None):
         target_metric=cols["target_metric"],
         skipped_steps=skipped,
         gate_open_epoch=gate_open_epoch,
+        zeroed_grad_steps=zeroed,
         params=params,
     )

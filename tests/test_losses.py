@@ -32,6 +32,28 @@ def test_identical_batches_zero_value_all_kinds():
         assert np.max(np.abs(le.grad_source + le.grad_target)) <= 1e-12
 
 
+def test_identical_batches_zeroed_gradients_name_their_reason():
+    z = rng_for("loss-zero-reason").standard_normal((128, 2))
+    for kind, reason in (("airm", "NearZeroDistance"), ("hilbert", "DegenerateSpectrum")):
+        le = dist_loss(z, z, kind)
+        assert le.value <= 1e-12
+        assert not np.any(le.grad_source) and not np.any(le.grad_target)
+        assert le.zero_grad_reason == reason
+    zs, zt = rand_batches(rng_for("loss-real-reason"), 30, 2)
+    for kind in DIST_KINDS:
+        assert dist_loss(zs, zt, kind).zero_grad_reason == ""
+
+
+def test_given_source_moments_give_bit_identical_loss():
+    zs, zt = rand_batches(rng_for("loss-source-moments"), 40, 3)
+    for kind in DIST_KINDS:
+        ref = dist_loss(zs, zt, kind)
+        le = dist_loss(zs, zt, kind, source_moments=batch_moments(zs))
+        assert le.value == ref.value
+        assert np.array_equal(le.grad_source, ref.grad_source)
+        assert np.array_equal(le.grad_target, ref.grad_target)
+
+
 def test_one_dim_worked_values():
     rng = rng_for("loss-1d")
     zs = rng.standard_normal((50, 1))

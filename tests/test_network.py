@@ -103,3 +103,52 @@ def test_adam_reduces_quadratic():
         grads = [[2.0 * params[0][0], np.zeros(3)]]
         opt.step(params, grads)
     assert np.linalg.norm(params[0][0]) < 1e-2 * np.linalg.norm(W)
+
+
+class _PerArrayAdam:
+    """Adam updating each parameter array on its own: the reference for the flat Adam."""
+
+    def __init__(self, params, learn_rate, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr = learn_rate
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.t = 0
+        self.m = [[np.zeros_like(W), np.zeros_like(b)] for W, b in params]
+        self.v = [[np.zeros_like(W), np.zeros_like(b)] for W, b in params]
+
+    def step(self, params, grads):
+        self.t += 1
+        c1 = 1.0 - self.beta1**self.t
+        c2 = 1.0 - self.beta2**self.t
+        for p, g, m, v in zip(params, grads, self.m, self.v):
+            for j in range(2):
+                m[j] = self.beta1 * m[j] + (1.0 - self.beta1) * g[j]
+                v[j] = self.beta2 * v[j] + (1.0 - self.beta2) * g[j] ** 2
+                p[j] -= self.lr * (m[j] / c1) / (np.sqrt(v[j] / c2) + self.eps)
+
+
+def test_flat_adam_matches_per_array_reference_bitwise():
+    spec = ModelSpec(
+        input_dim=5,
+        encoder_layers=((7, "relu"), (3, "tanh"), (2, "identity")),
+        embed_dim=2,
+        head=DecoderHead(output_dim=5, layers=((4, "tanh"),)),
+    )
+    ref = init_model(spec, seed=4)
+    params = [[W.copy(), b.copy()] for W, b in ref]
+    ref_opt = _PerArrayAdam(ref, learn_rate=0.01)
+    opt = Adam(params, learn_rate=0.01)
+    held = [a for pair in params for a in pair]  # arrays the caller reads after construction
+    rng = stream(5, 999)
+    for step in range(6):
+        grads = [[rng.standard_normal(W.shape), rng.standard_normal(b.shape)] for W, b in ref]
+        if step % 2:
+            grads[0][0] = np.asfortranarray(grads[0][0])  # layout must not change the order
+        ref_opt.step(ref, grads)
+        opt.step(params, grads)
+        for got, want in zip(held, (a for pair in ref for a in pair)):
+            assert got.tobytes() == want.tobytes()
+    assert all(a is b for a, b in zip(held, (a for pair in params for a in pair)))
+    with pytest.raises(ValueError):
+        opt.step([list(pair) for pair in params], grads)

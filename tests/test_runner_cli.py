@@ -5,6 +5,8 @@ import os
 import numpy as np
 import pytest
 
+from geomoment import blas
+from geomoment.blas import blas_threads
 from geomoment.cli import main
 from geomoment.errors import ConfigError
 from geomoment.matrixio import read_matrix, write_matrix, write_moments
@@ -245,3 +247,33 @@ def test_cli_sweep(tmp_path):
     assert code == 0
     lines = (tmp_path / "sw" / "sweep.csv").read_text().strip().split("\n")
     assert len(lines) == 3
+
+
+def _set_numpy_blas_threads(n):
+    import ctypes
+
+    set_threads = blas._openblas(np, "scipy_openblas_set_num_threads64_", (ctypes.c_int,), None)
+    set_threads(n)
+
+
+def test_cli_train_pins_blas_unless_set(tmp_path, monkeypatch):
+    cfg = write_cfg(tmp_path, BLOBS_CFG)
+    before = blas_threads()
+    if before is None:  # no readable OpenBLAS pool: the summary says so
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
+        assert json.loads((tmp_path / "r" / "summary.json").read_text())["blas_threads"] is None
+        return
+    try:
+        for env, want in (("2", 2), (None, 1)):
+            _set_numpy_blas_threads(2)
+            if env is None:
+                monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("OPENBLAS_NUM_THREADS", env)
+            out = tmp_path / f"r{want}"
+            assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["blas_threads"] == want
+            assert summary["zeroed_grad_steps"] == {"NearZeroDistance": 0, "DegenerateSpectrum": 0}
+    finally:
+        _set_numpy_blas_threads(before)

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm, solve_triangular
 
 from geomoment.errors import NotPositiveDefinite, NotSymmetric
 from geomoment.spd import (
+    _pencil_form,
     dist_airm,
     dist_hilbert,
     dist_logeuclid,
     eigvals_sym,
     inner_affine,
     matrix_log,
+    pencil_eigh,
     validate_spd,
 )
 from helpers import rand_invertible, rand_orthogonal, rand_spd, rand_sym, rng_for
@@ -38,6 +42,55 @@ def test_validate_symmetrizes_float_noise():
     P[0, 1] += 1e-14 * abs(P).max()
     out = validate_spd(P)
     assert np.array_equal(out.entries, out.entries.T)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    log_scale=st.floats(-3.0, 3.0),
+    c=st.one_of(st.floats(-2.0, 3.0), st.floats(-1e3, 1e3)),
+)
+def test_validate_spd_accepts_exactly_above_the_trace_tolerance(n, seed, log_scale, c):
+    rng = np.random.default_rng(seed)
+    lam = 10.0 ** (log_scale + rng.uniform(-2.0, 2.0, n))
+    lam[0] = c * 1e-10 * lam.mean()  # smallest eigenvalue near the default tolerance
+    Q = rand_orthogonal(rng, n)
+    M = (Q * lam) @ Q.T
+    M = 0.5 * (M + M.T)
+    eig = np.linalg.eigvalsh(M)
+    scale = np.trace(M) / n
+    tol = 1e-10 * (scale if scale > 0 else 1.0)
+    # away from the rounding band of an eigensolve and a Cholesky around tol
+    assume(abs(eig[0] - tol) > 1e3 * np.finfo(float).eps * np.abs(eig).max())
+    if eig[0] > tol:
+        assert np.array_equal(validate_spd(M).entries, M)
+    else:
+        with pytest.raises(NotPositiveDefinite) as exc:
+            validate_spd(M)
+        assert exc.value.lambda_min == eig[0]
+
+
+def test_validate_rejects_non_finite():
+    for M in (np.array([[1.0, np.nan], [np.nan, 1.0]]), np.array([[np.nan, 0.0], [0.0, 1.0]])):
+        with pytest.raises(NotPositiveDefinite):
+            validate_spd(M)
+
+
+def test_pencil_solves_match_solve_triangular_bitwise():
+    rng = rng_for("pencil-trtrs")
+    for n in (1, 2, 3, 5, 9):
+        for _ in range(5):
+            P1 = rand_spd(rng, n, cond=1e4)
+            P2 = rand_spd(rng, n, cond=1e4)
+            L = np.linalg.cholesky(P1)
+            W = solve_triangular(L, P2, lower=True)
+            M = solve_triangular(L, W.T, lower=True)
+            lam, Y = np.linalg.eigh(0.5 * (M + M.T))
+            V = solve_triangular(L, Y, lower=True, trans="T")
+            assert _pencil_form(P1, P2)[1].tobytes() == M.tobytes()
+            lam2, V2 = pencil_eigh(P1, P2)
+            assert lam2.tobytes() == lam.tobytes() and V2.tobytes() == V.tobytes()
 
 
 def test_eigvals_diagonal():

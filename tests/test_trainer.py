@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from geomoment import losses, trainer
 from geomoment.datasets import BlobsConfig, gen_blobs
 from geomoment.errors import RegimeViolation
+from geomoment.losses import LossEval
 from geomoment.network import ClassifierHead, ModelSpec
 from geomoment.trainer import EvalSet, FeatureSet, LabeledSet, TrainConfig, evaluate, train
 
@@ -129,6 +131,49 @@ def test_skipped_steps_counted_on_collapsed_target():
     rep = run(config(epochs=3, dist_kind="airm"), data=collapsed)
     assert rep.skipped_steps.sum() > 0
     assert np.all(rep.loss_dist == 0.0)
+
+
+def _count_calls(monkeypatch, module, name, calls):
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_batch_moments_once_per_side_per_step(monkeypatch):
+    calls = []
+    for module in (trainer, losses):
+        _count_calls(monkeypatch, module, "batch_moments", calls)
+    _count_calls(monkeypatch, trainer, "dist_loss", calls)
+    steps = 3 * (BLOBS.num_classes * BLOBS.samples_per_class // 40)
+    for beta, adapting in ((0.1, steps), (0.0, 0)):
+        calls.clear()
+        run(config(epochs=3, beta=beta))
+        assert calls.count("dist_loss") == adapting
+        assert calls.count("batch_moments") == steps + adapting
+
+
+def test_zeroed_gradient_steps_counted_by_reason(monkeypatch):
+    real = trainer.dist_loss
+    reasons = iter(["NearZeroDistance", "", "DegenerateSpectrum", "NearZeroDistance"] * 100)
+
+    def zeroing(zs, zt, kind, *args, **kwargs):
+        le = real(zs, zt, kind, *args, **kwargs)
+        reason = next(reasons)
+        if not reason:
+            return le
+        zero_s, zero_t = np.zeros_like(le.grad_source), np.zeros_like(le.grad_target)
+        return LossEval(le.value, zero_s, zero_t, zero_grad_reason=reason)
+
+    monkeypatch.setattr(trainer, "dist_loss", zeroing)
+    rep = run(config(epochs=2))  # 14 adapting steps: the pattern above, three times and a half
+    assert rep.zeroed_grad_steps == {"NearZeroDistance": 7, "DegenerateSpectrum": 3}
+    assert run(config(epochs=1, beta=0.0)).zeroed_grad_steps == dict.fromkeys(
+        losses.ZERO_GRAD_REASONS, 0
+    )
 
 
 def test_source_labels_required_for_classifier():
