@@ -1,3 +1,4 @@
+import ctypes
 import json
 import math
 import os
@@ -6,7 +7,6 @@ import numpy as np
 import pytest
 
 from geomoment import blas
-from geomoment.blas import blas_threads
 from geomoment.cli import main
 from geomoment.errors import ConfigError
 from geomoment.matrixio import read_matrix, write_matrix, write_moments
@@ -250,15 +250,13 @@ def test_cli_sweep(tmp_path):
 
 
 def _set_numpy_blas_threads(n):
-    import ctypes
-
     set_threads = blas._openblas(np, "scipy_openblas_set_num_threads64_", (ctypes.c_int,), None)
     set_threads(n)
 
 
 def test_cli_train_pins_blas_unless_set(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, BLOBS_CFG)
-    before = blas_threads()
+    before = blas.blas_threads()
     if before is None:  # no readable OpenBLAS pool: the summary says so
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
         assert json.loads((tmp_path / "r" / "summary.json").read_text())["blas_threads"] is None
