@@ -20,8 +20,8 @@ print("batch mean:", np.round(m.mean, 3))
 print("batch covariance:\n", np.round(m.cov, 3))
 
 P = embed(m)
-print("\nembedded 4x4 SPD matrix:\n", np.round(P.entries, 3))
-print("corner entry stores a:", P.entries[3, 3])
+print("\nembedded 4x4 SPD matrix:\n", np.round(P, 3))
+print("corner entry stores a:", P[3, 3])
 
 back = unembed(P)
 print("\nround trip max error:",
@@ -29,7 +29,7 @@ print("\nround trip max error:",
 
 print("\nscaling the mean contribution with a = 4:")
 P4 = embed(m, EmbeddingParams(a=4.0))
-print(np.round(P4.entries, 3))
+print(np.round(P4, 3))
 
 print("\ndeterminant gate:")
 print("  healthy batch:", schur_gate(m, eta=1e-8))

@@ -33,8 +33,8 @@ print("\nthe embedded affine-invariant distance never exceeds Fisher-Rao (univar
 for mu2, s2 in ((0.5, 1.0), (0.0, 2.0), (1.5, 0.4)):
     from geomoment import GaussianMoments, dist_airm, embed
 
-    P1 = embed(GaussianMoments(mean=[0.0], cov=[[1.0]])).entries
-    P2 = embed(GaussianMoments(mean=[mu2], cov=[[s2**2]])).entries
+    P1 = embed(GaussianMoments(mean=[0.0], cov=[[1.0]]))
+    P2 = embed(GaussianMoments(mean=[mu2], cov=[[s2**2]]))
     dA = dist_airm(P1, P2)
     dF = fisher_rao_univariate(0.0, 1.0, mu2, s2)
     print(f"  N(0,1) vs N({mu2},{s2}^2): d_A = {dA:.6f} <= d_F = {dF:.6f}")

@@ -4,118 +4,51 @@ Feature-batch moments are packed into SPD matrices one dimension up and
 compared with affine-invariant or Hilbert projective distances, with
 exact gradients back to every feature row, a determinant-gated trainer,
 and the divergence-bound machinery that justifies the loss.
+
+The top level exports the public API below; everything else is
+imported from its module (``geomoment.spd``, ``geomoment.losses``, ...).
 """
 
-from .bounds import (
-    BoundCheck,
-    DiscreteDist,
-    check_target_bound,
-    fisher_rao_fixed_mean,
-    fisher_rao_univariate,
-    hilbert_discrete,
-    tv_discrete,
-)
-from .datasets import BlobsConfig, BlobsData, DenoiseConfig, DenoiseData, gen_blobs, gen_denoise
-from .embedding import EmbeddingParams, GateResult, GaussianMoments, embed, schur_gate, unembed
-from .errors import (
-    BatchTooSmall,
-    ConfigError,
-    ConvergenceFailure,
-    DegenerateSpectrum,
-    DomainError,
-    GateClosed,
-    GeomomentError,
-    NearZeroDistance,
-    NonFiniteLoss,
-    NotInImage,
-    NotPositiveDefinite,
-    NotSymmetric,
-    RegimeViolation,
-    SupportMismatch,
-)
-from .losses import DIST_KINDS, LossEval, dist_loss, grad_embed, grad_moments, grad_spd_pair
-from .moments import FeatureBatch, RegimeCheck, batch_moments, check_regime
-from .network import ClassifierHead, DecoderHead, ModelSpec, init_model
-from .runner import RunConfig, load_run_config, run_experiment, sweep_dim
-from .spd import (
-    SpdMatrix,
-    dist_airm,
-    dist_hilbert,
-    dist_logeuclid,
-    eigvals_sym,
-    inner_affine,
-    matrix_log,
-    validate_spd,
-)
-from .trainer import EvalSet, FeatureSet, LabeledSet, TrainConfig, TrainReport, evaluate, train
+from .bounds import DiscreteDist, check_target_bound, fisher_rao_univariate
+from .datasets import BlobsConfig, DenoiseConfig, gen_blobs, gen_denoise
+from .embedding import EmbeddingParams, GaussianMoments, embed, schur_gate, unembed
+from .errors import GeomomentError
+from .losses import DIST_KINDS, dist_loss
+from .moments import batch_moments
+from .network import ClassifierHead, DecoderHead, ModelSpec
+from .runner import load_run_config, run_experiment, sweep_dim
+from .spd import dist_airm, dist_hilbert, dist_logeuclid, validate_spd
+from .trainer import TrainConfig, train
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BatchTooSmall",
     "BlobsConfig",
-    "BlobsData",
-    "BoundCheck",
     "ClassifierHead",
-    "ConfigError",
-    "ConvergenceFailure",
     "DIST_KINDS",
     "DecoderHead",
-    "DegenerateSpectrum",
     "DenoiseConfig",
-    "DenoiseData",
     "DiscreteDist",
-    "DomainError",
     "EmbeddingParams",
-    "EvalSet",
-    "FeatureBatch",
-    "FeatureSet",
-    "GateClosed",
-    "GateResult",
     "GaussianMoments",
     "GeomomentError",
-    "LabeledSet",
-    "LossEval",
     "ModelSpec",
-    "NearZeroDistance",
-    "NonFiniteLoss",
-    "NotInImage",
-    "NotPositiveDefinite",
-    "NotSymmetric",
-    "RegimeCheck",
-    "RegimeViolation",
-    "RunConfig",
-    "SpdMatrix",
-    "SupportMismatch",
     "TrainConfig",
-    "TrainReport",
     "batch_moments",
-    "check_regime",
     "check_target_bound",
     "dist_airm",
     "dist_hilbert",
     "dist_logeuclid",
     "dist_loss",
-    "eigvals_sym",
     "embed",
-    "evaluate",
-    "fisher_rao_fixed_mean",
     "fisher_rao_univariate",
     "gen_blobs",
     "gen_denoise",
-    "grad_embed",
-    "grad_moments",
-    "grad_spd_pair",
-    "hilbert_discrete",
-    "init_model",
-    "inner_affine",
     "load_run_config",
-    "matrix_log",
     "run_experiment",
     "schur_gate",
     "sweep_dim",
     "train",
-    "tv_discrete",
     "unembed",
     "validate_spd",
 ]

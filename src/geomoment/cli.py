@@ -21,9 +21,9 @@ def _cmd_embed(args):
     m = read_moments(args.moments)
     P = embed(m, EmbeddingParams(a=args.a))
     if args.out:
-        write_matrix(args.out, P.entries)
+        write_matrix(args.out, P)
     else:
-        sys.stdout.write(matrix_text(P.entries))
+        sys.stdout.write(matrix_text(P))
     return 0
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotInImage, NotPositiveDefinite, NotSymmetric
-from .spd import SpdMatrix, as_matrix, sym, validate_spd
+from .spd import sym, validate_spd
 
 CORNER_TOL = 1e-9
 
@@ -60,7 +60,7 @@ class GateResult:
 
 
 def embed(m, params=EmbeddingParams()):
-    """Embed a moment pair as an SPD matrix of size dim+1.
+    """Embed a moment pair as the SPD ndarray of size dim+1.
 
     Raises NotPositiveDefinite when the covariance itself is not SPD;
     for an SPD covariance the output is SPD by congruence, so no second
@@ -75,12 +75,12 @@ def embed(m, params=EmbeddingParams()):
     P[:n, n] = a * m.mean
     P[n, :n] = a * m.mean
     P[n, n] = a
-    return SpdMatrix(dim=n + 1, entries=P)
+    return P
 
 
 def unembed(P, params=EmbeddingParams()):
     """Invert embed. Raises NotInImage when P is not an embedded pair."""
-    P = as_matrix(P)
+    P = np.asarray(P, dtype=float)
     a = params.a
     n = P.shape[0] - 1
     if n < 1:

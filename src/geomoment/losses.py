@@ -21,8 +21,8 @@ from .errors import (
     NotPositiveDefinite,
     NotSymmetric,
 )
-from .moments import FeatureBatch, batch_moments
-from .spd import SPECTRAL_DISTS, as_matrix, eigh_sym, pencil_eigh, sym, validate_spd
+from .moments import batch_moments
+from .spd import SPECTRAL_DISTS, eigh_sym, pencil_eigh, sym, validate_spd
 
 DIST_KINDS = ("airm", "hilbert", "mean_euclid", "coral_frob", "log_euclid")
 
@@ -40,12 +40,6 @@ class LossEval:
     grad_source: np.ndarray
     grad_target: np.ndarray
     zero_grad_reason: str = ""  # one of ZERO_GRAD_REASONS when both gradients were zeroed
-
-
-def _rows(z):
-    if isinstance(z, FeatureBatch):
-        return z.data
-    return np.asarray(z, dtype=float)
 
 
 def _eigenpair_grads(kind, lam, V, value):
@@ -82,7 +76,7 @@ def grad_spd_pair(P1, P2, kind):
     """(value, dP1, dP2) of dist_airm or dist_hilbert from one pencil factorization."""
     if kind not in SPECTRAL_DISTS:
         raise ValueError(f"kind must be airm or hilbert, got {kind!r}")
-    lam, V = pencil_eigh(as_matrix(P1), as_matrix(P2))
+    lam, V = pencil_eigh(P1, P2)
     value = SPECTRAL_DISTS[kind](lam)
     return (value, *_eigenpair_grads(kind, lam, V, value))
 
@@ -104,7 +98,7 @@ def grad_moments(batch, dmean, dcov):
     dependence inside the covariance estimator cancels because the
     centered rows sum to zero.
     """
-    data = _rows(batch)
+    data = np.asarray(batch, dtype=float)
     b = data.shape[0]
     row_dmean = np.asarray(dmean, dtype=float) / b
     D = sym(dcov)
@@ -146,8 +140,8 @@ def dist_loss(zs, zt, kind, params=EmbeddingParams(), source_moments=None):
     """
     if kind not in DIST_KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {DIST_KINDS}")
-    zs_data = _rows(zs)
-    zt_data = _rows(zt)
+    zs_data = np.asarray(zs, dtype=float)
+    zt_data = np.asarray(zt, dtype=float)
     if zs_data.shape[1] != zt_data.shape[1]:
         raise ValueError(
             f"feature dims differ: {zs_data.shape[1]} vs {zt_data.shape[1]}"
@@ -169,8 +163,8 @@ def dist_loss(zs, zt, kind, params=EmbeddingParams(), source_moments=None):
 
     if kind in SPECTRAL_DISTS:
         with _spd_or_gate_closed():
-            Ps = embed(ms, params).entries
-            Pt = embed(mt, params).entries
+            Ps = embed(ms, params)
+            Pt = embed(mt, params)
         lam, V = pencil_eigh(Ps, Pt)
         value = SPECTRAL_DISTS[kind](lam)
         try:

@@ -2,13 +2,15 @@
 
 A matrix file is a one-line header ``dim=<n>`` followed by n rows of
 space-separated decimals. A moments file uses the same header, then one
-mean row, then the n covariance rows. Values are printed with 17
-significant digits so files round-trip exactly.
+mean row, then the n covariance rows, which must be symmetric to within
+``spd.SYM_RTOL``. Values are printed with 17 significant digits so files
+round-trip exactly.
 """
 
 import numpy as np
 
 from .embedding import GaussianMoments
+from .spd import check_symmetric
 
 
 def fmt(x):
@@ -64,4 +66,4 @@ def read_moments(path):
     cov = np.array([[float(v) for v in ln.split()] for ln in lines[2 : 2 + n]], dtype=float)
     if mean.size != n or cov.shape != (n, n):
         raise ValueError(f"{path}: inconsistent moments file for dim={n}")
-    return GaussianMoments(mean=mean, cov=cov)
+    return GaussianMoments(mean=mean, cov=check_symmetric(cov))

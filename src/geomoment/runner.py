@@ -99,22 +99,24 @@ _GENERAL_KEYS = {
     "sweep.seeds": _parse_ints,
 }
 
+# dataset keys: config key -> (parser, dataset config field); a key the file
+# leaves out keeps that field's dataclass default
 _BLOBS_KEYS = {
-    "blobs.num_classes": _parse_int,
-    "blobs.samples_per_class": _parse_int,
-    "blobs.input_dim": _parse_int,
-    "blobs.center_radius": _parse_float,
-    "blobs.cov_scale": _parse_float,
-    "blobs.rotation": _parse_float,
-    "blobs.translation": _parse_floats,
+    "blobs.num_classes": (_parse_int, "num_classes"),
+    "blobs.samples_per_class": (_parse_int, "samples_per_class"),
+    "blobs.input_dim": (_parse_int, "input_dim"),
+    "blobs.center_radius": (_parse_float, "center_radius"),
+    "blobs.cov_scale": (_parse_float, "cov_scale"),
+    "blobs.rotation": (_parse_float, "target_rotation"),
+    "blobs.translation": (_parse_floats, "target_translation"),
 }
 
 _DENOISE_KEYS = {
-    "denoise.length": _parse_int,
-    "denoise.samples": _parse_int,
-    "denoise.noise_mean": _parse_float,
-    "denoise.noise_std": _parse_float,
-    "decoder": _parse_layers,
+    "denoise.length": (_parse_int, "length"),
+    "denoise.samples": (_parse_int, "samples"),
+    "denoise.noise_mean": (_parse_float, "noise_mean"),
+    "denoise.noise_std": (_parse_float, "noise_std"),
+    "decoder": (_parse_layers, None),  # the decoder head's layers, not a DenoiseConfig field
 }
 
 _REQUIRED = (
@@ -154,7 +156,8 @@ def parse_config_text(text, path="<config>"):
     if task not in ("blobs", "denoise"):
         raise ConfigError(f"{path}: key 'task' must be blobs or denoise, got {task!r}")
     schema = dict(_GENERAL_KEYS)
-    schema.update(_BLOBS_KEYS if task == "blobs" else _DENOISE_KEYS)
+    dataset_keys = _BLOBS_KEYS if task == "blobs" else _DENOISE_KEYS
+    schema.update((key, parse) for key, (parse, _) in dataset_keys.items())
 
     parsed = {}
     for key, value in raw.items():
@@ -168,6 +171,11 @@ def parse_config_text(text, path="<config>"):
         if key not in parsed:
             raise ConfigError(f"{path}: missing required key {key!r}")
     return parsed
+
+
+def _dataset_fields(parsed, keys):
+    """Dataset config fields the parsed file sets, by field name."""
+    return {field: parsed[key] for key, (_, field) in keys.items() if field and key in parsed}
 
 
 def build_run_config(parsed, seed=None, out_dir=None):
@@ -197,26 +205,11 @@ def build_run_config(parsed, seed=None, out_dir=None):
     blobs = denoise = None
     try:
         if task == "blobs":
-            blobs = BlobsConfig(
-                num_classes=parsed.get("blobs.num_classes", 3),
-                samples_per_class=parsed.get("blobs.samples_per_class", 500),
-                input_dim=parsed.get("blobs.input_dim", 10),
-                center_radius=parsed.get("blobs.center_radius", 4.0),
-                cov_scale=parsed.get("blobs.cov_scale", 0.8),
-                target_rotation=parsed.get("blobs.rotation", 0.0),
-                target_translation=parsed.get("blobs.translation"),
-                seed=run_seed,
-            )
+            blobs = BlobsConfig(seed=run_seed, **_dataset_fields(parsed, _BLOBS_KEYS))
             input_dim = blobs.input_dim
             head = ClassifierHead(num_classes=blobs.num_classes)
         else:
-            denoise = DenoiseConfig(
-                length=parsed.get("denoise.length", 64),
-                samples=parsed.get("denoise.samples", 2000),
-                noise_mean=parsed.get("denoise.noise_mean", 0.4),
-                noise_std=parsed.get("denoise.noise_std", 0.7),
-                seed=run_seed,
-            )
+            denoise = DenoiseConfig(seed=run_seed, **_dataset_fields(parsed, _DENOISE_KEYS))
             input_dim = denoise.length
             head = DecoderHead(output_dim=denoise.length, layers=parsed.get("decoder", ()))
         model_spec = ModelSpec(
@@ -265,29 +258,18 @@ def _datasets(cfg):
     return d.source_train, d.target_train, d.source_eval, d.target_eval
 
 
+def _csv_line(row, header):
+    """One CSV line of row's cells in header order: fmt for floats, str for the rest."""
+    cells = (row[k] for k in header.split(","))
+    return ",".join(fmt(v) if isinstance(v, float) else str(v) for v in cells) + "\n"
+
+
 def append_metrics(path, row):
     write_header = not os.path.exists(path)
     with open(path, "a") as fh:
         if write_header:
             fh.write(METRICS_HEADER + "\n")
-        fh.write(
-            ",".join(
-                [
-                    row["task"],
-                    row["dist_kind"],
-                    str(row["seed"]),
-                    str(row["embed_dim"]),
-                    fmt(row["beta"]),
-                    fmt(row["eta"]),
-                    str(row["epochs"]),
-                    fmt(row["source_metric"]),
-                    fmt(row["target_metric"]),
-                    str(row["gate_open_epoch"]),
-                    str(row["skipped_steps"]),
-                ]
-            )
-            + "\n"
-        )
+        fh.write(_csv_line(row, METRICS_HEADER))
 
 
 def run_experiment(cfg, metrics_path=None):
@@ -405,8 +387,7 @@ def sweep_dim(cfg, dims):
     with open(csv_path, "w") as fh:
         fh.write(SWEEP_HEADER + "\n")
         for r in rows:
-            cells = (r[k] for k in SWEEP_HEADER.split(","))
-            fh.write(",".join(fmt(v) if isinstance(v, float) else str(v) for v in cells) + "\n")
+            fh.write(_csv_line(r, SWEEP_HEADER))
 
     higher_better = cfg.task == "blobs"
     best = {}

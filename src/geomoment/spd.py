@@ -10,8 +10,6 @@ Conventions used throughout:
   nonsymmetric product.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg import cho_solve, get_lapack_funcs
 
@@ -22,62 +20,43 @@ SYM_RTOL = 1e-12  # relative asymmetry allowed before a matrix is rejected
 _TRTRS = get_lapack_funcs("trtrs", dtype=np.float64)
 
 
-@dataclass(frozen=True)
-class SpdMatrix:
-    """A validated symmetric positive-definite matrix."""
-
-    dim: int
-    entries: np.ndarray
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.entries, dtype=dtype)
-
-
-def as_matrix(P):
-    """Plain float ndarray view of an SpdMatrix or array-like."""
-    if isinstance(P, SpdMatrix):
-        return P.entries
-    return np.asarray(P, dtype=float)
-
-
 def sym(M):
     """Exactly symmetric part (M + M^T) / 2."""
-    M = as_matrix(M)
+    M = np.asarray(M, dtype=float)
     return 0.5 * (M + M.T)
 
 
-def check_symmetric(M, rtol=SYM_RTOL):
-    """Return M as ndarray, raising NotSymmetric beyond the tolerance."""
-    M = as_matrix(M)
+def check_symmetric(M):
+    """Return M as ndarray, raising NotSymmetric beyond SYM_RTOL."""
+    M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {M.shape}")
     scale = np.max(np.abs(M))
     asym = np.max(np.abs(M - M.T))
-    if asym > rtol * max(scale, np.finfo(float).tiny):
-        raise NotSymmetric(f"asymmetry {asym:.3e} exceeds {rtol:.1e} * {scale:.3e}")
+    if asym > SYM_RTOL * max(scale, np.finfo(float).tiny):
+        raise NotSymmetric(f"asymmetry {asym:.3e} exceeds {SYM_RTOL:.1e} * {scale:.3e}")
     return M
 
 
-def validate_spd(M, spd_tol=None):
-    """Check that M is SPD and wrap it.
+def validate_spd(M):
+    """Check that M is SPD and return it exactly symmetrized.
 
     M must be symmetric to within SYM_RTOL; it is then symmetrized
-    exactly, (M + M^T)/2. It is accepted when lambda_min(M) > spd_tol,
-    where spd_tol defaults to 1e-10 * trace(M)/dim, separating genuine
-    rank deficiency from double-precision noise. One Cholesky
-    factorization of M - spd_tol * I decides that rule (its success
+    exactly, (M + M^T)/2. It is accepted when lambda_min(M) > tol, where
+    tol = 1e-10 * trace(M)/dim (1e-10 when that trace is not positive)
+    separates genuine rank deficiency from double-precision noise. One
+    Cholesky factorization of M - tol * I decides that rule (its success
     means the shifted matrix is positive definite), so only a rejected
     matrix pays for an eigensolve, which fills NotPositiveDefinite's
-    lambda_min. Within rounding of spd_tol the two may disagree; the
+    lambda_min. Within rounding of tol the two may disagree; the
     Cholesky decides. A non-finite M is rejected.
     """
     M = sym(check_symmetric(M))
     n = M.shape[0]
-    if spd_tol is None:
-        scale = np.trace(M) / n
-        spd_tol = 1e-10 * (scale if scale > 0 else 1.0)
+    scale = np.trace(M) / n
+    tol = 1e-10 * (scale if scale > 0 else 1.0)
     shifted = M.copy()
-    shifted.flat[:: n + 1] -= spd_tol
+    shifted.flat[:: n + 1] -= tol
     try:
         # cholesky lets NaN through without raising, so the factor must be finite too
         ok = np.isfinite(np.linalg.cholesky(shifted)).all()
@@ -86,10 +65,10 @@ def validate_spd(M, spd_tol=None):
     if not ok:
         lam_min = float(eigvals_sym(M)[0])
         raise NotPositiveDefinite(
-            f"smallest eigenvalue {lam_min:.6e} not above tolerance {spd_tol:.1e}",
+            f"smallest eigenvalue {lam_min:.6e} not above tolerance {tol:.1e}",
             lambda_min=lam_min,
         )
-    return SpdMatrix(dim=n, entries=M)
+    return M
 
 
 def eigvals_sym(M):
@@ -117,7 +96,6 @@ def eigh_sym(M):
 
 def matrix_log(P):
     """Matrix logarithm of an SPD matrix via eigendecomposition."""
-    P = as_matrix(P)
     lam, Q = eigh_sym(P)
     if lam[0] <= 0:
         raise NotPositiveDefinite(
@@ -129,7 +107,7 @@ def matrix_log(P):
 
 def _cholesky(P):
     try:
-        return np.linalg.cholesky(as_matrix(P))
+        return np.linalg.cholesky(np.asarray(P, dtype=float))
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"Cholesky failed: {exc}") from exc
 
@@ -150,7 +128,7 @@ def _solve_lower(L, B, trans):
 def _pencil_form(P1, P2):
     """Cholesky factor L of P1 and the symmetric pencil form L^{-1} P2 L^{-T}."""
     L = _cholesky(P1)
-    W = _solve_lower(L, as_matrix(P2), 0)
+    W = _solve_lower(L, np.asarray(P2, dtype=float), 0)
     return L, _solve_lower(L, W.T, 0)
 
 

@@ -158,8 +158,8 @@ def test_criterion_3_fisher_rao_lower_bound():
     for _ in range(500):
         mu1, mu2 = rng.uniform(-3, 3, size=2)
         s1, s2 = rng.uniform(0.2, 5.0, size=2)
-        P1 = embed(GaussianMoments(mean=[mu1], cov=[[s1**2]])).entries
-        P2 = embed(GaussianMoments(mean=[mu2], cov=[[s2**2]])).entries
+        P1 = embed(GaussianMoments(mean=[mu1], cov=[[s1**2]]))
+        P2 = embed(GaussianMoments(mean=[mu2], cov=[[s2**2]]))
         worst_gap = max(worst_gap, dist_airm(P1, P2) - fisher_rao_univariate(mu1, s1, mu2, s2))
     ok_bound = worst_gap <= 1e-9
 
@@ -168,8 +168,8 @@ def test_criterion_3_fisher_rao_lower_bound():
         n = int(rng.integers(1, 5))
         S1 = rand_spd(rng, n)
         S2 = rand_spd(rng, n)
-        P1 = embed(GaussianMoments(mean=np.zeros(n), cov=S1)).entries
-        P2 = embed(GaussianMoments(mean=np.zeros(n), cov=S2)).entries
+        P1 = embed(GaussianMoments(mean=np.zeros(n), cov=S1))
+        P2 = embed(GaussianMoments(mean=np.zeros(n), cov=S2))
         from geomoment.bounds import fisher_rao_fixed_mean
 
         worst_eq = max(worst_eq, abs(dist_airm(P1, P2) - fisher_rao_fixed_mean(S1, S2)))

@@ -183,7 +183,7 @@ def test_fr_fixed_mean_matches_airm():
 
 
 def _embed_gaussian(mu, sigma):
-    return embed(GaussianMoments(mean=[mu], cov=[[sigma**2]])).entries
+    return embed(GaussianMoments(mean=[mu], cov=[[sigma**2]]))
 
 
 def test_embedded_distance_lower_bounds_fisher_rao():
@@ -203,13 +203,13 @@ def test_equal_mean_equality_dims_1_to_4():
         mu = rng.standard_normal(n)
         S1 = rand_spd(rng, n)
         S2 = rand_spd(rng, n)
-        P1 = embed(GaussianMoments(mean=mu, cov=S1)).entries
-        P2 = embed(GaussianMoments(mean=mu, cov=S2)).entries
+        P1 = embed(GaussianMoments(mean=mu, cov=S1))
+        P2 = embed(GaussianMoments(mean=mu, cov=S2))
         if np.any(mu):
             # equality is exact only at mu = 0 where the embedding is block diagonal
             mu0 = np.zeros(n)
-            P1 = embed(GaussianMoments(mean=mu0, cov=S1)).entries
-            P2 = embed(GaussianMoments(mean=mu0, cov=S2)).entries
+            P1 = embed(GaussianMoments(mean=mu0, cov=S1))
+            P2 = embed(GaussianMoments(mean=mu0, cov=S2))
         assert abs(dist_airm(P1, P2) - fisher_rao_fixed_mean(S1, S2)) <= 1e-10
 
 

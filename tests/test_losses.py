@@ -260,7 +260,7 @@ def test_grad_embed_fd():
         dmean, dcov = grad_embed(m, G, params)
 
         def f(mean, cov):
-            return float(np.sum(G * embed(GaussianMoments(mean, cov), params).entries))
+            return float(np.sum(G * embed(GaussianMoments(mean, cov), params)))
 
         h = 1e-6
         for i in range(n):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from geomoment.errors import BatchTooSmall
-from geomoment.moments import FeatureBatch, batch_moments, check_regime
+from geomoment.moments import batch_moments, check_regime
 from geomoment.spd import validate_spd
 from helpers import rand_invertible, rng_for
 
@@ -24,8 +24,6 @@ def test_identical_rows_give_zero_cov():
 def test_batch_too_small():
     with pytest.raises(BatchTooSmall):
         batch_moments(np.array([[1.0, 2.0]]))
-    with pytest.raises(BatchTooSmall):
-        FeatureBatch(domain="source", data=np.array([[1.0, 2.0]]))
 
 
 def test_gaussian_batches_are_spd():

@@ -8,6 +8,7 @@ import pytest
 
 from geomoment import blas
 from geomoment.cli import main
+from geomoment.datasets import BlobsConfig, DenoiseConfig
 from geomoment.errors import ConfigError
 from geomoment.matrixio import read_matrix, write_matrix, write_moments
 from geomoment.embedding import GaussianMoments
@@ -103,6 +104,28 @@ def test_eta_inf_parses():
     text = BLOBS_CFG.replace("eta = 0.02", "eta = inf")
     cfg = build_run_config(parse_config_text(text), out_dir="unused")
     assert math.isinf(cfg.train_cfg.eta)
+
+
+def test_dataset_fields_default_to_the_dataset_configs():
+    required = (
+        "seed = 5\ndist_kind = airm\nbeta = 0.1\neta = 0.02\nepochs = 1\n"
+        "batch_source = 16\nbatch_target = 16\nlearn_rate = 1e-3\n"
+        "embed_dim = 2\nencoder = 2:identity\n"
+    )
+    blobs = build_run_config(parse_config_text("task = blobs\n" + required), out_dir="unused")
+    assert blobs.blobs == BlobsConfig(seed=5)
+    denoise = build_run_config(parse_config_text("task = denoise\n" + required), out_dir="unused")
+    assert denoise.denoise == DenoiseConfig(seed=5)
+
+
+def test_dataset_fields_set_by_the_file():
+    cfg = build_run_config(parse_config_text(BLOBS_CFG), out_dir="unused")
+    assert cfg.blobs == BlobsConfig(
+        num_classes=3, samples_per_class=80, input_dim=4, center_radius=2.2, cov_scale=1.4,
+        target_rotation=1.0471975511965976, target_translation=(0, 0, -1.8, 1.2), seed=0,
+    )
+    cfg = build_run_config(parse_config_text(DENOISE_CFG), out_dir="unused")
+    assert cfg.denoise == DenoiseConfig(length=32, samples=120, seed=1)
 
 
 def test_run_experiment_outputs(tmp_path):
@@ -206,6 +229,18 @@ def test_cli_dist_rejects_non_spd_files(tmp_path, capsys):
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("error: ")
+
+
+def test_cli_embed_rejects_asymmetric_covariance_file(tmp_path, capsys):
+    path = tmp_path / "asym_moments.txt"
+    path.write_text("dim=2\n0 0\n1 0.5\n0 1\n")
+    out = tmp_path / "P.txt"
+    for extra in ([], ["--out", str(out)]):
+        assert main(["embed", str(path), *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: asymmetry ")
+    assert not out.exists()
 
 
 def test_cli_oracle_fr(capsys):

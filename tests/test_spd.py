@@ -20,14 +20,15 @@ from helpers import rand_invertible, rand_orthogonal, rand_spd, rand_sym, rng_fo
 
 
 def test_validate_identity():
-    P = validate_spd(np.eye(3), spd_tol=1e-10)
-    assert P.dim == 3
-    assert np.array_equal(P.entries, np.eye(3))
+    P = validate_spd(np.eye(3))
+    assert isinstance(P, np.ndarray)
+    assert P.shape == (3, 3)
+    assert np.array_equal(P, np.eye(3))
 
 
 def test_validate_indefinite_diagonal():
     with pytest.raises(NotPositiveDefinite) as exc:
-        validate_spd(np.diag([1.0, -1.0]), spd_tol=1e-10)
+        validate_spd(np.diag([1.0, -1.0]))
     assert exc.value.lambda_min == pytest.approx(-1.0)
 
 
@@ -41,7 +42,7 @@ def test_validate_symmetrizes_float_noise():
     P = rand_spd(rng, 4)
     P[0, 1] += 1e-14 * abs(P).max()
     out = validate_spd(P)
-    assert np.array_equal(out.entries, out.entries.T)
+    assert np.array_equal(out, out.T)
 
 
 @settings(max_examples=200, deadline=None)
@@ -64,7 +65,7 @@ def test_validate_spd_accepts_exactly_above_the_trace_tolerance(n, seed, log_sca
     # away from the rounding band of an eigensolve and a Cholesky around tol
     assume(abs(eig[0] - tol) > 1e3 * np.finfo(float).eps * np.abs(eig).max())
     if eig[0] > tol:
-        assert np.array_equal(validate_spd(M).entries, M)
+        assert np.array_equal(validate_spd(M), M)
     else:
         with pytest.raises(NotPositiveDefinite) as exc:
             validate_spd(M)
