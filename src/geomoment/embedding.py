@@ -3,15 +3,19 @@
 A moment pair (mu, Sigma) in R^n x P(n) maps to the (n+1) x (n+1) block
 matrix [[Sigma + a mu mu^T, a mu], [a mu^T, a]], which is SPD exactly
 when Sigma is. The corner entry pins the scale parameter a, so the map
-is invertible on its image.
+is invertible on its image. The block matrix factors as F F^T with
+F = [[L, sqrt(a) mu], [0, sqrt(a)]] and L L^T = Sigma, so one Cholesky
+factor of the covariance serves the gate, the SPD rule and the pencil.
 """
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import NotInImage, NotPositiveDefinite, NotSymmetric
-from .spd import sym, validate_spd
+from .spd import eigh_sym, lower_inverse, spd_tol, sym, validate_spd
 
 CORNER_TOL = 1e-9
 
@@ -37,9 +41,36 @@ class GaussianMoments:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
+    @classmethod
+    def trusted(cls, mean, cov):
+        """Moments from a float mean of size n and an exactly symmetric n x n cov.
+
+        For arrays built by the package (batch_moments): skips the copy,
+        the symmetrization and the shape checks, and keeps only the
+        finiteness check of cov (a non-finite mean makes cov non-finite).
+        """
+        if not np.isfinite(cov).all():
+            raise ValueError("moments must be finite")
+        m = object.__new__(cls)
+        object.__setattr__(m, "mean", mean)
+        object.__setattr__(m, "cov", cov)
+        return m
+
     @property
     def dim(self):
         return self.mean.size
+
+    @cached_property
+    def chol(self):
+        """Lower Cholesky factor of cov, computed once; None when it does not exist.
+
+        The gate's determinant, the SPD rule and the Siegel pencil of
+        the geometric losses all read this one factor.
+        """
+        try:
+            return np.linalg.cholesky(self.cov)
+        except np.linalg.LinAlgError:
+            return None
 
 
 @dataclass(frozen=True)
@@ -57,6 +88,7 @@ class EmbeddingParams:
 class GateResult:
     open: bool
     det: float
+    logdet: float
 
 
 def embed(m, params=EmbeddingParams()):
@@ -97,20 +129,80 @@ def unembed(P, params=EmbeddingParams()):
 
 
 def schur_gate(m, eta):
-    """Determinant gate for the embedded source matrix.
+    """Log-determinant gate for the embedded source matrix.
 
     det(embed(m, a=1)) equals det(cov) by the Schur complement of the
-    corner block, so the determinant is computed from a Cholesky of the
-    covariance alone. Never raises: any failure closes the gate, with a
+    corner block, so the gate reads the covariance's shared Cholesky
+    factor (m.chol): it opens when log det = 2 sum log diag L exceeds
+    log eta, which neither overflows nor underflows at width (an eta
+    that has no log, <= 0 or NaN, is compared with det itself). det is
+    reported as prod(diag L)**2 (inf or 0 where that leaves the float
+    range). Never raises: any failure closes the gate, with a
     symmetric-eigenvalue fallback keeping the reported determinant
-    meaningful for singular or indefinite covariances.
+    meaningful for singular or indefinite covariances (log det is -inf
+    unless every eigenvalue is positive).
     """
-    try:
-        L = np.linalg.cholesky(m.cov)
-        det = float(np.prod(np.diag(L)) ** 2)
-    except np.linalg.LinAlgError:
+    L = m.chol
+    if L is not None:
+        d = L.diagonal()
+        logdet = 2.0 * float(np.log(d).sum())
+        try:  # in Python floats: numpy's bits, and inf without a RuntimeWarning
+            det = math.prod(d.tolist()) ** 2
+        except OverflowError:
+            det = math.inf
+    else:
         try:
-            det = float(np.prod(np.linalg.eigvalsh(m.cov)))
+            lam = np.linalg.eigvalsh(m.cov)
         except np.linalg.LinAlgError:
-            return GateResult(open=False, det=float("nan"))
-    return GateResult(open=bool(det > eta), det=det)
+            return GateResult(open=False, det=float("nan"), logdet=float("nan"))
+        det = math.prod(lam.tolist())
+        logdet = float(np.log(lam).sum()) if lam[0] > 0 else -math.inf
+    is_open = logdet > math.log(eta) if eta > 0 else det > eta
+    return GateResult(open=bool(is_open), det=det, logdet=logdet)
+
+
+def cov_factor(m):
+    """(L, L^{-1}) of m.cov from its shared factor, under validate_spd's rule.
+
+    The rule is lambda_min(cov) > tol = spd_tol(cov). Since
+    ||L^{-1}||_F^2 = tr(cov^{-1}) >= 1/lambda_min, tol * ||L^{-1}||_F^2 < 1/2
+    proves lambda_min > 2 tol, and the pair is accepted with no further
+    factorization. Otherwise (no factor, a non-finite inverse, or the
+    bound fails) validate_spd decides exactly and raises
+    NotPositiveDefinite on rejection, as it does when it accepts a
+    covariance that has no finite factor pair.
+    """
+    L = m.chol
+    Linv = None if L is None else lower_inverse(L)
+    if Linv is None or not spd_tol(m.cov) * np.vdot(Linv, Linv) < 0.5:
+        validate_spd(m.cov)
+        if Linv is None or not np.isfinite(Linv).all():
+            raise NotPositiveDefinite("covariance has no finite Cholesky factor")
+    return L, Linv
+
+
+def siegel_pencil_eigh(ms, mt, params=EmbeddingParams()):
+    """pencil_eigh(embed(ms), embed(mt)) from the covariances' Cholesky factors.
+
+    embed(m) = F F^T with F = [[L, r mu], [0, r]], r = sqrt(a) and
+    L L^T = cov, and F^{-1} = [[L^{-1}, -L^{-1} mu], [0, 1/r]] is explicit.
+    With K = F_s^{-1} F_t = [[L_s^{-1} L_t, r L_s^{-1} (mu_t - mu_s)], [0, 1]],
+    the pencil's spectrum is that of K K^T, and its eigenvectors Y give
+    V = F_s^{-T} Y, so V^T embed(ms) V = I and embed(mt) V = lam embed(ms) V.
+    Each covariance passes cov_factor first (NotPositiveDefinite
+    otherwise); neither (n+1) x (n+1) matrix is built or factored.
+    """
+    _, Ls_inv = cov_factor(ms)
+    Lt, _ = cov_factor(mt)
+    n = ms.dim
+    r = math.sqrt(params.a)
+    K = np.zeros((n + 1, n + 1))
+    K[:n, :n] = Ls_inv @ Lt
+    K[:n, n] = r * (Ls_inv @ (mt.mean - ms.mean))
+    K[n, n] = 1.0
+    lam, Y = eigh_sym(K @ K.T)
+    Fs_inv = np.zeros((n + 1, n + 1))
+    Fs_inv[:n, :n] = Ls_inv
+    Fs_inv[:n, n] = -(Ls_inv @ ms.mean)
+    Fs_inv[n, n] = 1.0 / r
+    return lam, Fs_inv.T @ Y

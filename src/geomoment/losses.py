@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import EmbeddingParams, embed
+from .embedding import EmbeddingParams, siegel_pencil_eigh
 from .errors import (
     BatchTooSmall,
     DegenerateSpectrum,
@@ -22,7 +22,7 @@ from .errors import (
     NotSymmetric,
 )
 from .moments import batch_moments
-from .spd import SPECTRAL_DISTS, eigh_sym, pencil_eigh, sym, validate_spd
+from .spd import SPECTRAL_DISTS, eigh_sym, pencil_eigh, spd_tol, sym
 
 DIST_KINDS = ("airm", "hilbert", "mean_euclid", "coral_frob", "log_euclid")
 
@@ -91,12 +91,13 @@ def grad_embed(m, upstream, params=EmbeddingParams()):
     return dmean, Gtl
 
 
-def grad_moments(batch, dmean, dcov):
+def grad_moments(batch, dmean, dcov, mean=None):
     """Chain gradients on (mean, cov) back to every feature row.
 
     Row i receives dmean/b + (2/(b-1)) dcov (z_i - mean); the mean's
     dependence inside the covariance estimator cancels because the
-    centered rows sum to zero.
+    centered rows sum to zero. mean, when given, must be the batch's
+    row mean (batch_moments(batch).mean), which saves reducing it again.
     """
     data = np.asarray(batch, dtype=float)
     b = data.shape[0]
@@ -104,7 +105,9 @@ def grad_moments(batch, dmean, dcov):
     D = sym(dcov)
     if not np.any(D):
         return np.broadcast_to(row_dmean, data.shape).copy()
-    return (data - data.mean(axis=0)) @ (D * (2.0 / (b - 1))) + row_dmean
+    if mean is None:
+        mean = data.mean(axis=0)
+    return (data - mean) @ (D * (2.0 / (b - 1))) + row_dmean
 
 
 def _log_derivative_coeffs(lam):
@@ -126,17 +129,30 @@ def _spd_or_gate_closed():
         raise GateClosed(f"covariance failed SPD validation: {exc}") from exc
 
 
+def _spd_eigh(cov):
+    """eigh_sym(cov), with validate_spd's rule decided on its eigenvalues."""
+    lam, Q = eigh_sym(cov)
+    tol = spd_tol(cov)
+    if not lam[0] > tol:
+        raise GateClosed(
+            f"covariance failed SPD validation: smallest eigenvalue {lam[0]:.6e} "
+            f"not above tolerance {tol:.1e}"
+        )
+    return lam, Q
+
+
 def dist_loss(zs, zt, kind, params=EmbeddingParams(), source_moments=None):
     """Distance loss between two feature batches with per-row gradients.
 
     Raises GateClosed when a geometric kind or log_euclid cannot be
     evaluated because a covariance is not SPD; the trainer treats that
     as "skip adaptation this step". airm and hilbert take their value
-    and gradients from one factorization of the embedded pencil; where
+    and gradients from one eigensolve of the embedded pencil, formed
+    from one Cholesky factor per covariance (siegel_pencil_eigh); where
     that gradient is undefined both gradients are zero and
     zero_grad_reason names the cause. source_moments, when given, must
     be batch_moments(zs): a caller that already has them (the trainer's
-    gate) saves computing them again.
+    gate) saves computing them, and factoring their covariance, again.
     """
     if kind not in DIST_KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {DIST_KINDS}")
@@ -163,9 +179,7 @@ def dist_loss(zs, zt, kind, params=EmbeddingParams(), source_moments=None):
 
     if kind in SPECTRAL_DISTS:
         with _spd_or_gate_closed():
-            Ps = embed(ms, params)
-            Pt = embed(mt, params)
-        lam, V = pencil_eigh(Ps, Pt)
+            lam, V = siegel_pencil_eigh(ms, mt, params)
         value = SPECTRAL_DISTS[kind](lam)
         try:
             dPs, dPt = _eigenpair_grads(kind, lam, V, value)
@@ -174,24 +188,21 @@ def dist_loss(zs, zt, kind, params=EmbeddingParams(), source_moments=None):
             return LossEval(value, zero_s, zero_t, zero_grad_reason=type(exc).__name__)
         dmean_s, dcov_s = grad_embed(ms, dPs, params)
         dmean_t, dcov_t = grad_embed(mt, dPt, params)
-        gs = grad_moments(zs_data, dmean_s, dcov_s)
-        gt = grad_moments(zt_data, dmean_t, dcov_t)
+        gs = grad_moments(zs_data, dmean_s, dcov_s, ms.mean)
+        gt = grad_moments(zt_data, dmean_t, dcov_t, mt.mean)
         return LossEval(value=value, grad_source=gs, grad_target=gt)
 
     if kind == "coral_frob":
         diff = ms.cov - mt.cov
         value = float(np.sum(diff * diff))
         zero = np.zeros(ms.dim)
-        gs = grad_moments(zs_data, zero, 2.0 * diff)
-        gt = grad_moments(zt_data, zero, -2.0 * diff)
+        gs = grad_moments(zs_data, zero, 2.0 * diff, ms.mean)
+        gt = grad_moments(zt_data, zero, -2.0 * diff, mt.mean)
         return LossEval(value=value, grad_source=gs, grad_target=gt)
 
     # log_euclid on the covariances directly
-    with _spd_or_gate_closed():
-        validate_spd(ms.cov)
-        validate_spd(mt.cov)
-    lam_s, Qs = eigh_sym(ms.cov)
-    lam_t, Qt = eigh_sym(mt.cov)
+    lam_s, Qs = _spd_eigh(ms.cov)
+    lam_t, Qt = _spd_eigh(mt.cov)
     Ls = sym((Qs * np.log(lam_s)) @ Qs.T)
     Lt = sym((Qt * np.log(lam_t)) @ Qt.T)
     diff = Ls - Lt
@@ -201,6 +212,6 @@ def dist_loss(zs, zt, kind, params=EmbeddingParams(), source_moments=None):
     Kt = _log_derivative_coeffs(lam_t)
     dcov_s = sym(Qs @ (Ks * (Qs.T @ (2.0 * diff) @ Qs)) @ Qs.T)
     dcov_t = sym(Qt @ (Kt * (Qt.T @ (-2.0 * diff) @ Qt)) @ Qt.T)
-    gs = grad_moments(zs_data, zero, dcov_s)
-    gt = grad_moments(zt_data, zero, dcov_t)
+    gs = grad_moments(zs_data, zero, dcov_s, ms.mean)
+    gt = grad_moments(zt_data, zero, dcov_t, mt.mean)
     return LossEval(value=value, grad_source=gs, grad_target=gt)

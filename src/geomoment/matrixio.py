@@ -18,11 +18,16 @@ def fmt(x):
     return format(float(x), ".17g")
 
 
-def _parse_header(line, path):
-    line = line.strip()
-    if not line.startswith("dim="):
-        raise ValueError(f"{path}: expected header 'dim=<n>', got {line!r}")
-    return int(line[4:])
+def _read_body(path):
+    """(n, the non-blank lines after the 'dim=<n>' header) of a matrix or moments file."""
+    with open(path) as fh:
+        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError(f"{path}: empty file, expected header 'dim=<n>'")
+    header = lines[0].strip()
+    if not header.startswith("dim="):
+        raise ValueError(f"{path}: expected header 'dim=<n>', got {header!r}")
+    return int(header[4:]), lines[1:]
 
 
 def write_matrix(path, M):
@@ -40,10 +45,8 @@ def matrix_text(M):
 
 
 def read_matrix(path):
-    with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    n = _parse_header(lines[0], path)
-    rows = [[float(v) for v in ln.split()] for ln in lines[1 : 1 + n]]
+    n, body = _read_body(path)
+    rows = [[float(v) for v in ln.split()] for ln in body[:n]]
     M = np.array(rows, dtype=float)
     if M.shape != (n, n):
         raise ValueError(f"{path}: expected {n}x{n} matrix, got shape {M.shape}")
@@ -59,11 +62,11 @@ def write_moments(path, m):
 
 
 def read_moments(path):
-    with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    n = _parse_header(lines[0], path)
-    mean = np.array([float(v) for v in lines[1].split()], dtype=float)
-    cov = np.array([[float(v) for v in ln.split()] for ln in lines[2 : 2 + n]], dtype=float)
+    n, body = _read_body(path)
+    if not body:
+        raise ValueError(f"{path}: no mean row after the header")
+    mean = np.array([float(v) for v in body[0].split()], dtype=float)
+    cov = np.array([[float(v) for v in ln.split()] for ln in body[1 : 1 + n]], dtype=float)
     if mean.size != n or cov.shape != (n, n):
         raise ValueError(f"{path}: inconsistent moments file for dim={n}")
     return GaussianMoments(mean=mean, cov=check_symmetric(cov))

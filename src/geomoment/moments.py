@@ -18,17 +18,21 @@ def batch_moments(batch):
     """Row mean and unbiased covariance of a b x n feature batch.
 
     Two-pass: mean first, then centered outer products with 1/(b-1)
-    normalization; GaussianMoments symmetrizes the covariance exactly.
-    The covariance may come out singular (identical rows); downstream
-    gating detects that.
+    normalization. The product centered^T centered is exactly symmetric
+    as built (one symmetric rank-k update), so the moments skip
+    GaussianMoments' re-checks; a non-finite batch still raises
+    ValueError. The covariance may come out singular (identical rows);
+    downstream gating detects that.
     """
     data = np.asarray(batch, dtype=float)
+    if data.ndim != 2:
+        raise ValueError(f"expected a b x n batch, got shape {data.shape}")
     b = data.shape[0]
     if b < 2:
         raise BatchTooSmall(f"need at least 2 rows, got {b}")
     mean = data.mean(axis=0)
     centered = data - mean
-    return GaussianMoments(mean=mean, cov=centered.T @ centered / (b - 1))
+    return GaussianMoments.trusted(mean, centered.T @ centered / (b - 1))
 
 
 def check_regime(b, n):

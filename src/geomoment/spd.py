@@ -11,13 +11,13 @@ Conventions used throughout:
 """
 
 import numpy as np
-from scipy.linalg import cho_solve, get_lapack_funcs
+from scipy.linalg import get_lapack_funcs
 
 from .errors import ConvergenceFailure, NotPositiveDefinite, NotSymmetric
 
 SYM_RTOL = 1e-12  # relative asymmetry allowed before a matrix is rejected
 
-_TRTRS = get_lapack_funcs("trtrs", dtype=np.float64)
+_TRTRS, _TRTRI = get_lapack_funcs(("trtrs", "trtri"), dtype=np.float64)
 
 
 def sym(M):
@@ -38,23 +38,28 @@ def check_symmetric(M):
     return M
 
 
+def spd_tol(M):
+    """validate_spd's threshold on lambda_min: 1e-10 * trace(M)/dim (1e-10 when not positive)."""
+    scale = M.trace() / M.shape[0]
+    return 1e-10 * (scale if scale > 0 else 1.0)
+
+
 def validate_spd(M):
     """Check that M is SPD and return it exactly symmetrized.
 
     M must be symmetric to within SYM_RTOL; it is then symmetrized
     exactly, (M + M^T)/2. It is accepted when lambda_min(M) > tol, where
-    tol = 1e-10 * trace(M)/dim (1e-10 when that trace is not positive)
-    separates genuine rank deficiency from double-precision noise. One
-    Cholesky factorization of M - tol * I decides that rule (its success
-    means the shifted matrix is positive definite), so only a rejected
+    tol = spd_tol(M) separates genuine rank deficiency from
+    double-precision noise. One Cholesky factorization of M - tol * I
+    decides that rule (its success means the shifted matrix is positive
+    definite), so only a rejected
     matrix pays for an eigensolve, which fills NotPositiveDefinite's
     lambda_min. Within rounding of tol the two may disagree; the
     Cholesky decides. A non-finite M is rejected.
     """
     M = sym(check_symmetric(M))
     n = M.shape[0]
-    scale = np.trace(M) / n
-    tol = 1e-10 * (scale if scale > 0 else 1.0)
+    tol = spd_tol(M)
     shifted = M.copy()
     shifted.flat[:: n + 1] -= tol
     try:
@@ -125,6 +130,14 @@ def _solve_lower(L, B, trans):
     return X
 
 
+def lower_inverse(L):
+    """Inverse of a C-ordered lower-triangular L with a nonzero diagonal, by LAPACK trtri."""
+    Linv, info = _TRTRI(L.T, lower=0)
+    if info:
+        raise ValueError(f"trtri failed with info {info}")
+    return Linv.T
+
+
 def _pencil_form(P1, P2):
     """Cholesky factor L of P1 and the symmetric pencil form L^{-1} P2 L^{-T}."""
     L = _cholesky(P1)
@@ -183,12 +196,3 @@ def dist_logeuclid(P1, P2):
     """Frobenius distance between matrix logarithms."""
     return float(np.linalg.norm(matrix_log(P1) - matrix_log(P2), "fro"))
 
-
-def inner_affine(P, V1, V2):
-    """Affine-invariant metric tr(P^{-1} V1 P^{-1} V2) at base point P."""
-    V1 = check_symmetric(V1)
-    V2 = check_symmetric(V2)
-    c = (_cholesky(P), True)
-    X1 = cho_solve(c, V1)
-    X2 = cho_solve(c, V2)
-    return float(np.sum(X1 * X2.T))

@@ -1,10 +1,23 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from geomoment.embedding import EmbeddingParams, GaussianMoments, embed, schur_gate, unembed
+from geomoment.embedding import (
+    EmbeddingParams,
+    GaussianMoments,
+    embed,
+    schur_gate,
+    siegel_pencil_eigh,
+    unembed,
+)
 from geomoment.errors import NotInImage, NotPositiveDefinite
 from geomoment.spd import validate_spd
-from helpers import rand_spd, rng_for
+from geomoment.rng import stream
+from helpers import rand_orthogonal, rand_spd, rng_for
 
 
 def rand_moments(rng, n, cond=30.0):
@@ -114,3 +127,69 @@ def test_schur_gate_examples():
 
     g = schur_gate(GaussianMoments(mean=[0.0, 0.0], cov=np.diag([1e-5, 1e-5])), 1.0)
     assert not g.open and g.det == pytest.approx(1e-10, rel=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    seed=st.integers(0, 2**31 - 1),
+    log_scale=st.floats(-40.0, 40.0),
+    log_eta=st.floats(-200.0, 200.0),
+)
+def test_log_det_gate_decides_as_det_wherever_det_is_finite(n, seed, log_scale, log_eta):
+    rng = stream(seed, 0)
+    m = GaussianMoments(mean=rng.standard_normal(n), cov=np.exp(log_scale) * rand_spd(rng, n))
+    eta = float(np.exp(log_eta))
+    g = schur_gate(m, eta)
+    det = g.det
+    assume(np.isfinite(det) and det >= np.finfo(float).tiny)  # finite and normal
+    assume(abs(g.logdet - log_eta) > 1e-9 * max(1.0, abs(log_eta)))  # not a rounding call
+    assert g.open == (det > eta)
+    assert g.logdet == pytest.approx(math.log(det), rel=1e-12, abs=1e-12)
+
+
+def test_log_det_gate_at_width_has_no_overflow():
+    rng = rng_for("gate-wide")
+    n = 128
+    Q = rand_orthogonal(rng, n)
+    base = (Q * np.exp(rng.uniform(-0.5, 0.5, n))) @ Q.T
+    for scale, eta in ((50.0, 0.02), (0.01, 0.02), (50.0, 1e300), (0.01, 1e-300)):
+        cov = scale**2 * base
+        m = GaussianMoments(mean=np.zeros(n), cov=cov)
+        sign, logdet = np.linalg.slogdet(cov)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = schur_gate(m, eta)
+        assert sign > 0 and g.logdet == pytest.approx(logdet, rel=1e-12)
+        assert g.open == (logdet > math.log(eta))
+    assert schur_gate(GaussianMoments(np.zeros(n), 2500.0 * base), 0.02).det == np.inf
+    assert schur_gate(GaussianMoments(np.zeros(n), 1e-4 * base), 0.02).det == 0.0
+
+
+def test_gate_threshold_without_a_log_compares_det():
+    m = GaussianMoments(mean=[0.0], cov=[[2.0]])
+    assert schur_gate(m, 0.0).open and schur_gate(m, -1.0).open
+    assert not schur_gate(m, float("nan")).open and not schur_gate(m, float("inf")).open
+
+
+def test_gate_fallback_on_singular_and_indefinite_covariances():
+    g = schur_gate(GaussianMoments(mean=[0.0, 0.0], cov=np.zeros((2, 2))), 1e-300)
+    assert not g.open and g.logdet == -np.inf
+    # an even count of negative eigenvalues gives det > eta, but no Cholesky factor
+    g = schur_gate(GaussianMoments(mean=np.zeros(3), cov=np.diag([-1.0, -2.0, 3.0])), 1.0)
+    assert g.det == pytest.approx(6.0) and not g.open and g.logdet == -np.inf
+
+
+def test_siegel_pencil_normalizes_and_solves_the_embedded_pencil():
+    rng = rng_for("siegel-pencil")
+    for _ in range(30):
+        n = int(rng.integers(1, 6))
+        params = EmbeddingParams(a=float(np.exp(rng.uniform(-1.0, 1.0))))
+        ms, mt = rand_moments(rng, n), rand_moments(rng, n)
+        Ps, Pt = embed(ms, params), embed(mt, params)
+        lam, V = siegel_pencil_eigh(ms, mt, params)
+        assert np.all(np.diff(lam) >= 0)
+        assert np.allclose(V.T @ Ps @ V, np.eye(n + 1), rtol=0, atol=1e-10)
+        assert np.allclose(Pt @ V, (Ps @ V) * lam, rtol=0, atol=1e-9 * np.abs(Pt).max())
+    with pytest.raises(NotPositiveDefinite):
+        siegel_pencil_eigh(GaussianMoments([0.0], [[0.0]]), rand_moments(rng, 1))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from geomoment import embedding, losses, spd
@@ -11,7 +11,7 @@ from geomoment.losses import DIST_KINDS, dist_loss, grad_embed, grad_moments, gr
 from geomoment.moments import batch_moments
 from geomoment.rng import stream
 from geomoment.spd import dist_airm, dist_hilbert
-from helpers import fd_sym_grad, max_rel_err, rand_spd, rng_for, sym_grad_pairs
+from helpers import fd_sym_grad, max_rel_err, rand_orthogonal, rand_spd, rng_for, sym_grad_pairs
 
 
 def rand_batches(rng, b, n):
@@ -141,26 +141,127 @@ def test_geometric_loss_value_is_the_embedded_distance(n, seed, scale, shift):
         assert grad_spd_pair(Ps, Pt, kind)[0] == pytest.approx(ref, rel=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 3, 5]),
+    a=st.sampled_from([0.5, 1.0, 3.0]),
+    seed=st.integers(0, 2**31 - 1),
+    scale=st.floats(0.25, 4.0),
+    shift=st.floats(-1.0, 1.0),
+)
+def test_siegel_factor_loss_equals_the_embedded_matrix_path(n, a, seed, scale, shift):
+    # the embedded path's own rounding grows with cond(embed(m)), about
+    # (a |mean|^2)^2, so the means stay moderate here (large means are
+    # covered by test_geometric_loss_is_translation_invariant); either
+    # eigensolve resolves lambda_min only to about eps * lambda_max, which
+    # sets the tolerance where the pencil spectrum spreads past 1e3
+    rng = stream(seed, 1)
+    b = 12 + 4 * n
+    zs = rng.standard_normal((b, n)) + shift * rng.standard_normal(n)
+    zt = scale * rng.standard_normal((b, n)) - shift * rng.standard_normal(n)
+    params = EmbeddingParams(a=a)
+    ms, mt = batch_moments(zs), batch_moments(zt)
+    Ps, Pt = embed(ms, params), embed(mt, params)
+    lam = spd.pencil_eigvals(Ps, Pt)
+    rtol = max(1e-12, 8 * np.finfo(float).eps * lam[-1] / lam[0])
+    for kind in ("airm", "hilbert"):
+        value, dPs, dPt = grad_spd_pair(Ps, Pt, kind)
+        gs = grad_moments(zs, *grad_embed(ms, dPs, params))
+        gt = grad_moments(zt, *grad_embed(mt, dPt, params))
+        le = dist_loss(zs, zt, kind, params)
+        assert le.value == pytest.approx(value, rel=rtol)
+        for got, want in ((le.grad_source, gs), (le.grad_target, gt)):
+            assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
+
+
+def test_geometric_loss_is_translation_invariant():
+    # shifting both batches by c is a congruence of both embedded matrices;
+    # the block factors see only mean differences, so no accuracy is lost
+    rng = rng_for("loss-translate")
+    for _ in range(60):
+        n = int(rng.integers(1, 6))
+        zs, zt = rand_batches(rng, 12 + 4 * n, n)
+        c = 10.0 ** rng.uniform(0.0, 3.0) * rng.standard_normal(n)
+        for a in (0.5, 1.0, 3.0):
+            params = EmbeddingParams(a=a)
+            for kind in ("airm", "hilbert"):
+                ref = dist_loss(zs, zt, kind, params).value
+                moved = dist_loss(zs + c, zt + c, kind, params).value
+                assert moved == pytest.approx(ref, rel=1e-11)
+
+
+def _batch_with_spectrum(rng, b, Q, lam):
+    """A b x n batch whose sample covariance is Q diag(lam) Q^T up to rounding."""
+    z = rng.standard_normal((b, lam.size))
+    z -= z.mean(axis=0)
+    z = np.linalg.solve(np.linalg.cholesky(z.T @ z / (b - 1)), z.T).T  # sample cov = I
+    return (z * np.sqrt(lam)) @ Q.T + rng.standard_normal(lam.size)
+
+
+def _validate_rejects(cov):
+    try:
+        spd.validate_spd(cov)
+    except spd.NotPositiveDefinite:
+        return True
+    return False
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 3, 5]),
+    seed=st.integers(0, 2**31 - 1),
+    log_cond_s=st.floats(0.0, 12.0),
+    log_cond_t=st.floats(0.0, 12.0),
+)
+def test_geometric_loss_gate_closes_exactly_when_validate_spd_rejects(
+    n, seed, log_cond_s, log_cond_t
+):
+    # one eigenbasis for both sides keeps the pencil's own spread within
+    # double precision (at most the ratio of the two condition numbers)
+    rng = stream(seed, 2)
+    Q = rand_orthogonal(rng, n)
+    zs, zt = (
+        _batch_with_spectrum(rng, 10 * n + 5, Q, np.geomspace(1.0, 10.0**-lc, n))
+        for lc in (log_cond_s, log_cond_t)
+    )
+    covs = [batch_moments(z).cov for z in (zs, zt)]
+    for cov in covs:  # a decision within rounding of the tolerance is not checked
+        lam_min, tol = np.linalg.eigvalsh(cov)[0], spd.spd_tol(cov)
+        assume(abs(lam_min - tol) > 1e-3 * tol)
+    rejected = any(_validate_rejects(cov) for cov in covs)
+    for kind in ("airm", "hilbert"):
+        try:
+            dist_loss(zs, zt, kind)
+            closed = False
+        except GateClosed:
+            closed = True
+        assert closed == rejected
+
+
 def test_geometric_loss_factors_once_and_validates_each_side_once(monkeypatch):
+    # each covariance is factored once and checked once, through that factor:
+    # no embedded-pencil factorization and no validate_spd on an accepted pair
     calls = []
 
     def counted(label, fn):
         def wrapper(*args, **kwargs):
-            calls.append(label)
+            calls.append((label, np.shape(args[0])))
             return fn(*args, **kwargs)
 
         return wrapper
 
     monkeypatch.setattr(losses, "pencil_eigh", counted("factor", losses.pencil_eigh))
     monkeypatch.setattr(spd, "pencil_eigvals", counted("factor", spd.pencil_eigvals))
-    for module in (losses, embedding):
-        monkeypatch.setattr(module, "validate_spd", counted("validate", module.validate_spd))
+    monkeypatch.setattr(embedding, "validate_spd", counted("validate", embedding.validate_spd))
+    monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
     zs, zt = rand_batches(rng_for("loss-count"), 30, 3)
     for kind in ("airm", "hilbert"):
         calls.clear()
         dist_loss(zs, zt, kind)
-        assert calls.count("factor") == 1
-        assert calls.count("validate") == 2
+        assert calls == [("cholesky", (3, 3))] * 2
+        calls.clear()
+        dist_loss(zs, zt, kind, source_moments=batch_moments(zs))
+        assert calls == [("cholesky", (3, 3))] * 2
 
 
 def test_mean_euclid_matches_moment_formula_bitwise():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from geomoment.embedding import GaussianMoments
 from geomoment.errors import BatchTooSmall
 from geomoment.moments import batch_moments, check_regime
 from geomoment.spd import validate_spd
@@ -24,6 +25,47 @@ def test_identical_rows_give_zero_cov():
 def test_batch_too_small():
     with pytest.raises(BatchTooSmall):
         batch_moments(np.array([[1.0, 2.0]]))
+
+
+def test_non_finite_batch_rejected():
+    z = rng_for("moments-nan").standard_normal((10, 3))
+    for bad in (np.nan, np.inf):
+        z_bad = z.copy()
+        z_bad[4, 1] = bad
+        with pytest.raises(ValueError, match="finite"), np.errstate(invalid="ignore"):
+            batch_moments(z_bad)
+    with pytest.raises(ValueError):
+        batch_moments(np.ones(5))
+
+
+def test_batch_moments_equal_checked_moments_bitwise():
+    # the covariance is exactly symmetric as built, so skipping
+    # GaussianMoments' symmetrization changes no bit
+    rng = rng_for("moments-trusted")
+    for _ in range(50):
+        n = int(rng.integers(1, 9))
+        z = rng.standard_normal((int(rng.integers(2, 60)), n)) * rng.uniform(0.1, 10.0, n)
+        m = batch_moments(z + rng.standard_normal(n))
+        checked = GaussianMoments(mean=m.mean, cov=m.cov)
+        assert np.array_equal(m.cov, m.cov.T)
+        assert np.array_equal(checked.cov, m.cov) and np.array_equal(checked.mean, m.mean)
+        assert m.cov.shape == (n, n) and m.mean.shape == (n,)
+
+
+def test_cholesky_factor_computed_once(monkeypatch):
+    calls = []
+    real = np.linalg.cholesky
+
+    def counted(M):
+        calls.append(M.shape)
+        return real(M)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    m = batch_moments(rng_for("moments-chol").standard_normal((20, 3)))
+    L = m.chol
+    assert m.chol is L and calls == [(3, 3)]
+    assert np.allclose(L @ L.T, m.cov, rtol=0, atol=1e-14)
+    assert batch_moments(np.tile([1.0, 2.0], (5, 1))).chol is None
 
 
 def test_gaussian_batches_are_spd():

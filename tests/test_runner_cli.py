@@ -243,6 +243,19 @@ def test_cli_embed_rejects_asymmetric_covariance_file(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_embed_and_dist_reject_empty_files(tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    header_only = tmp_path / "header.txt"
+    header_only.write_text("dim=2\n")
+    for path in (empty, header_only):
+        for args in (["embed", str(path)], ["dist", str(path), str(path), "--kind", "airm"]):
+            assert main(args) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: {path}: ")
+
+
 def test_cli_oracle_fr(capsys):
     assert main(["oracle-fr", "0", "1", "0", str(np.e)]) == 0
     val = float(capsys.readouterr().out.strip())

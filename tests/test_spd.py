@@ -11,7 +11,6 @@ from geomoment.spd import (
     dist_hilbert,
     dist_logeuclid,
     eigvals_sym,
-    inner_affine,
     matrix_log,
     pencil_eigh,
     validate_spd,
@@ -232,23 +231,3 @@ def test_metric_axioms_sampled():
         assert dpq > 1e-9  # random pairs are far apart
         assert dist_airm(P, R) <= dpq + dist_airm(Q, R) + 1e-9
 
-
-def test_inner_affine_identity_base():
-    rng = rng_for("inner-id")
-    V = rand_sym(rng, 4)
-    assert inner_affine(np.eye(4), V, V) == pytest.approx(
-        np.linalg.norm(V, "fro") ** 2, rel=1e-12
-    )
-
-
-def test_inner_affine_positive_and_symmetric():
-    rng = rng_for("inner-pd")
-    for _ in range(50):
-        P = rand_spd(rng, 4)
-        V = rand_sym(rng, 4)
-        W = rand_sym(rng, 4)
-        if np.linalg.norm(V) > 1e-12:
-            assert inner_affine(P, V, V) > 0.0
-        assert inner_affine(P, V, W) == pytest.approx(
-            inner_affine(P, W, V), rel=1e-10, abs=1e-12
-        )

@@ -156,6 +156,25 @@ def test_batch_moments_once_per_side_per_step(monkeypatch):
         assert calls.count("batch_moments") == steps + adapting
 
 
+def test_one_covariance_cholesky_per_side_per_step(monkeypatch):
+    # the gate and the geometric loss share the source factor; the target's is the other
+    calls = []
+    real = np.linalg.cholesky
+
+    def counted(M):
+        calls.append(M.shape)
+        return real(M)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    steps = 3 * (BLOBS.num_classes * BLOBS.samples_per_class // 40)
+    for kind, beta, adapting in (("airm", 0.1, steps), ("hilbert", 0.1, steps),
+                                 ("airm", 0.0, 0)):
+        calls.clear()
+        rep = run(config(epochs=3, beta=beta, dist_kind=kind))
+        assert rep.skipped_steps.sum() == 0 and rep.gate_open_epoch == 1
+        assert calls == [(SPEC.embed_dim, SPEC.embed_dim)] * (steps + adapting)
+
+
 def test_zeroed_gradient_steps_counted_by_reason(monkeypatch):
     real = trainer.dist_loss
     reasons = iter(["NearZeroDistance", "", "DegenerateSpectrum", "NearZeroDistance"] * 100)
