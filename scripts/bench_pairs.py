@@ -6,15 +6,16 @@ Run from the root of a checkout:
 
 Both revisions are exported with ``git archive`` to a temporary
 directory, and the unchanged ``bench/run.py`` of each tree runs there,
-one workload and seed at a time: pair i runs seed ``--seed0 + i`` in
-both trees, the parent first in even pairs and the change first in odd
-ones. The file holds the environment line of the first run, per
-workload and side the median and quartiles of every end-to-end metric
-that ``BENCHMARK.json`` declares, whether every run was correct, the
-failed operations, and for each metric how many pairs the change won.
-It also holds the per-layer metrics of one traced run per workload and
-side (``--trace-seconds``, 0 to skip) and one Tier-1 suite wall time
-per tree. Runs are serial, and each pins BLAS to one thread itself.
+every workload of ``BENCHMARK.json`` for its ``run_seconds``, one
+workload and seed at a time: pair i runs seed ``--seed0 + i`` in both
+trees, the parent first in even pairs and the change first in odd ones.
+The file holds the environment line of the first run, per workload and
+side the median and quartiles of every end-to-end metric that
+``BENCHMARK.json`` declares, whether every run was correct, the failed
+operations, and for each metric how many pairs the change won. It also
+holds the per-layer metrics of one traced run per workload and side
+(TRACE_SECONDS long) and one Tier-1 suite wall time per tree. Runs are
+serial, and each pins BLAS to one thread itself.
 """
 
 import argparse
@@ -26,6 +27,7 @@ import sys
 import tempfile
 import time
 
+TRACE_SECONDS = 10
 
 def parse_args(argv):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -33,10 +35,6 @@ def parse_args(argv):
     ap.add_argument("--change", default="HEAD", help="git revision measured against it")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed0", type=int, default=701, help="seed of the first pair")
-    ap.add_argument("--seconds", type=float, default=30.0, help="timed seconds per run")
-    ap.add_argument("--trace-seconds", type=float, default=10.0)
-    ap.add_argument("--workloads", default=None,
-                    help="comma-separated subset of BENCHMARK.json's workloads")
     ap.add_argument("--out", required=True)
     return ap.parse_args(argv)
 
@@ -105,37 +103,34 @@ def main(argv=None):
     with open("BENCHMARK.json") as fh:
         spec = json.load(fh)
     metrics = spec["end_to_end"]
-    workloads = (args.workloads.split(",") if args.workloads
-                 else [w["name"] for w in spec["workloads"]])
+    seconds = spec["run_seconds"]
     record = {
         "command": "python3 scripts/bench_pairs.py " + " ".join(argv or sys.argv[1:]),
         "parent": {"rev": args.parent, "commit": git("rev-parse", args.parent)},
         "change": {"rev": args.change, "commit": git("rev-parse", args.change)},
         "pairs": args.pairs,
         "seeds": list(range(args.seed0, args.seed0 + args.pairs)),
-        "seconds": args.seconds,
+        "seconds": seconds,
         "order": "parent first in even pairs (0-based), change first in odd ones",
     }
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {"parent": export(args.parent, tmp), "change": export(args.change, tmp)}
         record["workloads"] = {}
-        for workload in workloads:
+        for workload in (w["name"] for w in spec["workloads"]):
             runs = {"parent": [], "change": []}
             for i, seed in enumerate(record["seeds"]):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
-                    env, result = bench(trees[side], workload, seed, args.seconds, 0)
+                    env, result = bench(trees[side], workload, seed, seconds, 0)
                     record.setdefault("environment", env)
                     runs[side].append(result)
                     print(f"{workload} seed {seed} {side}: ops_per_s "
                           f"{result['metrics']['ops_per_s']['value']:.1f}", flush=True)
             record["workloads"][workload] = summarize(runs, metrics)
-            if args.trace_seconds > 0:
-                record["workloads"][workload]["traced"] = {
-                    side: bench(trees[side], workload, args.seed0, args.trace_seconds,
-                                1)[1]["metrics"]
-                    for side in ("parent", "change")
-                }
+            record["workloads"][workload]["traced"] = {
+                side: bench(trees[side], workload, args.seed0, TRACE_SECONDS, 1)[1]["metrics"]
+                for side in ("parent", "change")
+            }
         record["tier1"] = {side: tier1_wall_s(trees[side]) for side in ("parent", "change")}
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)

@@ -10,8 +10,6 @@ factor of the covariance serves the gate, the SPD rule and the pencil.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-
 import numpy as np
 
 from .errors import NotInImage, NotPositiveDefinite, NotSymmetric
@@ -60,17 +58,38 @@ class GaussianMoments:
     def dim(self):
         return self.mean.size
 
-    @cached_property
+    @property
     def chol(self):
-        """Lower Cholesky factor of cov, computed once; None when it does not exist.
+        """Lower Cholesky factor of cov; None when it does not exist.
 
         The gate's determinant, the SPD rule and the Siegel pencil of
-        the geometric losses all read this one factor.
+        the geometric losses all read this one factor. It is computed
+        on each access, except on moments from factored(), which keep it.
         """
-        try:
-            return np.linalg.cholesky(self.cov)
-        except np.linalg.LinAlgError:
-            return None
+        if "_chol" in self.__dict__:
+            return self._chol
+        return _cholesky_or_none(self.cov)
+
+    def factored(self):
+        """These moments, with cov's Cholesky factor computed once and kept.
+
+        For a caller that hands the same moments to several readers of
+        chol within one step (the trainer's gate and distance loss).
+        Moments that are kept longer, such as prepared ones, should stay
+        unfactored, so that no factor outlives the step that needed it.
+        """
+        m = object.__new__(type(self))
+        object.__setattr__(m, "mean", self.mean)
+        object.__setattr__(m, "cov", self.cov)
+        object.__setattr__(m, "_chol", _cholesky_or_none(self.cov))
+        return m
+
+
+def _cholesky_or_none(cov):
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        return None
 
 
 @dataclass(frozen=True)
@@ -132,8 +151,8 @@ def schur_gate(m, eta):
     """Log-determinant gate for the embedded source matrix.
 
     det(embed(m, a=1)) equals det(cov) by the Schur complement of the
-    corner block, so the gate reads the covariance's shared Cholesky
-    factor (m.chol): it opens when log det = 2 sum log diag L exceeds
+    corner block, so the gate reads the covariance's Cholesky factor
+    (m.chol): it opens when log det = 2 sum log diag L exceeds
     log eta, which neither overflows nor underflows at width (an eta
     that has no log, <= 0 or NaN, is compared with det itself). det is
     reported as prod(diag L)**2 (inf or 0 where that leaves the float

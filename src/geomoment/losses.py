@@ -91,13 +91,13 @@ def grad_embed(m, upstream, params=EmbeddingParams()):
     return dmean, Gtl
 
 
-def grad_moments(batch, dmean, dcov, mean=None):
+def grad_moments(batch, mean, dmean, dcov):
     """Chain gradients on (mean, cov) back to every feature row.
 
-    Row i receives dmean/b + (2/(b-1)) dcov (z_i - mean); the mean's
+    mean is the batch's row mean (batch_moments(batch).mean). Row i
+    receives dmean/b + (2/(b-1)) dcov (z_i - mean); the mean's
     dependence inside the covariance estimator cancels because the
-    centered rows sum to zero. mean, when given, must be the batch's
-    row mean (batch_moments(batch).mean), which saves reducing it again.
+    centered rows sum to zero.
     """
     data = np.asarray(batch, dtype=float)
     b = data.shape[0]
@@ -105,8 +105,6 @@ def grad_moments(batch, dmean, dcov, mean=None):
     D = sym(dcov)
     if not np.any(D):
         return np.broadcast_to(row_dmean, data.shape).copy()
-    if mean is None:
-        mean = data.mean(axis=0)
     return (data - mean) @ (D * (2.0 / (b - 1))) + row_dmean
 
 
@@ -167,11 +165,12 @@ def dist_loss(zs, zt, kind, params=EmbeddingParams(), source_moments=None):
         if b < 2:
             raise BatchTooSmall(f"need at least 2 rows, got {b}")
         mean_s = zs_data.mean(axis=0) if source_moments is None else source_moments.mean
-        diff = mean_s - zt_data.mean(axis=0)
+        mean_t = zt_data.mean(axis=0)
+        diff = mean_s - mean_t
         value = float(diff @ diff)
         zero = np.zeros((diff.size, diff.size))
-        gs = grad_moments(zs_data, 2.0 * diff, zero)
-        gt = grad_moments(zt_data, -2.0 * diff, zero)
+        gs = grad_moments(zs_data, mean_s, 2.0 * diff, zero)
+        gt = grad_moments(zt_data, mean_t, -2.0 * diff, zero)
         return LossEval(value=value, grad_source=gs, grad_target=gt)
 
     ms = batch_moments(zs_data) if source_moments is None else source_moments
@@ -188,16 +187,16 @@ def dist_loss(zs, zt, kind, params=EmbeddingParams(), source_moments=None):
             return LossEval(value, zero_s, zero_t, zero_grad_reason=type(exc).__name__)
         dmean_s, dcov_s = grad_embed(ms, dPs, params)
         dmean_t, dcov_t = grad_embed(mt, dPt, params)
-        gs = grad_moments(zs_data, dmean_s, dcov_s, ms.mean)
-        gt = grad_moments(zt_data, dmean_t, dcov_t, mt.mean)
+        gs = grad_moments(zs_data, ms.mean, dmean_s, dcov_s)
+        gt = grad_moments(zt_data, mt.mean, dmean_t, dcov_t)
         return LossEval(value=value, grad_source=gs, grad_target=gt)
 
     if kind == "coral_frob":
         diff = ms.cov - mt.cov
         value = float(np.sum(diff * diff))
         zero = np.zeros(ms.dim)
-        gs = grad_moments(zs_data, zero, 2.0 * diff, ms.mean)
-        gt = grad_moments(zt_data, zero, -2.0 * diff, mt.mean)
+        gs = grad_moments(zs_data, ms.mean, zero, 2.0 * diff)
+        gt = grad_moments(zt_data, mt.mean, zero, -2.0 * diff)
         return LossEval(value=value, grad_source=gs, grad_target=gt)
 
     # log_euclid on the covariances directly
@@ -212,6 +211,6 @@ def dist_loss(zs, zt, kind, params=EmbeddingParams(), source_moments=None):
     Kt = _log_derivative_coeffs(lam_t)
     dcov_s = sym(Qs @ (Ks * (Qs.T @ (2.0 * diff) @ Qs)) @ Qs.T)
     dcov_t = sym(Qt @ (Kt * (Qt.T @ (-2.0 * diff) @ Qt)) @ Qt.T)
-    gs = grad_moments(zs_data, zero, dcov_s, ms.mean)
-    gt = grad_moments(zt_data, zero, dcov_t, mt.mean)
+    gs = grad_moments(zs_data, ms.mean, zero, dcov_s)
+    gt = grad_moments(zt_data, mt.mean, zero, dcov_t)
     return LossEval(value=value, grad_source=gs, grad_target=gt)

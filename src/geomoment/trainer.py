@@ -199,7 +199,8 @@ def train(config, spec, source, target, eval_source=None, eval_target=None):
                 )
             dz, head_grads = stack_backward(hp, params[n_enc:], head_caches, dout)
 
-            ms = batch_moments(z_s)  # shared by the gate and the distance loss
+            # shared by the gate and the distance loss, and so is its covariance factor
+            ms = batch_moments(z_s).factored()
             gate = schur_gate(ms, config.eta)
             det_sum += gate.det
             if gate.open and not latch:

@@ -166,8 +166,8 @@ def test_siegel_factor_loss_equals_the_embedded_matrix_path(n, a, seed, scale, s
     rtol = max(1e-12, 8 * np.finfo(float).eps * lam[-1] / lam[0])
     for kind in ("airm", "hilbert"):
         value, dPs, dPt = grad_spd_pair(Ps, Pt, kind)
-        gs = grad_moments(zs, *grad_embed(ms, dPs, params))
-        gt = grad_moments(zt, *grad_embed(mt, dPt, params))
+        gs = grad_moments(zs, ms.mean, *grad_embed(ms, dPs, params))
+        gt = grad_moments(zt, mt.mean, *grad_embed(mt, dPt, params))
         le = dist_loss(zs, zt, kind, params)
         assert le.value == pytest.approx(value, rel=rtol)
         for got, want in ((le.grad_source, gs), (le.grad_target, gt)):
@@ -273,8 +273,8 @@ def test_mean_euclid_matches_moment_formula_bitwise():
         # the formula written over full batch moments, covariances included
         ms, mt = batch_moments(zs), batch_moments(zt)
         diff = ms.mean - mt.mean
-        gs = grad_moments(zs, 2.0 * diff, np.zeros_like(ms.cov))
-        gt = grad_moments(zt, -2.0 * diff, np.zeros_like(mt.cov))
+        gs = grad_moments(zs, ms.mean, 2.0 * diff, np.zeros_like(ms.cov))
+        gt = grad_moments(zt, mt.mean, -2.0 * diff, np.zeros_like(mt.cov))
         le = dist_loss(zs, zt, "mean_euclid")
         assert le.value == float(diff @ diff)
         assert np.array_equal(le.grad_source, gs)
@@ -381,7 +381,7 @@ def test_grad_moments_mean_only():
     rng = rng_for("gmom-mean")
     z = rng.standard_normal((10, 3))
     dmean = np.array([1.0, -2.0, 0.5])
-    rows = grad_moments(z, dmean, np.zeros((3, 3)))
+    rows = grad_moments(z, batch_moments(z).mean, dmean, np.zeros((3, 3)))
     assert np.allclose(rows, np.tile(dmean / 10.0, (10, 1)))
 
 
@@ -389,7 +389,7 @@ def test_grad_moments_rows_sum_to_zero_without_mean_term():
     rng = rng_for("gmom-sum")
     z = rng.standard_normal((12, 2))
     D = np.array([[1.0, 0.3], [0.3, -0.7]])
-    rows = grad_moments(z, np.zeros(2), D)
+    rows = grad_moments(z, batch_moments(z).mean, np.zeros(2), D)
     assert np.max(np.abs(rows.sum(axis=0))) <= 1e-12
 
 
@@ -399,8 +399,7 @@ def test_grad_moments_fd():
     dmean = rng.standard_normal(3)
     D = rng.standard_normal((3, 3))
     D = 0.5 * (D + D.T)
-    rows = grad_moments(z, dmean, D)
-    from geomoment.moments import batch_moments
+    rows = grad_moments(z, batch_moments(z).mean, dmean, D)
 
     def f(zz):
         m = batch_moments(zz)

@@ -52,7 +52,7 @@ def test_batch_moments_equal_checked_moments_bitwise():
         assert m.cov.shape == (n, n) and m.mean.shape == (n,)
 
 
-def test_cholesky_factor_computed_once(monkeypatch):
+def test_cholesky_factor_computed_once_on_factored_moments(monkeypatch):
     calls = []
     real = np.linalg.cholesky
 
@@ -63,9 +63,15 @@ def test_cholesky_factor_computed_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", counted)
     m = batch_moments(rng_for("moments-chol").standard_normal((20, 3)))
     L = m.chol
-    assert m.chol is L and calls == [(3, 3)]
     assert np.allclose(L @ L.T, m.cov, rtol=0, atol=1e-14)
-    assert batch_moments(np.tile([1.0, 2.0], (5, 1))).chol is None
+    # plain moments keep no factor; factored ones compute it once and keep it
+    assert np.array_equal(m.chol, L) and calls == [(3, 3)] * 2
+    f = m.factored()
+    assert f.mean is m.mean and f.cov is m.cov and calls == [(3, 3)] * 3
+    assert f.chol is f.chol and np.array_equal(f.chol, L) and calls == [(3, 3)] * 3
+    assert "_chol" not in m.__dict__
+    singular = batch_moments(np.tile([1.0, 2.0], (5, 1)))
+    assert singular.chol is None and singular.factored().chol is None
 
 
 def test_gaussian_batches_are_spd():
