@@ -2,12 +2,12 @@
 
 Run from the root of a checkout:
 
-    python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD --pairs 10 --out BENCH_6.json
+    python3 scripts/bench_pairs.py --parent HEAD~1 --pairs 10 --out BENCH_6.json
 
-Both revisions are exported with ``git archive`` to a temporary
+The parent revision and HEAD are exported with ``git archive`` to a temporary
 directory, and the unchanged ``bench/run.py`` of each tree runs there,
 every workload of ``BENCHMARK.json`` for its ``run_seconds``, one
-workload and seed at a time: pair i runs seed ``--seed0 + i`` in both
+workload and seed at a time: pair i runs seed ``SEED0 + i`` in both
 trees, the parent first in even pairs and the change first in odd ones.
 The file holds the environment line of the first run, per workload and
 side the median and quartiles of every end-to-end metric that
@@ -27,14 +27,13 @@ import sys
 import tempfile
 import time
 
+SEED0 = 701  # seed of the first pair
 TRACE_SECONDS = 10
 
 def parse_args(argv):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", default="HEAD~1", help="git revision of the baseline")
-    ap.add_argument("--change", default="HEAD", help="git revision measured against it")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed0", type=int, default=701, help="seed of the first pair")
     ap.add_argument("--out", required=True)
     return ap.parse_args(argv)
 
@@ -107,14 +106,14 @@ def main(argv=None):
     record = {
         "command": "python3 scripts/bench_pairs.py " + " ".join(argv or sys.argv[1:]),
         "parent": {"rev": args.parent, "commit": git("rev-parse", args.parent)},
-        "change": {"rev": args.change, "commit": git("rev-parse", args.change)},
+        "change": {"rev": "HEAD", "commit": git("rev-parse", "HEAD")},
         "pairs": args.pairs,
-        "seeds": list(range(args.seed0, args.seed0 + args.pairs)),
+        "seeds": list(range(SEED0, SEED0 + args.pairs)),
         "seconds": seconds,
         "order": "parent first in even pairs (0-based), change first in odd ones",
     }
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        trees = {"parent": export(args.parent, tmp), "change": export(args.change, tmp)}
+        trees = {"parent": export(args.parent, tmp), "change": export("HEAD", tmp)}
         record["workloads"] = {}
         for workload in (w["name"] for w in spec["workloads"]):
             runs = {"parent": [], "change": []}
@@ -128,7 +127,7 @@ def main(argv=None):
                           f"{result['metrics']['ops_per_s']['value']:.1f}", flush=True)
             record["workloads"][workload] = summarize(runs, metrics)
             record["workloads"][workload]["traced"] = {
-                side: bench(trees[side], workload, args.seed0, TRACE_SECONDS, 1)[1]["metrics"]
+                side: bench(trees[side], workload, SEED0, TRACE_SECONDS, 1)[1]["metrics"]
                 for side in ("parent", "change")
             }
         record["tier1"] = {side: tier1_wall_s(trees[side]) for side in ("parent", "change")}
