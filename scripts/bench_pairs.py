@@ -14,8 +14,10 @@ side the median and quartiles of every end-to-end metric that
 ``BENCHMARK.json`` declares, whether every run was correct, the failed
 operations, and for each metric how many pairs the change won. It also
 holds the per-layer metrics of one traced run per workload and side
-(TRACE_SECONDS long) and one Tier-1 suite wall time per tree. Runs are
-serial, and each pins BLAS to one thread itself.
+(TRACE_SECONDS long), one Tier-1 suite wall time per tree, and each
+tree's ``src_lines``, the line count of ``src/geomoment/*.py`` (as
+``cat src/geomoment/*.py | wc -l``). Runs are serial, and each pins BLAS
+to one thread itself.
 """
 
 import argparse
@@ -74,8 +76,22 @@ def tier1_wall_s(tree):
     return {"wall_s": round(wall, 2), "summary": summary, "exit": proc.returncode}
 
 
+def src_lines(tree):
+    """Newline count of the package sources in tree, as cat src/geomoment/*.py | wc -l."""
+    pkg = os.path.join(tree, "src", "geomoment")
+    total = 0
+    for name in os.listdir(pkg):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), "rb") as fh:
+                total += fh.read().count(b"\n")
+    return total
+
+
 def spread(values):
-    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    if len(values) == 1:  # quantiles needs two points
+        q1 = med = q3 = values[0]
+    else:
+        q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": med, "q1": q1, "q3": q3, "runs": values}
 
 
@@ -131,6 +147,7 @@ def main(argv=None):
                 for side in ("parent", "change")
             }
         record["tier1"] = {side: tier1_wall_s(trees[side]) for side in ("parent", "change")}
+        record["src_lines"] = {side: src_lines(trees[side]) for side in ("parent", "change")}
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
         fh.write("\n")

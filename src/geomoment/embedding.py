@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotInImage, NotPositiveDefinite, NotSymmetric
-from .spd import eigh_sym, lower_inverse, spd_tol, sym, validate_spd
+from .spd import cholesky, congruent_eigh, spd_factor, sym, validate_spd
 
 CORNER_TOL = 1e-9
 
@@ -68,7 +68,7 @@ class GaussianMoments:
         """
         if "_chol" in self.__dict__:
             return self._chol
-        return _cholesky_or_none(self.cov)
+        return cholesky(self.cov)
 
     def factored(self):
         """These moments, with cov's Cholesky factor computed once and kept.
@@ -81,15 +81,8 @@ class GaussianMoments:
         m = object.__new__(type(self))
         object.__setattr__(m, "mean", self.mean)
         object.__setattr__(m, "cov", self.cov)
-        object.__setattr__(m, "_chol", _cholesky_or_none(self.cov))
+        object.__setattr__(m, "_chol", cholesky(self.cov))
         return m
-
-
-def _cholesky_or_none(cov):
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        return None
 
 
 @dataclass(frozen=True)
@@ -180,26 +173,6 @@ def schur_gate(m, eta):
     return GateResult(open=bool(is_open), det=det, logdet=logdet)
 
 
-def cov_factor(m):
-    """(L, L^{-1}) of m.cov from its shared factor, under validate_spd's rule.
-
-    The rule is lambda_min(cov) > tol = spd_tol(cov). Since
-    ||L^{-1}||_F^2 = tr(cov^{-1}) >= 1/lambda_min, tol * ||L^{-1}||_F^2 < 1/2
-    proves lambda_min > 2 tol, and the pair is accepted with no further
-    factorization. Otherwise (no factor, a non-finite inverse, or the
-    bound fails) validate_spd decides exactly and raises
-    NotPositiveDefinite on rejection, as it does when it accepts a
-    covariance that has no finite factor pair.
-    """
-    L = m.chol
-    Linv = None if L is None else lower_inverse(L)
-    if Linv is None or not spd_tol(m.cov) * np.vdot(Linv, Linv) < 0.5:
-        validate_spd(m.cov)
-        if Linv is None or not np.isfinite(Linv).all():
-            raise NotPositiveDefinite("covariance has no finite Cholesky factor")
-    return L, Linv
-
-
 def siegel_pencil_eigh(ms, mt, params=EmbeddingParams()):
     """pencil_eigh(embed(ms), embed(mt)) from the covariances' Cholesky factors.
 
@@ -208,20 +181,20 @@ def siegel_pencil_eigh(ms, mt, params=EmbeddingParams()):
     With K = F_s^{-1} F_t = [[L_s^{-1} L_t, r L_s^{-1} (mu_t - mu_s)], [0, 1]],
     the pencil's spectrum is that of K K^T, and its eigenvectors Y give
     V = F_s^{-T} Y, so V^T embed(ms) V = I and embed(mt) V = lam embed(ms) V.
-    Each covariance passes cov_factor first (NotPositiveDefinite
-    otherwise); neither (n+1) x (n+1) matrix is built or factored.
+    Each covariance passes spd_factor's rule through its factor m.chol
+    first (NotPositiveDefinite otherwise); neither (n+1) x (n+1) matrix
+    is built or factored.
     """
-    _, Ls_inv = cov_factor(ms)
-    Lt, _ = cov_factor(mt)
+    _, Ls_inv = spd_factor(ms.cov, ms.chol)
+    Lt, _ = spd_factor(mt.cov, mt.chol)
     n = ms.dim
     r = math.sqrt(params.a)
     K = np.zeros((n + 1, n + 1))
     K[:n, :n] = Ls_inv @ Lt
     K[:n, n] = r * (Ls_inv @ (mt.mean - ms.mean))
     K[n, n] = 1.0
-    lam, Y = eigh_sym(K @ K.T)
     Fs_inv = np.zeros((n + 1, n + 1))
     Fs_inv[:n, :n] = Ls_inv
     Fs_inv[:n, n] = -(Ls_inv @ ms.mean)
     Fs_inv[n, n] = 1.0 / r
-    return lam, Fs_inv.T @ Y
+    return congruent_eigh(Fs_inv, K @ K.T)

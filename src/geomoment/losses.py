@@ -143,8 +143,10 @@ def dist_loss(zs, zt, kind, params=EmbeddingParams(), source_moments=None):
     """Distance loss between two feature batches with per-row gradients.
 
     Raises GateClosed when a geometric kind or log_euclid cannot be
-    evaluated because a covariance is not SPD; the trainer treats that
-    as "skip adaptation this step". airm and hilbert take their value
+    evaluated because a covariance is not SPD, or a geometric kind
+    because its pencil spectrum is not resolved in double precision (a
+    computed eigenvalue <= 0); the trainer treats that as "skip
+    adaptation this step". airm and hilbert take their value
     and gradients from one eigensolve of the embedded pencil, formed
     from one Cholesky factor per covariance (siegel_pencil_eigh); where
     that gradient is undefined both gradients are zero and
@@ -179,7 +181,11 @@ def dist_loss(zs, zt, kind, params=EmbeddingParams(), source_moments=None):
     if kind in SPECTRAL_DISTS:
         with _spd_or_gate_closed():
             lam, V = siegel_pencil_eigh(ms, mt, params)
-        value = SPECTRAL_DISTS[kind](lam)
+        try:
+            value = SPECTRAL_DISTS[kind](lam)
+        except NotPositiveDefinite as exc:
+            # both sides passed the SPD rule, but the pencil's spread exceeds double precision
+            raise GateClosed(f"pencil spectrum not resolved: {exc}") from exc
         try:
             dPs, dPt = _eigenpair_grads(kind, lam, V, value)
         except _ZEROING as exc:

@@ -4,7 +4,7 @@ A matrix file is a one-line header ``dim=<n>`` followed by n rows of
 space-separated decimals. A moments file uses the same header, then one
 mean row, then the n covariance rows, which must be symmetric to within
 ``spd.SYM_RTOL``. Values are printed with 17 significant digits so files
-round-trip exactly.
+round-trip exactly; the CSV writers print floats the same way.
 """
 
 import numpy as np
@@ -16,6 +16,12 @@ from .spd import check_symmetric
 def fmt(x):
     """17-significant-digit text for a float."""
     return format(float(x), ".17g")
+
+
+def csv_line(row, header):
+    """One CSV line of row's cells in header order: fmt for floats, str for the rest."""
+    cells = (row[k] for k in header.split(","))
+    return ",".join(fmt(v) if isinstance(v, float) else str(v) for v in cells) + "\n"
 
 
 def _read_body(path):

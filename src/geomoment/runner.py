@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 from .blas import blas_threads
 from .datasets import BlobsConfig, DenoiseConfig, gen_blobs, gen_denoise
-from .errors import ConfigError, RegimeViolation
+from .errors import ConfigError
 from .losses import DIST_KINDS
-from .matrixio import fmt
+from .matrixio import csv_line
 from .moments import check_regime
 from .network import ACTIVATIONS, ClassifierHead, DecoderHead, ModelSpec
 from .trainer import TrainConfig, train
@@ -49,20 +49,12 @@ def _parse_int(v):
     return int(v, 0)
 
 
-def _parse_float(v):
-    return float(v)
-
-
 def _parse_floats(v):
     return tuple(float(p) for p in v.split(",") if p.strip())
 
 
 def _parse_ints(v):
     return tuple(int(p) for p in v.split(",") if p.strip())
-
-
-def _parse_str(v):
-    return v
 
 
 def _parse_layers(v):
@@ -82,20 +74,20 @@ def _parse_layers(v):
 
 
 _GENERAL_KEYS = {
-    "task": _parse_str,
+    "task": str,
     "seed": _parse_int,
-    "out_dir": _parse_str,
-    "dist_kind": _parse_str,
-    "beta": _parse_float,
-    "eta": _parse_float,
+    "out_dir": str,
+    "dist_kind": str,
+    "beta": float,
+    "eta": float,
     "epochs": _parse_int,
     "batch_source": _parse_int,
     "batch_target": _parse_int,
-    "learn_rate": _parse_float,
-    "optimizer": _parse_str,
+    "learn_rate": float,
+    "optimizer": str,
     "embed_dim": _parse_int,
     "encoder": _parse_layers,
-    "sweep.kinds": _parse_str,
+    "sweep.kinds": str,
     "sweep.seeds": _parse_ints,
 }
 
@@ -105,17 +97,17 @@ _BLOBS_KEYS = {
     "blobs.num_classes": (_parse_int, "num_classes"),
     "blobs.samples_per_class": (_parse_int, "samples_per_class"),
     "blobs.input_dim": (_parse_int, "input_dim"),
-    "blobs.center_radius": (_parse_float, "center_radius"),
-    "blobs.cov_scale": (_parse_float, "cov_scale"),
-    "blobs.rotation": (_parse_float, "target_rotation"),
+    "blobs.center_radius": (float, "center_radius"),
+    "blobs.cov_scale": (float, "cov_scale"),
+    "blobs.rotation": (float, "target_rotation"),
     "blobs.translation": (_parse_floats, "target_translation"),
 }
 
 _DENOISE_KEYS = {
     "denoise.length": (_parse_int, "length"),
     "denoise.samples": (_parse_int, "samples"),
-    "denoise.noise_mean": (_parse_float, "noise_mean"),
-    "denoise.noise_std": (_parse_float, "noise_std"),
+    "denoise.noise_mean": (float, "noise_mean"),
+    "denoise.noise_std": (float, "noise_std"),
     "decoder": (_parse_layers, None),  # the decoder head's layers, not a DenoiseConfig field
 }
 
@@ -258,18 +250,12 @@ def _datasets(cfg):
     return d.source_train, d.target_train, d.source_eval, d.target_eval
 
 
-def _csv_line(row, header):
-    """One CSV line of row's cells in header order: fmt for floats, str for the rest."""
-    cells = (row[k] for k in header.split(","))
-    return ",".join(fmt(v) if isinstance(v, float) else str(v) for v in cells) + "\n"
-
-
 def append_metrics(path, row):
     write_header = not os.path.exists(path)
     with open(path, "a") as fh:
         if write_header:
             fh.write(METRICS_HEADER + "\n")
-        fh.write(_csv_line(row, METRICS_HEADER))
+        fh.write(csv_line(row, METRICS_HEADER))
 
 
 def run_experiment(cfg, metrics_path=None):
@@ -374,20 +360,17 @@ def sweep_dim(cfg, dims):
                 regime = check_regime(cfg.train_cfg.batch_source, dim)
                 report = None
                 if regime.ok:
-                    try:
-                        _, report = run_experiment(
-                            _with_dim(cfg, dim, kind, seed),
-                            metrics_path=os.path.join(out_dir, "metrics.csv"),
-                        )
-                    except RegimeViolation:
-                        pass
+                    _, report = run_experiment(
+                        _with_dim(cfg, dim, kind, seed),
+                        metrics_path=os.path.join(out_dir, "metrics.csv"),
+                    )
                 rows.append(_sweep_row(dim, kind, seed, regime.ratio, report))
 
     csv_path = os.path.join(out_dir, "sweep.csv")
     with open(csv_path, "w") as fh:
         fh.write(SWEEP_HEADER + "\n")
         for r in rows:
-            fh.write(_csv_line(r, SWEEP_HEADER))
+            fh.write(csv_line(r, SWEEP_HEADER))
 
     higher_better = cfg.task == "blobs"
     best = {}

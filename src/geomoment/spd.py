@@ -7,7 +7,9 @@ Conventions used throughout:
   part of the metric normalization, not optional);
 * eigenvalues of ``P1^{-1} P2`` are always obtained from the symmetric
   pencil form ``L^{-1} P2 L^{-T}`` with ``P1 = L L^T``, never from the
-  nonsymmetric product.
+  nonsymmetric product;
+* this module is the package's one factor layer: its Cholesky helper,
+  its SPD rule (spd_factor) and its pencil forms are the only ones.
 """
 
 import numpy as np
@@ -17,7 +19,7 @@ from .errors import ConvergenceFailure, NotPositiveDefinite, NotSymmetric
 
 SYM_RTOL = 1e-12  # relative asymmetry allowed before a matrix is rejected
 
-_TRTRS, _TRTRI = get_lapack_funcs(("trtrs", "trtri"), dtype=np.float64)
+_TRTRI = get_lapack_funcs("trtri", dtype=np.float64)
 
 
 def sym(M):
@@ -40,7 +42,7 @@ def check_symmetric(M):
 
 def spd_tol(M):
     """validate_spd's threshold on lambda_min: 1e-10 * trace(M)/dim (1e-10 when not positive)."""
-    scale = M.trace() / M.shape[0]
+    scale = float(M.trace()) / M.shape[0]
     return 1e-10 * (scale if scale > 0 else 1.0)
 
 
@@ -48,31 +50,12 @@ def validate_spd(M):
     """Check that M is SPD and return it exactly symmetrized.
 
     M must be symmetric to within SYM_RTOL; it is then symmetrized
-    exactly, (M + M^T)/2. It is accepted when lambda_min(M) > tol, where
-    tol = spd_tol(M) separates genuine rank deficiency from
-    double-precision noise. One Cholesky factorization of M - tol * I
-    decides that rule (its success means the shifted matrix is positive
-    definite), so only a rejected
-    matrix pays for an eigensolve, which fills NotPositiveDefinite's
-    lambda_min. Within rounding of tol the two may disagree; the
-    Cholesky decides. A non-finite M is rejected.
+    exactly, (M + M^T)/2, and spd_factor decides the rule
+    lambda_min(M) > spd_tol(M) from its Cholesky factor. A non-finite M
+    is rejected.
     """
     M = sym(check_symmetric(M))
-    n = M.shape[0]
-    tol = spd_tol(M)
-    shifted = M.copy()
-    shifted.flat[:: n + 1] -= tol
-    try:
-        # cholesky lets NaN through without raising, so the factor must be finite too
-        ok = np.isfinite(np.linalg.cholesky(shifted)).all()
-    except np.linalg.LinAlgError:
-        ok = False
-    if not ok:
-        lam_min = float(eigvals_sym(M)[0])
-        raise NotPositiveDefinite(
-            f"smallest eigenvalue {lam_min:.6e} not above tolerance {tol:.1e}",
-            lambda_min=lam_min,
-        )
+    spd_factor(M, cholesky(M))
     return M
 
 
@@ -110,24 +93,16 @@ def matrix_log(P):
     return sym((Q * np.log(lam)) @ Q.T)
 
 
-def _cholesky(P):
-    try:
-        return np.linalg.cholesky(np.asarray(P, dtype=float))
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"Cholesky failed: {exc}") from exc
+def cholesky(M):
+    """Lower Cholesky factor of M, or None where it does not exist.
 
-
-def _solve_lower(L, B, trans):
-    """Solve L X = B (trans 0) or L^T X = B (trans 1) for a C-ordered lower factor L.
-
-    Calls LAPACK trtrs on the Fortran-ordered upper view L^T, exactly as
-    scipy's solve_triangular does for such an L, without its per-call
-    argument checks; the inputs here come from a Cholesky factor.
+    The package's one factorization: a NaN in M may pass through into
+    the factor without raising, which spd_factor then rejects.
     """
-    X, info = _TRTRS(L.T, B, lower=0, trans=1 - trans)
-    if info:
-        raise ValueError(f"trtrs failed with info {info}")
-    return X
+    try:
+        return np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        return None
 
 
 def lower_inverse(L):
@@ -138,11 +113,37 @@ def lower_inverse(L):
     return Linv.T
 
 
+def spd_factor(M, L):
+    """(L, L^{-1}) of a symmetric M under the rule lambda_min(M) > spd_tol(M).
+
+    L is M's Cholesky factor, or None where it failed. Since
+    ||L^{-1}||_F^2 = tr(M^{-1}) >= 1/lambda_min, tol * ||L^{-1}||_F^2 < 1/2
+    proves lambda_min > 2 tol, and M is accepted at once. Otherwise an
+    eigensolve decides exactly and a rejection raises NotPositiveDefinite
+    with lambda_min; so does an accepted M with no finite factor pair.
+    """
+    Linv = None if L is None else lower_inverse(L)
+    tol = spd_tol(M)
+    # in Python floats: 0 * inf (tol underflows for a subnormal M) is NaN without a warning
+    if Linv is None or not tol * float(np.vdot(Linv, Linv)) < 0.5:
+        lam_min = float(eigvals_sym(M)[0])
+        if not lam_min > tol:
+            raise NotPositiveDefinite(
+                f"smallest eigenvalue {lam_min:.6e} not above tolerance {tol:.1e}",
+                lambda_min=lam_min,
+            )
+        if Linv is None or not np.isfinite(Linv).all():
+            raise NotPositiveDefinite("no finite Cholesky factor")
+    return L, Linv
+
+
 def _pencil_form(P1, P2):
-    """Cholesky factor L of P1 and the symmetric pencil form L^{-1} P2 L^{-T}."""
-    L = _cholesky(P1)
-    W = _solve_lower(L, np.asarray(P2, dtype=float), 0)
-    return L, _solve_lower(L, W.T, 0)
+    """L^{-1} of P1 = L L^T and the symmetric pencil form L^{-1} P2 L^{-T}."""
+    L = cholesky(np.asarray(P1, dtype=float))
+    if L is None:
+        raise NotPositiveDefinite("Cholesky of the pencil's first matrix failed")
+    Linv = lower_inverse(L)
+    return Linv, Linv @ np.asarray(P2, dtype=float) @ Linv.T
 
 
 def pencil_eigvals(P1, P2):
@@ -156,9 +157,17 @@ def pencil_eigh(P1, P2):
     Returns (lam, V) with lam ascending and columns of V normalized so
     that V^T P1 V = I.
     """
-    L, M = _pencil_form(P1, P2)
+    return congruent_eigh(*_pencil_form(P1, P2))
+
+
+def congruent_eigh(Finv, M):
+    """Pencil eigenpairs from its symmetric form M = F^{-1} P2 F^{-T}, P1 = F F^T.
+
+    Returns the ascending eigenvalues of M and V = F^{-T} Y for its
+    eigenvectors Y, so that V^T P1 V = I and P2 V = P1 V diag(lam).
+    """
     lam, Y = eigh_sym(M)
-    return lam, _solve_lower(L, Y, 1)
+    return lam, Finv.T @ Y
 
 
 def _positive(lam):

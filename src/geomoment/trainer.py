@@ -15,6 +15,7 @@ import numpy as np
 from .embedding import EmbeddingParams, schur_gate
 from .errors import GateClosed, NonFiniteLoss, RegimeViolation
 from .losses import DIST_KINDS, ZERO_GRAD_REASONS, dist_loss
+from .matrixio import csv_line
 from .moments import batch_moments, check_regime
 from .network import (
     ClassifierHead,
@@ -31,6 +32,10 @@ from .network import (
 from .rng import STREAM_SOURCE_BATCH, STREAM_TARGET_BATCH, stream
 
 _A1 = EmbeddingParams()  # the trainer always uses the canonical a = 1
+
+REPORT_HEADER = (
+    "epoch,loss_task,loss_dist,det_PS,gate_on,source_metric,target_metric,skipped_steps"
+)
 
 
 @dataclass(frozen=True)
@@ -102,26 +107,12 @@ class TrainReport:
         return self.loss_task.size
 
     def to_csv_text(self):
-        lines = [
-            "epoch,loss_task,loss_dist,det_PS,gate_on,source_metric,"
-            "target_metric,skipped_steps"
-        ]
-        for i in range(self.epochs):
-            lines.append(
-                ",".join(
-                    [
-                        str(i + 1),
-                        format(self.loss_task[i], ".17g"),
-                        format(self.loss_dist[i], ".17g"),
-                        format(self.det_ps[i], ".17g"),
-                        str(int(self.gate_on[i])),
-                        format(self.source_metric[i], ".17g"),
-                        format(self.target_metric[i], ".17g"),
-                        str(int(self.skipped_steps[i])),
-                    ]
-                )
-            )
-        return "\n".join(lines) + "\n"
+        cols = (np.arange(1, self.epochs + 1), self.loss_task, self.loss_dist, self.det_ps,
+                self.gate_on.astype(int), self.source_metric, self.target_metric,
+                self.skipped_steps)
+        keys = REPORT_HEADER.split(",")
+        rows = (dict(zip(keys, row)) for row in zip(*(c.tolist() for c in cols)))
+        return REPORT_HEADER + "\n" + "".join(csv_line(r, REPORT_HEADER) for r in rows)
 
 
 def evaluate(params, spec, dataset):

@@ -15,7 +15,7 @@ from geomoment.embedding import (
     unembed,
 )
 from geomoment.errors import NotInImage, NotPositiveDefinite
-from geomoment.spd import validate_spd
+from geomoment.spd import pencil_eigh, validate_spd
 from geomoment.rng import stream
 from helpers import rand_orthogonal, rand_spd, rng_for
 
@@ -180,6 +180,13 @@ def test_gate_fallback_on_singular_and_indefinite_covariances():
     assert g.det == pytest.approx(6.0) and not g.open and g.logdet == -np.inf
 
 
+def _assert_solves_pencil(P1, P2, lam, V):
+    # ascending, V^T P1 V = I and P2 V = P1 V diag(lam)
+    assert np.all(np.diff(lam) >= 0)
+    assert np.allclose(V.T @ P1 @ V, np.eye(P1.shape[0]), rtol=0, atol=1e-10)
+    assert np.allclose(P2 @ V, (P1 @ V) * lam, rtol=0, atol=1e-9 * np.abs(P2).max())
+
+
 def test_siegel_pencil_normalizes_and_solves_the_embedded_pencil():
     rng = rng_for("siegel-pencil")
     for _ in range(30):
@@ -188,8 +195,14 @@ def test_siegel_pencil_normalizes_and_solves_the_embedded_pencil():
         ms, mt = rand_moments(rng, n), rand_moments(rng, n)
         Ps, Pt = embed(ms, params), embed(mt, params)
         lam, V = siegel_pencil_eigh(ms, mt, params)
-        assert np.all(np.diff(lam) >= 0)
-        assert np.allclose(V.T @ Ps @ V, np.eye(n + 1), rtol=0, atol=1e-10)
-        assert np.allclose(Pt @ V, (Ps @ V) * lam, rtol=0, atol=1e-9 * np.abs(Pt).max())
+        _assert_solves_pencil(Ps, Pt, lam, V)
+        # the same pencil, factored as the embedded matrices themselves
+        lam2, V2 = pencil_eigh(Ps, Pt)
+        assert np.allclose(lam, lam2, rtol=1e-10, atol=0)
+        assert np.allclose(np.abs(V.T @ Ps @ V2), np.eye(n + 1), rtol=0, atol=1e-8)
+    for n in (1, 2, 3, 5, 9):
+        for _ in range(5):
+            P1, P2 = rand_spd(rng, n, cond=1e4), rand_spd(rng, n, cond=1e4)
+            _assert_solves_pencil(P1, P2, *pencil_eigh(P1, P2))
     with pytest.raises(NotPositiveDefinite):
         siegel_pencil_eigh(GaussianMoments([0.0], [[0.0]]), rand_moments(rng, 1))

@@ -238,6 +238,24 @@ def test_geometric_loss_gate_closes_exactly_when_validate_spd_rejects(
         assert closed == rejected
 
 
+def test_unresolved_pencil_spectrum_closes_the_gate():
+    # both covariances pass the SPD rule, but in different eigenbases the
+    # pencil spans ~kappa^2, beyond double precision: a non-positive computed
+    # eigenvalue must skip the step (GateClosed), not stop training
+    rng = rng_for("loss-unresolved-pencil")
+    lam = np.geomspace(1.0, 1e-10, 3)
+    unresolved = 0
+    for _ in range(40):
+        zs, zt = (_batch_with_spectrum(rng, 35, rand_orthogonal(rng, 3), lam) for _ in range(2))
+        for kind in ("airm", "hilbert"):
+            try:
+                dist_loss(zs, zt, kind)
+            except GateClosed as exc:
+                assert str(exc).startswith("pencil spectrum not resolved")
+                unresolved += 1
+    assert unresolved > 0
+
+
 def test_geometric_loss_factors_once_and_validates_each_side_once(monkeypatch):
     # each covariance is factored once and checked once, through that factor:
     # no embedded-pencil factorization and no validate_spd on an accepted pair

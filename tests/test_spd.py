@@ -2,17 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm, solve_triangular
+from scipy.linalg import expm
 
 from geomoment.errors import NotPositiveDefinite, NotSymmetric
 from geomoment.spd import (
-    _pencil_form,
     dist_airm,
     dist_hilbert,
     dist_logeuclid,
     eigvals_sym,
     matrix_log,
-    pencil_eigh,
     validate_spd,
 )
 from helpers import rand_invertible, rand_orthogonal, rand_spd, rand_sym, rng_for
@@ -75,22 +73,6 @@ def test_validate_rejects_non_finite():
     for M in (np.array([[1.0, np.nan], [np.nan, 1.0]]), np.array([[np.nan, 0.0], [0.0, 1.0]])):
         with pytest.raises(NotPositiveDefinite):
             validate_spd(M)
-
-
-def test_pencil_solves_match_solve_triangular_bitwise():
-    rng = rng_for("pencil-trtrs")
-    for n in (1, 2, 3, 5, 9):
-        for _ in range(5):
-            P1 = rand_spd(rng, n, cond=1e4)
-            P2 = rand_spd(rng, n, cond=1e4)
-            L = np.linalg.cholesky(P1)
-            W = solve_triangular(L, P2, lower=True)
-            M = solve_triangular(L, W.T, lower=True)
-            lam, Y = np.linalg.eigh(0.5 * (M + M.T))
-            V = solve_triangular(L, Y, lower=True, trans="T")
-            assert _pencil_form(P1, P2)[1].tobytes() == M.tobytes()
-            lam2, V2 = pencil_eigh(P1, P2)
-            assert lam2.tobytes() == lam.tobytes() and V2.tobytes() == V.tobytes()
 
 
 def test_eigvals_diagonal():
