@@ -1,0 +1,148 @@
+"""Compare the identity set's output files between a parent revision and HEAD.
+
+Run from the root of a checkout:
+
+    python3 scripts/identity_set.py --parent HEAD~1
+
+The parent revision and HEAD are exported with ``git archive`` (the export
+of ``scripts/bench_pairs.py``) to a temporary directory. In each tree,
+``geomoment sweep-dim`` runs with ``OPENBLAS_NUM_THREADS=1`` on the tree's
+own configs: ``configs/blobs_airm.cfg`` at embedding dims 2 and 4 and
+``configs/denoise_hilbert.cfg`` at dim 2, each over the five kinds and
+seeds 0-2, once at beta 0.1 and once at beta 0. That writes 102 files:
+each run's ``report.csv`` and each sweep's ``sweep.csv``, ``metrics.csv``
+and ``sweep_summary.json`` (``summary.json`` records wall time and is
+left out). For every file the script prints "identical", or the largest
+relative difference per column that differs; it exits 1 when a file is
+missing on one side.
+"""
+
+import argparse
+import csv
+import io
+import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+
+from bench_pairs import export, git
+
+KINDS = "airm,hilbert,mean_euclid,coral_frob,log_euclid"
+# (name, config, embedding dims) of each sweep
+SWEEPS = (
+    ("blobs", "configs/blobs_airm.cfg", "2,4"),
+    ("denoise", "configs/denoise_hilbert.cfg", "2"),
+)
+BETAS = ("0.1", "0")
+COMPARED = ("report.csv", "sweep.csv", "metrics.csv", "sweep_summary.json")
+
+
+def with_keys(text, keys):
+    """Config text with each of keys set to its value, replacing the file's own line."""
+    kept = [ln for ln in text.splitlines() if ln.split("=", 1)[0].strip() not in keys]
+    return "\n".join(kept + [f"{k} = {v}" for k, v in keys.items()]) + "\n"
+
+
+def run_set(tree, out_root):
+    """Run every sweep of the set inside tree, writing under out_root."""
+    env = dict(os.environ, PYTHONPATH="src", OPENBLAS_NUM_THREADS="1")
+    for name, config, dims in SWEEPS:
+        with open(os.path.join(tree, config)) as fh:
+            text = fh.read()
+        for beta in BETAS:
+            cfg_path = os.path.join(out_root, f"{name}_beta{beta}.cfg")
+            with open(cfg_path, "w") as fh:
+                fh.write(with_keys(text, {"beta": beta, "sweep.kinds": KINDS,
+                                          "sweep.seeds": "0,1,2"}))
+            cmd = [sys.executable, "-m", "geomoment.cli", "sweep-dim", "--config", cfg_path,
+                   "--dims", dims, "--out", os.path.join(out_root, f"{name}_beta{beta}")]
+            subprocess.run(cmd, cwd=tree, env=env, check=True, capture_output=True)
+
+
+def output_files(root):
+    """Relative paths of the compared files under root."""
+    return sorted(os.path.relpath(os.path.join(d, f), root)
+                  for d, _, files in os.walk(root) for f in files if f in COMPARED)
+
+
+def columns(path, text):
+    """Column name -> list of cell texts of a CSV file, or leaf key -> [value] of a JSON file."""
+    if path.endswith(".json"):
+        flat = {}
+
+        def walk(prefix, v):
+            if isinstance(v, dict):
+                for k, w in v.items():
+                    walk(f"{prefix}.{k}" if prefix else k, w)
+            else:
+                flat[prefix] = [str(v)]
+
+        walk("", json.loads(text))
+        return flat
+    rows = list(csv.DictReader(io.StringIO(text)))
+    return {k: [r[k] for r in rows] for k in (rows[0] if rows else {})}
+
+
+def rel_diff(a, b):
+    """Relative difference of two cell texts: 0 when equal, inf when not both numbers."""
+    if a == b:
+        return 0.0
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return math.inf
+    if math.isnan(x) and math.isnan(y):
+        return 0.0
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+def compare(path, parent_text, change_text):
+    """'identical', or 'column max-rel-diff' for every column that differs."""
+    if parent_text == change_text:
+        return "identical"
+    ours, theirs = columns(path, parent_text), columns(path, change_text)
+    diffs = []
+    for col in sorted(set(ours) | set(theirs)):
+        a, b = ours.get(col), theirs.get(col)
+        if a is None or b is None or len(a) != len(b):
+            diffs.append(f"{col} shape differs")
+            continue
+        worst = max((rel_diff(x, y) for x, y in zip(a, b)), default=0.0)
+        if worst:
+            diffs.append(f"{col} {worst:.2e}")
+    return "differs: " + ", ".join(diffs)
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", default="HEAD~1", help="git revision of the baseline")
+    args = ap.parse_args(argv)
+    print(f"parent {git('rev-parse', args.parent)}, change {git('rev-parse', 'HEAD')}")
+    with tempfile.TemporaryDirectory(prefix="identity_set_") as tmp:
+        outs = {}
+        for side, rev in (("parent", args.parent), ("change", "HEAD")):
+            tree = export(rev, os.path.join(tmp, side))
+            outs[side] = os.path.join(tmp, side, "out")
+            os.makedirs(outs[side])
+            run_set(tree, outs[side])
+        files = {side: output_files(root) for side, root in outs.items()}
+        missing = sorted(set(files["parent"]) ^ set(files["change"]))
+        identical = 0
+        for rel in sorted(set(files["parent"]) & set(files["change"])):
+            texts = []
+            for side in ("parent", "change"):
+                with open(os.path.join(outs[side], rel)) as fh:
+                    texts.append(fh.read())
+            verdict = compare(rel, *texts)
+            identical += verdict == "identical"
+            print(f"{rel}: {verdict}")
+        for rel in missing:
+            print(f"{rel}: on one side only")
+        print(f"{identical} of {len(files['change'])} files identical")
+    return 1 if missing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonInteriorPoint, SupportMismatch
-from .spd import airm_from_spectrum, pencil_eigvals
+from .spd import dist_airm
 
 
 @dataclass(frozen=True)
@@ -98,4 +98,4 @@ def fisher_rao_univariate(mu1, sigma1, mu2, sigma2):
 
 def fisher_rao_fixed_mean(S1, S2):
     """Fisher-Rao distance between equal-mean Gaussians: sqrt(0.5 sum log^2 lambda_i)."""
-    return airm_from_spectrum(pencil_eigvals(S1, S2))
+    return dist_airm(S1, S2)

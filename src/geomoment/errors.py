@@ -15,6 +15,10 @@ class NotPositiveDefinite(GeomomentError):
         self.lambda_min = lambda_min
 
 
+class NonPositiveSpectrum(NotPositiveDefinite):
+    """A computed pencil eigenvalue is <= 0 (or NaN)."""
+
+
 class ConvergenceFailure(GeomomentError):
     pass
 
@@ -28,7 +32,11 @@ class BatchTooSmall(GeomomentError):
 
 
 class GateClosed(GeomomentError):
-    """Adaptation loss unavailable this step; the trainer should skip it."""
+    """Adaptation loss unavailable this step; the trainer skips it, counted by reason."""
+
+    def __init__(self, message, reason):  # reason: one of losses.GATE_CLOSED_REASONS
+        super().__init__(message)
+        self.reason = reason
 
 
 class DegenerateSpectrum(GeomomentError):

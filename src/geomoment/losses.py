@@ -7,8 +7,8 @@ moments. Gradients are hand-derived and checked against central finite
 differences in the test suite.
 """
 
-from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -18,20 +18,18 @@ from .errors import (
     DegenerateSpectrum,
     GateClosed,
     NearZeroDistance,
+    NonPositiveSpectrum,
     NotPositiveDefinite,
-    NotSymmetric,
 )
 from .moments import batch_moments
-from .spd import SPECTRAL_DISTS, eigh_sym, pencil_eigh, spd_tol, sym
+from .spd import SPECTRAL_KINDS, pencil_eigh, pencil_grads, spd_eigh, sym
 
 DIST_KINDS = ("airm", "hilbert", "mean_euclid", "coral_frob", "log_euclid")
-
-DIST_EPS = 1e-8  # below this the airm gradient is defined as zero
-DEGEN_RTOL = 1e-9  # relative gap deciding eigenvalue degeneracy
 
 # Where a geometric gradient is undefined it is returned as zero, labelled by the cause.
 _ZEROING = (NearZeroDistance, DegenerateSpectrum)
 ZERO_GRAD_REASONS = tuple(e.__name__ for e in _ZEROING)
+GATE_CLOSED_REASONS = ("covariance_not_spd", "pencil_unresolved")
 
 
 @dataclass(frozen=True)
@@ -42,43 +40,14 @@ class LossEval:
     zero_grad_reason: str = ""  # one of ZERO_GRAD_REASONS when both gradients were zeroed
 
 
-def _eigenpair_grads(kind, lam, V, value):
-    """Gradients of a pencil-spectrum distance w.r.t. both SPD arguments.
-
-    Uses the generalized eigenpairs P2 v = lambda P1 v with v^T P1 v = 1,
-    for which d(lambda)/dP2 = v v^T and d(lambda)/dP1 = -lambda v v^T.
-    """
-    if kind == "airm":
-        if value < DIST_EPS:
-            raise NearZeroDistance(f"distance {value:.3e} below {DIST_EPS:.1e}")
-        # d(dist)/d(lambda_i) = log(lambda_i) / (2 d lambda_i)
-        logs = np.log(lam)
-        c2 = logs / (2.0 * value * lam)
-        c1 = -logs / (2.0 * value)
-        return sym((V * c1) @ V.T), sym((V * c2) @ V.T)
-
-    lo, hi = lam[0], lam[-1]
-    if hi - lo <= DEGEN_RTOL * hi:
-        raise DegenerateSpectrum(f"pencil spectrum collapses: [{lo:.6e}, {hi:.6e}]")
-    hi_idx = np.nonzero(lam >= hi * (1.0 - DEGEN_RTOL))[0]
-    lo_idx = np.nonzero(lam <= lo * (1.0 + DEGEN_RTOL))[0]
-    if np.intersect1d(hi_idx, lo_idx).size:
-        raise DegenerateSpectrum("extreme eigenspaces overlap")
-    # average over a degenerate extreme eigenspace: deterministic subgradient
-    Vh = V[:, hi_idx]
-    Vl = V[:, lo_idx]
-    Gmax = sym(Vh @ Vh.T) / hi_idx.size
-    Gmin = sym(Vl @ Vl.T) / lo_idx.size
-    return Gmin - Gmax, Gmax / hi - Gmin / lo
-
-
 def grad_spd_pair(P1, P2, kind):
     """(value, dP1, dP2) of dist_airm or dist_hilbert from one pencil factorization."""
-    if kind not in SPECTRAL_DISTS:
+    if kind not in SPECTRAL_KINDS:
         raise ValueError(f"kind must be airm or hilbert, got {kind!r}")
+    value_of, slope_of = SPECTRAL_KINDS[kind]
     lam, V = pencil_eigh(P1, P2)
-    value = SPECTRAL_DISTS[kind](lam)
-    return (value, *_eigenpair_grads(kind, lam, V, value))
+    value = value_of(lam)
+    return (value, *pencil_grads(lam, V, slope_of(lam, value)))
 
 
 def grad_embed(m, upstream, params=EmbeddingParams()):
@@ -118,105 +87,93 @@ def _log_derivative_coeffs(lam):
     return np.where(close, 2.0 / (li + lj), (np.log(li) - np.log(lj)) / safe)
 
 
-@contextmanager
-def _spd_or_gate_closed():
-    """Map a covariance failing SPD validation to GateClosed."""
+def _coral_frob(ms, mt, _params):
+    diff = ms.cov - mt.cov
+    zero = np.zeros(ms.dim)
+    return float(np.sum(diff * diff)), ((zero, 2.0 * diff), (zero, -2.0 * diff)), ""
+
+
+def _log_euclid(ms, mt, _params):
+    """Squared Frobenius distance of the covariances' matrix logs."""
+    lam_s, Qs = spd_eigh(ms.cov)
+    lam_t, Qt = spd_eigh(mt.cov)
+    Ls = sym((Qs * np.log(lam_s)) @ Qs.T)
+    Lt = sym((Qt * np.log(lam_t)) @ Qt.T)
+    diff = Ls - Lt
+    zero = np.zeros(ms.dim)
+    Ks = _log_derivative_coeffs(lam_s)
+    Kt = _log_derivative_coeffs(lam_t)
+    dcov_s = sym(Qs @ (Ks * (Qs.T @ (2.0 * diff) @ Qs)) @ Qs.T)
+    dcov_t = sym(Qt @ (Kt * (Qt.T @ (-2.0 * diff) @ Qt)) @ Qt.T)
+    return float(np.sum(diff * diff)), ((zero, dcov_s), (zero, dcov_t)), ""
+
+
+def _spectral(spectral_kind, ms, mt, params):
+    """A SPECTRAL_KINDS entry from one eigensolve of the embedded pencil."""
+    value_of, slope_of = spectral_kind
+    lam, V = siegel_pencil_eigh(ms, mt, params)
+    value = value_of(lam)
     try:
-        yield
-    except (NotPositiveDefinite, NotSymmetric) as exc:
-        raise GateClosed(f"covariance failed SPD validation: {exc}") from exc
+        dPs, dPt = pencil_grads(lam, V, slope_of(lam, value))
+    except _ZEROING as exc:
+        return value, None, type(exc).__name__
+    return value, (grad_embed(ms, dPs, params), grad_embed(mt, dPt, params)), ""
 
 
-def _spd_eigh(cov):
-    """eigh_sym(cov), with validate_spd's rule decided on its eigenvalues."""
-    lam, Q = eigh_sym(cov)
-    tol = spd_tol(cov)
-    if not lam[0] > tol:
-        raise GateClosed(
-            f"covariance failed SPD validation: smallest eigenvalue {lam[0]:.6e} "
-            f"not above tolerance {tol:.1e}"
-        )
-    return lam, Q
+# kind -> (moments_s, moments_t, params) -> (value, per-side (dmean, dcov), zero_grad_reason)
+_COV_KINDS = {
+    **{kind: partial(_spectral, entry) for kind, entry in SPECTRAL_KINDS.items()},
+    "coral_frob": _coral_frob,
+    "log_euclid": _log_euclid,
+}
 
 
 def dist_loss(zs, zt, kind, params=EmbeddingParams(), source_moments=None):
-    """Distance loss between two feature batches with per-row gradients.
+    """Distance loss between two b x n feature batches with per-row gradients.
 
-    Raises GateClosed when a geometric kind or log_euclid cannot be
-    evaluated because a covariance is not SPD, or a geometric kind
-    because its pencil spectrum is not resolved in double precision (a
-    computed eigenvalue <= 0); the trainer treats that as "skip
-    adaptation this step". airm and hilbert take their value
-    and gradients from one eigensolve of the embedded pencil, formed
-    from one Cholesky factor per covariance (siegel_pencil_eigh); where
-    that gradient is undefined both gradients are zero and
-    zero_grad_reason names the cause. source_moments, when given, must
-    be batch_moments(zs): a caller that already has them (the trainer's
-    gate) saves computing them, and factoring their covariance, again.
+    Each kind gives its value and, per side, the gradient on (mean, cov),
+    which one chain (grad_moments) takes to the rows. Where a geometric
+    gradient is undefined both gradients are zero and zero_grad_reason
+    names the cause. GateClosed ("skip adaptation this step") is raised
+    with reason covariance_not_spd where a geometric kind or log_euclid
+    meets a covariance that fails the SPD rule, and pencil_unresolved
+    where a computed pencil eigenvalue is <= 0, beyond double precision.
+    source_moments, when given, must be batch_moments(zs): the trainer's
+    gate already holds them, factored.
     """
     if kind not in DIST_KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {DIST_KINDS}")
     zs_data = np.asarray(zs, dtype=float)
     zt_data = np.asarray(zt, dtype=float)
-    if zs_data.shape[1] != zt_data.shape[1]:
-        raise ValueError(
-            f"feature dims differ: {zs_data.shape[1]} vs {zt_data.shape[1]}"
-        )
-    if kind == "mean_euclid":
+    if zs_data.ndim != 2 or zt_data.ndim != 2 or zs_data.shape[1] != zt_data.shape[1]:
+        raise ValueError(f"expected b x n batches of one width: {zs_data.shape}, {zt_data.shape}")
+    if kind == "mean_euclid":  # the two means only, not the covariances
         b = min(zs_data.shape[0], zt_data.shape[0])
         if b < 2:
             raise BatchTooSmall(f"need at least 2 rows, got {b}")
         mean_s = zs_data.mean(axis=0) if source_moments is None else source_moments.mean
         mean_t = zt_data.mean(axis=0)
         diff = mean_s - mean_t
-        value = float(diff @ diff)
         zero = np.zeros((diff.size, diff.size))
-        gs = grad_moments(zs_data, mean_s, 2.0 * diff, zero)
-        gt = grad_moments(zt_data, mean_t, -2.0 * diff, zero)
-        return LossEval(value=value, grad_source=gs, grad_target=gt)
-
-    ms = batch_moments(zs_data) if source_moments is None else source_moments
-    mt = batch_moments(zt_data)
-
-    if kind in SPECTRAL_DISTS:
-        with _spd_or_gate_closed():
-            lam, V = siegel_pencil_eigh(ms, mt, params)
+        value, zero_reason = float(diff @ diff), ""
+        sides = (2.0 * diff, zero), (-2.0 * diff, zero)
+    else:
+        ms = batch_moments(zs_data) if source_moments is None else source_moments
+        mt = batch_moments(zt_data)
+        mean_s, mean_t = ms.mean, mt.mean
         try:
-            value = SPECTRAL_DISTS[kind](lam)
+            value, sides, zero_reason = _COV_KINDS[kind](ms, mt, params)
         except NotPositiveDefinite as exc:
-            # both sides passed the SPD rule, but the pencil's spread exceeds double precision
-            raise GateClosed(f"pencil spectrum not resolved: {exc}") from exc
-        try:
-            dPs, dPt = _eigenpair_grads(kind, lam, V, value)
-        except _ZEROING as exc:
-            zero_s, zero_t = np.zeros_like(zs_data), np.zeros_like(zt_data)
-            return LossEval(value, zero_s, zero_t, zero_grad_reason=type(exc).__name__)
-        dmean_s, dcov_s = grad_embed(ms, dPs, params)
-        dmean_t, dcov_t = grad_embed(mt, dPt, params)
-        gs = grad_moments(zs_data, ms.mean, dmean_s, dcov_s)
-        gt = grad_moments(zt_data, mt.mean, dmean_t, dcov_t)
-        return LossEval(value=value, grad_source=gs, grad_target=gt)
-
-    if kind == "coral_frob":
-        diff = ms.cov - mt.cov
-        value = float(np.sum(diff * diff))
-        zero = np.zeros(ms.dim)
-        gs = grad_moments(zs_data, ms.mean, zero, 2.0 * diff)
-        gt = grad_moments(zt_data, mt.mean, zero, -2.0 * diff)
-        return LossEval(value=value, grad_source=gs, grad_target=gt)
-
-    # log_euclid on the covariances directly
-    lam_s, Qs = _spd_eigh(ms.cov)
-    lam_t, Qt = _spd_eigh(mt.cov)
-    Ls = sym((Qs * np.log(lam_s)) @ Qs.T)
-    Lt = sym((Qt * np.log(lam_t)) @ Qt.T)
-    diff = Ls - Lt
-    value = float(np.sum(diff * diff))
-    zero = np.zeros(ms.dim)
-    Ks = _log_derivative_coeffs(lam_s)
-    Kt = _log_derivative_coeffs(lam_t)
-    dcov_s = sym(Qs @ (Ks * (Qs.T @ (2.0 * diff) @ Qs)) @ Qs.T)
-    dcov_t = sym(Qt @ (Kt * (Qt.T @ (-2.0 * diff) @ Qt)) @ Qt.T)
-    gs = grad_moments(zs_data, ms.mean, zero, dcov_s)
-    gt = grad_moments(zt_data, mt.mean, zero, dcov_t)
-    return LossEval(value=value, grad_source=gs, grad_target=gt)
+            # a NonPositiveSpectrum is the pencil's, once both covariances passed the SPD rule
+            if isinstance(exc, NonPositiveSpectrum):
+                what, reason = "pencil spectrum not resolved", "pencil_unresolved"
+            else:
+                what, reason = "covariance failed SPD validation", "covariance_not_spd"
+            raise GateClosed(f"{what}: {exc}", reason) from exc
+    if zero_reason:
+        gs, gt = np.zeros_like(zs_data), np.zeros_like(zt_data)
+    else:
+        (dmean_s, dcov_s), (dmean_t, dcov_t) = sides
+        gs = grad_moments(zs_data, mean_s, dmean_s, dcov_s)
+        gt = grad_moments(zt_data, mean_t, dmean_t, dcov_t)
+    return LossEval(value, gs, gt, zero_reason)

@@ -2,7 +2,7 @@
 
 Dense stacks with relu/tanh/identity activations, a linear classifier
 head or a dense decoder head, fan-in-scaled uniform initialization from
-a Philox stream, and Adam/SGD updates. Everything is float64 numpy and
+a Philox stream, and Adam updates. Everything is float64 numpy and
 bit-reproducible for a given seed.
 """
 
@@ -159,16 +159,6 @@ def mse_loss(out, ref):
     return loss, 2.0 * diff / diff.size
 
 
-class Sgd:
-    def __init__(self, params, learn_rate):
-        self.lr = learn_rate
-
-    def step(self, params, grads):
-        for p, g in zip(params, grads):
-            p[0] -= self.lr * g[0]
-            p[1] -= self.lr * g[1]
-
-
 class Adam:
     """Adam over one flat parameter buffer.
 
@@ -206,9 +196,6 @@ class Adam:
         self.flat -= self.lr * (self.m / c1) / (np.sqrt(self.v / c2) + self.eps)
 
 
-def make_optimizer(name, params, learn_rate):
-    if name == "adam":
-        return Adam(params, learn_rate)
-    if name == "sgd":
-        return Sgd(params, learn_rate)
-    raise ValueError(f"unknown optimizer {name!r}")
+def make_optimizer(params, learn_rate):
+    """The training loop's optimizer: Adam with its default moments."""
+    return Adam(params, learn_rate)

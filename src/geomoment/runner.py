@@ -84,7 +84,6 @@ _GENERAL_KEYS = {
     "batch_source": _parse_int,
     "batch_target": _parse_int,
     "learn_rate": float,
-    "optimizer": str,
     "embed_dim": _parse_int,
     "encoder": _parse_layers,
     "sweep.kinds": str,
@@ -178,7 +177,6 @@ def build_run_config(parsed, seed=None, out_dir=None):
 
     if parsed["dist_kind"] not in DIST_KINDS:
         raise ConfigError(f"dist_kind must be one of {DIST_KINDS}, got {parsed['dist_kind']!r}")
-    optimizer = parsed.get("optimizer", "adam")
     try:
         train_cfg = TrainConfig(
             dist_kind=parsed["dist_kind"],
@@ -189,7 +187,6 @@ def build_run_config(parsed, seed=None, out_dir=None):
             batch_target=parsed["batch_target"],
             learn_rate=parsed["learn_rate"],
             seed=run_seed,
-            optimizer=optimizer,
         )
     except ValueError as exc:
         raise ConfigError(f"bad training field: {exc}") from exc
@@ -288,6 +285,7 @@ def run_experiment(cfg, metrics_path=None):
     summary = dict(row)
     summary["wall_time_s"] = wall
     summary["zeroed_grad_steps"] = report.zeroed_grad_steps
+    summary["skipped_steps_by_reason"] = report.skipped_steps_by_reason
     summary["blas_threads"] = blas_threads()
     summary["config"] = {k: _jsonable(v) for k, v in (cfg.echo or {}).items()}
     with open(os.path.join(cfg.out_dir, "summary.json"), "w") as fh:

@@ -9,15 +9,29 @@ Conventions used throughout:
   pencil form ``L^{-1} P2 L^{-T}`` with ``P1 = L L^T``, never from the
   nonsymmetric product;
 * this module is the package's one factor layer: its Cholesky helper,
-  its SPD rule (spd_factor) and its pencil forms are the only ones.
+  its SPD rule (spd_factor, or spd_eigh on eigenvalues) and its pencil
+  forms are the only ones;
+* SPECTRAL_KINDS holds each pencil distance as (value, slope) of the
+  spectrum; pencil_grads is the one chain rule from slope to matrices.
 """
+
+from collections import namedtuple
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .errors import ConvergenceFailure, NotPositiveDefinite, NotSymmetric
+from .errors import (
+    ConvergenceFailure,
+    DegenerateSpectrum,
+    NearZeroDistance,
+    NonPositiveSpectrum,
+    NotPositiveDefinite,
+    NotSymmetric,
+)
 
 SYM_RTOL = 1e-12  # relative asymmetry allowed before a matrix is rejected
+DIST_EPS = 1e-8  # below this the airm gradient is undefined
+DEGEN_RTOL = 1e-9  # relative gap deciding eigenvalue degeneracy
 
 _TRTRI = get_lapack_funcs("trtri", dtype=np.float64)
 
@@ -126,15 +140,23 @@ def spd_factor(M, L):
     tol = spd_tol(M)
     # in Python floats: 0 * inf (tol underflows for a subnormal M) is NaN without a warning
     if Linv is None or not tol * float(np.vdot(Linv, Linv)) < 0.5:
-        lam_min = float(eigvals_sym(M)[0])
-        if not lam_min > tol:
-            raise NotPositiveDefinite(
-                f"smallest eigenvalue {lam_min:.6e} not above tolerance {tol:.1e}",
-                lambda_min=lam_min,
-            )
+        _spd_rule(float(eigvals_sym(M)[0]), tol)
         if Linv is None or not np.isfinite(Linv).all():
             raise NotPositiveDefinite("no finite Cholesky factor")
     return L, Linv
+
+
+def spd_eigh(M):
+    """eigh_sym(M) of a symmetric M, with spd_factor's rule decided on its eigenvalues."""
+    lam, Q = eigh_sym(M)
+    _spd_rule(float(lam[0]), spd_tol(M))
+    return lam, Q
+
+
+def _spd_rule(lam_min, tol):
+    if not lam_min > tol:
+        msg = f"smallest eigenvalue {lam_min:.6e} not above tolerance {tol:.1e}"
+        raise NotPositiveDefinite(msg, lambda_min=lam_min)
 
 
 def _pencil_form(P1, P2):
@@ -152,11 +174,7 @@ def pencil_eigvals(P1, P2):
 
 
 def pencil_eigh(P1, P2):
-    """Generalized eigenpairs of P2 v = lambda P1 v.
-
-    Returns (lam, V) with lam ascending and columns of V normalized so
-    that V^T P1 V = I.
-    """
+    """Eigenpairs (lam ascending, V) of P2 v = lambda P1 v, with V^T P1 V = I."""
     return congruent_eigh(*_pencil_form(P1, P2))
 
 
@@ -174,31 +192,66 @@ def _positive(lam):
     # lam > 0 everywhere also rejects the NaN spectrum of a non-finite pencil
     if not np.all(lam > 0):
         lam_min = float(np.min(lam))
-        raise NotPositiveDefinite(f"pencil eigenvalue {lam_min:.6e} <= 0", lambda_min=lam_min)
+        raise NonPositiveSpectrum(f"pencil eigenvalue {lam_min:.6e} <= 0", lambda_min=lam_min)
     return lam
 
 
-def airm_from_spectrum(lam):
-    """sqrt(0.5 * sum log^2 lambda_i) of an ascending pencil spectrum."""
+def _airm(lam):
     return float(np.sqrt(0.5 * np.sum(np.log(_positive(lam)) ** 2)))
 
 
-def hilbert_from_spectrum(lam):
-    """log(lambda_max / lambda_min) of an ascending pencil spectrum."""
+def _airm_slope(lam, value):
+    if value < DIST_EPS:
+        raise NearZeroDistance(f"distance {value:.3e} below {DIST_EPS:.1e}")
+    return np.log(lam) / (2.0 * value * lam)
+
+
+def _hilbert(lam):
     return float(np.log(_positive(lam)[-1]) - np.log(lam[0]))
 
 
-SPECTRAL_DISTS = {"airm": airm_from_spectrum, "hilbert": hilbert_from_spectrum}
+def _hilbert_slope(lam, value):
+    # a degenerate extreme eigenspace shares its slope evenly: a deterministic subgradient
+    lo, hi = lam[0], lam[-1]
+    top = lam >= hi * (1.0 - DEGEN_RTOL)
+    bottom = lam <= lo * (1.0 + DEGEN_RTOL)
+    if np.any(top & bottom):
+        raise DegenerateSpectrum(f"pencil spectrum collapses: [{lo:.6e}, {hi:.6e}]")
+    slope = np.zeros_like(lam)
+    slope[top] = 1.0 / (hi * np.count_nonzero(top))
+    slope[bottom] = -1.0 / (lo * np.count_nonzero(bottom))
+    return slope
+
+
+SpectralKind = namedtuple("SpectralKind", "value slope")
+
+# kind -> (value(lam), slope(lam, value) = d value / d lam) of an ascending pencil
+# spectrum; a value raises NonPositiveSpectrum on an eigenvalue <= 0, a slope
+# NearZeroDistance or DegenerateSpectrum where the gradient is undefined
+SPECTRAL_KINDS = {
+    "airm": SpectralKind(_airm, _airm_slope),  # sqrt(0.5 sum log^2 lambda_i)
+    "hilbert": SpectralKind(_hilbert, _hilbert_slope),  # log(lambda_max / lambda_min)
+}
+
+
+def pencil_grads(lam, V, slope):
+    """(dP1, dP2) of a function of the pencil spectrum with d value / d lam = slope.
+
+    (lam, V) are the eigenpairs of pencil_eigh, P2 v = lam P1 v with
+    v^T P1 v = 1, for which d lam/dP2 = v v^T and d lam/dP1 = -lam v v^T.
+    """
+    Vs = V * slope
+    return sym(-(Vs * lam) @ V.T), sym(Vs @ V.T)
 
 
 def dist_airm(P1, P2):
     """Affine-invariant Riemannian distance sqrt(0.5 * sum log^2 lambda_i(P1^{-1}P2))."""
-    return airm_from_spectrum(pencil_eigvals(P1, P2))
+    return SPECTRAL_KINDS["airm"].value(pencil_eigvals(P1, P2))
 
 
 def dist_hilbert(P1, P2):
     """Hilbert projective distance log(lambda_max / lambda_min) of P1^{-1}P2."""
-    return hilbert_from_spectrum(pencil_eigvals(P1, P2))
+    return SPECTRAL_KINDS["hilbert"].value(pencil_eigvals(P1, P2))
 
 
 def dist_logeuclid(P1, P2):

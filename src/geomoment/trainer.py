@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embedding import EmbeddingParams, schur_gate
+from .embedding import schur_gate
 from .errors import GateClosed, NonFiniteLoss, RegimeViolation
-from .losses import DIST_KINDS, ZERO_GRAD_REASONS, dist_loss
+from .losses import DIST_KINDS, GATE_CLOSED_REASONS, ZERO_GRAD_REASONS, dist_loss
 from .matrixio import csv_line
 from .moments import batch_moments, check_regime
 from .network import (
@@ -30,8 +30,6 @@ from .network import (
     stack_forward,
 )
 from .rng import STREAM_SOURCE_BATCH, STREAM_TARGET_BATCH, stream
-
-_A1 = EmbeddingParams()  # the trainer always uses the canonical a = 1
 
 REPORT_HEADER = (
     "epoch,loss_task,loss_dist,det_PS,gate_on,source_metric,target_metric,skipped_steps"
@@ -72,7 +70,6 @@ class TrainConfig:
     batch_target: int
     learn_rate: float
     seed: int
-    optimizer: str = "adam"
 
     def __post_init__(self):
         if self.dist_kind not in DIST_KINDS:
@@ -85,8 +82,6 @@ class TrainConfig:
             raise ValueError("epochs >= 1 and batch sizes >= 2 required")
         if not self.learn_rate > 0:
             raise ValueError("learn_rate must be positive")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError("optimizer must be adam or sgd")
 
 
 @dataclass(frozen=True)
@@ -98,6 +93,7 @@ class TrainReport:
     source_metric: np.ndarray
     target_metric: np.ndarray
     skipped_steps: np.ndarray
+    skipped_steps_by_reason: dict  # GateClosed reason -> adaptation steps it skipped
     gate_open_epoch: int  # 1-based; -1 when the gate never opened
     zeroed_grad_steps: dict  # reason -> adaptation steps whose distance gradients were zeroed
     params: list = field(repr=False)
@@ -146,7 +142,7 @@ def train(config, spec, source, target, eval_source=None, eval_target=None):
         raise ValueError("classifier task needs source labels")
 
     params = init_model(spec, config.seed)
-    opt = make_optimizer(config.optimizer, params, config.learn_rate)
+    opt = make_optimizer(params, config.learn_rate)
     ep = encoder_plan(spec)
     hp = head_plan(spec)
     n_enc = len(ep)
@@ -167,6 +163,7 @@ def train(config, spec, source, target, eval_source=None, eval_target=None):
     }
     gate_on = np.zeros(config.epochs, dtype=bool)
     skipped = np.zeros(config.epochs, dtype=int)
+    skipped_by_reason = dict.fromkeys(GATE_CLOSED_REASONS, 0)
     zeroed = dict.fromkeys(ZERO_GRAD_REASONS, 0)
 
     for epoch in range(config.epochs):
@@ -202,7 +199,7 @@ def train(config, spec, source, target, eval_source=None, eval_target=None):
             if latch and config.beta > 0:
                 z_t, t_caches = stack_forward(ep, params[:n_enc], target.x[idx_t])
                 try:
-                    le = dist_loss(z_s, z_t, config.dist_kind, _A1, source_moments=ms)
+                    le = dist_loss(z_s, z_t, config.dist_kind, source_moments=ms)
                     if not math.isfinite(le.value):
                         raise NonFiniteLoss(
                             f"distance loss became non-finite at epoch {epoch + 1} "
@@ -218,8 +215,9 @@ def train(config, spec, source, target, eval_source=None, eval_target=None):
                     _, grads_t = stack_backward(
                         ep, params[:n_enc], t_caches, config.beta * le.grad_target
                     )
-                except GateClosed:
+                except GateClosed as exc:
                     skipped[epoch] += 1
+                    skipped_by_reason[exc.reason] += 1
 
             _, enc_grads = stack_backward(ep, params[:n_enc], enc_caches, dz)
             if grads_t is not None:
@@ -240,13 +238,10 @@ def train(config, spec, source, target, eval_source=None, eval_target=None):
         )
 
     return TrainReport(
-        loss_task=cols["loss_task"],
-        loss_dist=cols["loss_dist"],
-        det_ps=cols["det_ps"],
+        **cols,
         gate_on=gate_on,
-        source_metric=cols["source_metric"],
-        target_metric=cols["target_metric"],
         skipped_steps=skipped,
+        skipped_steps_by_reason=skipped_by_reason,
         gate_open_epoch=gate_open_epoch,
         zeroed_grad_steps=zeroed,
         params=params,

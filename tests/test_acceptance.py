@@ -51,7 +51,6 @@ BLOBS_TRAIN = TrainConfig(
     batch_target=128,
     learn_rate=1e-3,
     seed=0,
-    optimizer="adam",
 )
 
 DENOISE = DenoiseConfig(length=64, samples=1200, seed=0)
@@ -70,7 +69,6 @@ DENOISE_TRAIN = TrainConfig(
     batch_target=128,
     learn_rate=2e-3,
     seed=0,
-    optimizer="adam",
 )
 
 

@@ -76,7 +76,7 @@ def test_blobs_pi_rotation_confuses_source_only():
     )
     tc = TrainConfig(
         dist_kind="airm", beta=0.0, eta=1e-8, epochs=30, batch_source=64,
-        batch_target=64, learn_rate=1e-3, seed=2, optimizer="adam",
+        batch_target=64, learn_rate=1e-3, seed=2,
     )
     rep = train(tc, spec, d.source_train, d.target_train, d.source_eval, d.target_eval)
     assert rep.source_metric[-1] > 0.7

@@ -11,7 +11,15 @@ from geomoment.losses import DIST_KINDS, dist_loss, grad_embed, grad_moments, gr
 from geomoment.moments import batch_moments
 from geomoment.rng import stream
 from geomoment.spd import dist_airm, dist_hilbert
-from helpers import fd_sym_grad, max_rel_err, rand_orthogonal, rand_spd, rng_for, sym_grad_pairs
+from helpers import (
+    fd_sym_grad,
+    max_rel_err,
+    rand_invertible,
+    rand_orthogonal,
+    rand_spd,
+    rng_for,
+    sym_grad_pairs,
+)
 
 
 def rand_batches(rng, b, n):
@@ -77,8 +85,9 @@ def test_gate_closed_on_collapsed_batch():
     zs = np.tile([1.0, 2.0], (20, 1))  # zero covariance
     zt = rng.standard_normal((20, 2))
     for kind in ("airm", "hilbert", "log_euclid"):
-        with pytest.raises(GateClosed):
+        with pytest.raises(GateClosed) as info:
             dist_loss(zs, zt, kind)
+        assert info.value.reason == "covariance_not_spd"
     # baselines do not need SPD covariances
     for kind in ("mean_euclid", "coral_frob"):
         dist_loss(zs, zt, kind)
@@ -97,6 +106,14 @@ def test_large_mean_batch_keeps_gate_open():
         le = dist_loss(zs, zt, kind)
         assert le.value == pytest.approx(dist(Ps, Pt), rel=1e-9)
         assert np.all(np.isfinite(le.grad_source)) and np.any(le.grad_source)
+
+
+def test_one_dimensional_batch_rejected():
+    for kind in DIST_KINDS:
+        with pytest.raises(ValueError, match="b x n"):
+            dist_loss(np.ones(5), np.ones(5), kind)
+        with pytest.raises(ValueError, match="b x n"):
+            dist_loss(np.ones((5, 2)), np.ones(5), kind)
 
 
 def test_unknown_kind_rejected():
@@ -252,6 +269,7 @@ def test_unresolved_pencil_spectrum_closes_the_gate():
                 dist_loss(zs, zt, kind)
             except GateClosed as exc:
                 assert str(exc).startswith("pencil spectrum not resolved")
+                assert exc.reason == "pencil_unresolved"
                 unresolved += 1
     assert unresolved > 0
 
@@ -335,6 +353,38 @@ def test_grad_spd_pair_near_zero_airm():
     P = rand_spd(rng_for("gsp-nearzero"), 3)
     with pytest.raises(NearZeroDistance):
         grad_spd_pair(P, P, "airm")
+
+
+def test_hilbert_averages_a_degenerate_top_eigenspace():
+    # P1 = R R^T, P2 = R diag(4, 4, 2, 1) R^T: lambda_max = 4 spans a plane
+    R = rand_invertible(rng_for("gsp-degenerate-top"), 4)
+    P1 = R @ R.T
+    P2 = (R * np.array([4.0, 4.0, 2.0, 1.0])) @ R.T
+    W = np.linalg.inv(R).T  # pencil eigenvectors, W^T P1 W = I, for 4, 4, 2, 1
+    top = W[:, :2] @ W[:, :2].T
+    bottom = np.outer(W[:, 3], W[:, 3])
+    # slope 1/(4 * 2) on each top index and -1/1 on the bottom one;
+    # d lambda/dP2 = v v^T and d lambda/dP1 = -lambda v v^T
+    want_dP1 = bottom - top / 2.0
+    want_dP2 = top / 8.0 - bottom
+    scale = np.linalg.norm(top) + np.linalg.norm(bottom)
+
+    def close(got, want):
+        return np.linalg.norm(got - want) <= 1e-9 * scale
+
+    value, dP1, dP2 = grad_spd_pair(P1, P2, "hilbert")
+    assert value == pytest.approx(np.log(4.0), rel=1e-12)
+    assert close(dP1, want_dP1) and close(dP2, want_dP2)
+    assert abs(np.sum(dP1 * P1) + np.sum(dP2 * P2)) <= 1e-10 * scale * np.linalg.norm(P2)
+    lam = np.array([1.0, 2.0, 4.0, 4.0])
+    V = W[:, [3, 2, 0, 1]]
+    slope = spd.SPECTRAL_KINDS["hilbert"].slope(lam, np.log(4.0))
+    for theta in (0.0, 0.4, 1.3, 2.9):
+        c, s = np.cos(theta), np.sin(theta)
+        turned = V.copy()
+        turned[:, 2:] = V[:, 2:] @ np.array([[c, -s], [s, c]])
+        got_dP1, got_dP2 = spd.pencil_grads(lam, turned, slope)
+        assert close(got_dP1, want_dP1) and close(got_dP2, want_dP2)
 
 
 def test_hilbert_euler_identity():

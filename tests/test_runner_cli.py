@@ -6,10 +6,10 @@ import os
 import numpy as np
 import pytest
 
-from geomoment import blas
+from geomoment import blas, trainer
 from geomoment.cli import main
 from geomoment.datasets import BlobsConfig, DenoiseConfig
-from geomoment.errors import ConfigError
+from geomoment.errors import ConfigError, GateClosed
 from geomoment.matrixio import read_matrix, write_matrix, write_moments
 from geomoment.embedding import GaussianMoments
 from geomoment.runner import (
@@ -31,7 +31,6 @@ epochs = 4
 batch_source = 64
 batch_target = 64
 learn_rate = 1e-3
-optimizer = adam
 embed_dim = 2
 encoder = 16:relu,2:identity
 blobs.num_classes = 3
@@ -140,6 +139,26 @@ def test_run_experiment_outputs(tmp_path):
     assert summary["task"] == "blobs"
     assert "wall_time_s" in summary
     assert row["epochs"] == 4
+
+
+def test_summary_counts_skipped_steps_by_reason(tmp_path, monkeypatch):
+    def closed(*args, **kwargs):
+        raise GateClosed("closed for the test", "pencil_unresolved")
+
+    monkeypatch.setattr(trainer, "dist_loss", closed)
+    text = BLOBS_CFG.replace("eta = 0.02", "eta = 1e-8")  # a gate that opens at once
+    cfg = load_run_config(write_cfg(tmp_path, text), out_dir=str(tmp_path / "run"))
+    row, _ = run_experiment(cfg)
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert row["skipped_steps"] > 0
+    assert summary["skipped_steps_by_reason"] == {
+        "covariance_not_spd": 0, "pencil_unresolved": row["skipped_steps"],
+    }
+
+
+def test_optimizer_key_is_unknown():
+    with pytest.raises(ConfigError, match="unknown key 'optimizer'"):
+        parse_config_text(BLOBS_CFG + "optimizer = adam\n")
 
 
 def test_run_experiment_deterministic_csv(tmp_path):

@@ -6,6 +6,7 @@ from scipy.linalg import expm
 
 from geomoment.errors import NotPositiveDefinite, NotSymmetric
 from geomoment.spd import (
+    SPECTRAL_KINDS,
     dist_airm,
     dist_hilbert,
     dist_logeuclid,
@@ -14,6 +15,27 @@ from geomoment.spd import (
     validate_spd,
 )
 from helpers import rand_invertible, rand_orthogonal, rand_spd, rand_sym, rng_for
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(SPECTRAL_KINDS)),
+    logs=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=6),
+)
+def test_spectral_slope_is_the_derivative_of_the_value(kind, logs):
+    lam = np.exp(np.sort(logs))
+    # extremes separated from their neighbours: the value is differentiable
+    assume(lam[1] > 1.01 * lam[0] and lam[-1] > 1.01 * lam[-2])
+    value_of, slope_of = SPECTRAL_KINDS[kind]
+    value = value_of(lam)
+    slope = slope_of(lam, value)
+    for i in range(lam.size):
+        step = 1e-6 * lam[i]
+        up, down = lam.copy(), lam.copy()
+        up[i] += step
+        down[i] -= step
+        fd = (value_of(up) - value_of(down)) / (2.0 * step)
+        assert fd == pytest.approx(slope[i], rel=1e-6, abs=1e-6)
 
 
 def test_validate_identity():

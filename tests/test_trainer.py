@@ -6,7 +6,7 @@ import pytest
 
 from geomoment import losses, trainer
 from geomoment.datasets import BlobsConfig, gen_blobs
-from geomoment.errors import RegimeViolation
+from geomoment.errors import GateClosed, RegimeViolation
 from geomoment.losses import LossEval
 from geomoment.network import ClassifierHead, ModelSpec
 from geomoment.trainer import EvalSet, FeatureSet, LabeledSet, TrainConfig, evaluate, train
@@ -40,7 +40,6 @@ def config(**kw):
         batch_target=40,
         learn_rate=1e-3,
         seed=0,
-        optimizer="adam",
     )
     base.update(kw)
     return TrainConfig(**base)
@@ -192,6 +191,25 @@ def test_zeroed_gradient_steps_counted_by_reason(monkeypatch):
     assert rep.zeroed_grad_steps == {"NearZeroDistance": 7, "DegenerateSpectrum": 3}
     assert run(config(epochs=1, beta=0.0)).zeroed_grad_steps == dict.fromkeys(
         losses.ZERO_GRAD_REASONS, 0
+    )
+
+
+def test_skipped_steps_counted_by_reason(monkeypatch):
+    real = trainer.dist_loss
+    reasons = iter(["covariance_not_spd", "", "pencil_unresolved"] * 100)
+
+    def closing(zs, zt, kind, *args, **kwargs):
+        reason = next(reasons)
+        if reason:
+            raise GateClosed("closed for the test", reason)
+        return real(zs, zt, kind, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "dist_loss", closing)
+    rep = run(config(epochs=2))  # 14 adapting steps: the pattern above, four times and two
+    assert rep.skipped_steps_by_reason == {"covariance_not_spd": 5, "pencil_unresolved": 4}
+    assert rep.skipped_steps.sum() == 9
+    assert run(config(epochs=1, beta=0.0)).skipped_steps_by_reason == dict.fromkeys(
+        losses.GATE_CLOSED_REASONS, 0
     )
 
 
