@@ -9,12 +9,14 @@ of ``scripts/bench_pairs.py``) to a temporary directory. In each tree,
 ``geomoment sweep-dim`` runs with ``OPENBLAS_NUM_THREADS=1`` on the tree's
 own configs: ``configs/blobs_airm.cfg`` at embedding dims 2 and 4 and
 ``configs/denoise_hilbert.cfg`` at dim 2, each over the five kinds and
-seeds 0-2, once at beta 0.1 and once at beta 0. That writes 102 files:
-each run's ``report.csv`` and each sweep's ``sweep.csv``, ``metrics.csv``
-and ``sweep_summary.json`` (``summary.json`` records wall time and is
-left out). For every file the script prints "identical", or the largest
-relative difference per column that differs; it exits 1 when a file is
-missing on one side.
+seeds 0-2, once at beta 0.1 and once at beta 0. That writes 192 files:
+each run's ``report.csv`` and ``summary.json`` and each sweep's
+``sweep.csv``, ``metrics.csv`` and ``sweep_summary.json``. A
+``summary.json`` is compared without its ``wall_time_s`` and with its
+``config.out_dir`` taken relative to its side's output root. For every
+file the script prints "identical", or the largest relative difference
+per column (JSON leaf) that differs; it exits 1 when a file is missing
+on one side.
 """
 
 import argparse
@@ -36,7 +38,7 @@ SWEEPS = (
     ("denoise", "configs/denoise_hilbert.cfg", "2"),
 )
 BETAS = ("0.1", "0")
-COMPARED = ("report.csv", "sweep.csv", "metrics.csv", "sweep_summary.json")
+COMPARED = ("report.csv", "summary.json", "sweep.csv", "metrics.csv", "sweep_summary.json")
 
 
 def with_keys(text, keys):
@@ -65,6 +67,17 @@ def output_files(root):
     """Relative paths of the compared files under root."""
     return sorted(os.path.relpath(os.path.join(d, f), root)
                   for d, _, files in os.walk(root) for f in files if f in COMPARED)
+
+
+def comparable(rel, text, root):
+    """The file's text as compared: a summary.json without the wall time and the output root."""
+    if os.path.basename(rel) != "summary.json":
+        return text
+    summary = json.loads(text)
+    del summary["wall_time_s"]
+    config = summary["config"]
+    config["out_dir"] = os.path.relpath(config["out_dir"], root)
+    return json.dumps(summary, indent=2, sort_keys=True)
 
 
 def columns(path, text):
@@ -134,7 +147,7 @@ def main(argv=None):
             texts = []
             for side in ("parent", "change"):
                 with open(os.path.join(outs[side], rel)) as fh:
-                    texts.append(fh.read())
+                    texts.append(comparable(rel, fh.read(), outs[side]))
             verdict = compare(rel, *texts)
             identical += verdict == "identical"
             print(f"{rel}: {verdict}")

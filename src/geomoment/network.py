@@ -38,7 +38,8 @@ class ModelSpec:
             raise ValueError("embed_dim must be >= 1")
         if not self.encoder_layers:
             raise ValueError("encoder needs at least one layer")
-        for width, act in self.encoder_layers:
+        decoder = self.head.layers if isinstance(self.head, DecoderHead) else ()
+        for width, act in (*self.encoder_layers, *decoder):
             if act not in ACTIVATIONS:
                 raise ValueError(f"unknown activation {act!r}")
             if width < 1:
@@ -48,10 +49,6 @@ class ModelSpec:
                 f"final encoder width {self.encoder_layers[-1][0]} "
                 f"must equal embed_dim {self.embed_dim}"
             )
-        if isinstance(self.head, DecoderHead):
-            for width, act in self.head.layers:
-                if act not in ACTIVATIONS:
-                    raise ValueError(f"unknown activation {act!r}")
 
 
 def encoder_plan(spec):

@@ -1,8 +1,9 @@
 """Experiment runner: flat key=value configs, report files, dim sweeps.
 
 Config files are flat `key = value` lines with `#` comments. Every key
-is typed against the schema below and unknown keys are hard errors, so
-a typo in a sweep cannot silently fall back to a default.
+is typed against the one schema table below and unknown keys are hard
+errors, so a typo in a sweep cannot silently fall back to a default.
+The same table reads a run's settings back for its summary file.
 """
 
 import dataclasses
@@ -42,87 +43,90 @@ class RunConfig:
     out_dir: str = "runs/out"
     sweep_kinds: tuple = None
     sweep_seeds: tuple = None
-    echo: dict = None  # parsed primitives, for the summary file
 
 
 def _parse_int(v):
     return int(v, 0)
 
 
-def _parse_floats(v):
-    return tuple(float(p) for p in v.split(",") if p.strip())
+def _parse_list(item):
+    """Parser of a comma-separated list, item parsing each non-blank part."""
+    return lambda v: tuple(item(p.strip()) for p in v.split(",") if p.strip())
 
 
-def _parse_ints(v):
-    return tuple(int(p) for p in v.split(",") if p.strip())
+def _parse_kind(v):
+    if v not in DIST_KINDS:
+        raise ValueError(f"unknown kind {v!r}, expected one of {', '.join(DIST_KINDS)}")
+    return v
+
+
+def _parse_layer(part):
+    width, _, act = part.partition(":")
+    act = act or "identity"
+    if act not in ACTIVATIONS:
+        raise ValueError(f"unknown activation {act!r} in layer spec {part!r}")
+    return int(width), act
 
 
 def _parse_layers(v):
-    layers = []
-    for part in v.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        width, _, act = part.partition(":")
-        act = act or "identity"
-        if act not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {act!r} in layer spec {part!r}")
-        layers.append((int(width), act))
+    layers = _parse_list(_parse_layer)(v)
     if not layers:
         raise ValueError("empty layer list")
-    return tuple(layers)
+    return layers
 
 
-_GENERAL_KEYS = {
-    "task": str,
-    "seed": _parse_int,
-    "out_dir": str,
-    "dist_kind": str,
-    "beta": float,
-    "eta": float,
-    "epochs": _parse_int,
-    "batch_source": _parse_int,
-    "batch_target": _parse_int,
-    "learn_rate": float,
-    "embed_dim": _parse_int,
-    "encoder": _parse_layers,
-    "sweep.kinds": str,
-    "sweep.seeds": _parse_ints,
+# target -> (the dataclass holding its fields, the task it belongs to; None for every task)
+_TARGETS = {
+    "run": (RunConfig, None),
+    "train_cfg": (TrainConfig, None),
+    "model_spec": (ModelSpec, None),
+    "blobs": (BlobsConfig, "blobs"),
+    "denoise": (DenoiseConfig, "denoise"),
+    "decoder": (DecoderHead, "denoise"),
 }
 
-# dataset keys: config key -> (parser, dataset config field); a key the file
-# leaves out keeps that field's dataclass default
-_BLOBS_KEYS = {
-    "blobs.num_classes": (_parse_int, "num_classes"),
-    "blobs.samples_per_class": (_parse_int, "samples_per_class"),
-    "blobs.input_dim": (_parse_int, "input_dim"),
-    "blobs.center_radius": (float, "center_radius"),
-    "blobs.cov_scale": (float, "cov_scale"),
-    "blobs.rotation": (float, "target_rotation"),
-    "blobs.translation": (_parse_floats, "target_translation"),
+# The one schema: config key -> (parser, target, field). A task accepts the general
+# keys and its own dataset keys; a key is required where its field has no
+# dataclass default, and a key the file leaves out keeps that default.
+_SCHEMA = {
+    "task": (str, "run", "task"),
+    "seed": (_parse_int, "train_cfg", "seed"),
+    "out_dir": (str, "run", "out_dir"),
+    "dist_kind": (_parse_kind, "train_cfg", "dist_kind"),
+    "beta": (float, "train_cfg", "beta"),
+    "eta": (float, "train_cfg", "eta"),
+    "epochs": (_parse_int, "train_cfg", "epochs"),
+    "batch_source": (_parse_int, "train_cfg", "batch_source"),
+    "batch_target": (_parse_int, "train_cfg", "batch_target"),
+    "learn_rate": (float, "train_cfg", "learn_rate"),
+    "embed_dim": (_parse_int, "model_spec", "embed_dim"),
+    "encoder": (_parse_layers, "model_spec", "encoder_layers"),
+    "sweep.kinds": (_parse_list(_parse_kind), "run", "sweep_kinds"),
+    "sweep.seeds": (_parse_list(int), "run", "sweep_seeds"),
+    "blobs.num_classes": (_parse_int, "blobs", "num_classes"),
+    "blobs.samples_per_class": (_parse_int, "blobs", "samples_per_class"),
+    "blobs.input_dim": (_parse_int, "blobs", "input_dim"),
+    "blobs.center_radius": (float, "blobs", "center_radius"),
+    "blobs.cov_scale": (float, "blobs", "cov_scale"),
+    "blobs.rotation": (float, "blobs", "target_rotation"),
+    "blobs.translation": (_parse_list(float), "blobs", "target_translation"),
+    "denoise.length": (_parse_int, "denoise", "length"),
+    "denoise.samples": (_parse_int, "denoise", "samples"),
+    "denoise.noise_mean": (float, "denoise", "noise_mean"),
+    "denoise.noise_std": (float, "denoise", "noise_std"),
+    "decoder": (_parse_layers, "decoder", "layers"),
 }
 
-_DENOISE_KEYS = {
-    "denoise.length": (_parse_int, "length"),
-    "denoise.samples": (_parse_int, "samples"),
-    "denoise.noise_mean": (float, "noise_mean"),
-    "denoise.noise_std": (float, "noise_std"),
-    "decoder": (_parse_layers, None),  # the decoder head's layers, not a DenoiseConfig field
-}
 
-_REQUIRED = (
-    "task",
-    "seed",
-    "dist_kind",
-    "beta",
-    "eta",
-    "epochs",
-    "batch_source",
-    "batch_target",
-    "learn_rate",
-    "embed_dim",
-    "encoder",
-)
+def _task_schema(task):
+    """The schema entries a task accepts."""
+    return {key: e for key, e in _SCHEMA.items() if _TARGETS[e[1]][1] in (None, task)}
+
+
+def _required(target, field):
+    """Whether the target's field has no dataclass default."""
+    f = next(f for f in dataclasses.fields(_TARGETS[target][0]) if f.name == field)
+    return f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
 
 
 def parse_config_text(text, path="<config>"):
@@ -146,91 +150,60 @@ def parse_config_text(text, path="<config>"):
     task = raw.get("task")
     if task not in ("blobs", "denoise"):
         raise ConfigError(f"{path}: key 'task' must be blobs or denoise, got {task!r}")
-    schema = dict(_GENERAL_KEYS)
-    dataset_keys = _BLOBS_KEYS if task == "blobs" else _DENOISE_KEYS
-    schema.update((key, parse) for key, (parse, _) in dataset_keys.items())
+    schema = _task_schema(task)
 
     parsed = {}
     for key, value in raw.items():
         if key not in schema:
             raise ConfigError(f"{path}:{lines_by_key[key]}: unknown key {key!r} for task {task!r}")
         try:
-            parsed[key] = schema[key](value)
+            parsed[key] = schema[key][0](value)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"{path}:{lines_by_key[key]}: bad value for {key!r}: {exc}") from exc
-    for key in _REQUIRED:
-        if key not in parsed:
+    for key, (_, target, field) in schema.items():
+        if key not in parsed and _required(target, field):
             raise ConfigError(f"{path}: missing required key {key!r}")
     return parsed
 
 
-def _dataset_fields(parsed, keys):
-    """Dataset config fields the parsed file sets, by field name."""
-    return {field: parsed[key] for key, (_, field) in keys.items() if field and key in parsed}
-
-
 def build_run_config(parsed, seed=None, out_dir=None):
     """Assemble a RunConfig from parsed keys; seed/out_dir override the file."""
-    task = parsed["task"]
-    run_seed = seed if seed is not None else parsed["seed"]
-    run_out = out_dir if out_dir is not None else parsed.get("out_dir", "runs/out")
+    fields = {target: {} for target in _TARGETS}
+    for key, value in parsed.items():
+        _, target, field = _SCHEMA[key]
+        fields[target][field] = value
+    if seed is not None:
+        fields["train_cfg"]["seed"] = seed
+    if out_dir is not None:
+        fields["run"]["out_dir"] = out_dir
 
-    if parsed["dist_kind"] not in DIST_KINDS:
-        raise ConfigError(f"dist_kind must be one of {DIST_KINDS}, got {parsed['dist_kind']!r}")
     try:
-        train_cfg = TrainConfig(
-            dist_kind=parsed["dist_kind"],
-            beta=parsed["beta"],
-            eta=parsed["eta"],
-            epochs=parsed["epochs"],
-            batch_source=parsed["batch_source"],
-            batch_target=parsed["batch_target"],
-            learn_rate=parsed["learn_rate"],
-            seed=run_seed,
-        )
+        train_cfg = TrainConfig(**fields["train_cfg"])
     except ValueError as exc:
         raise ConfigError(f"bad training field: {exc}") from exc
 
     blobs = denoise = None
     try:
-        if task == "blobs":
-            blobs = BlobsConfig(seed=run_seed, **_dataset_fields(parsed, _BLOBS_KEYS))
-            input_dim = blobs.input_dim
-            head = ClassifierHead(num_classes=blobs.num_classes)
+        if fields["run"]["task"] == "blobs":
+            blobs = BlobsConfig(seed=train_cfg.seed, **fields["blobs"])
+            input_dim, head = blobs.input_dim, ClassifierHead(blobs.num_classes)
         else:
-            denoise = DenoiseConfig(seed=run_seed, **_dataset_fields(parsed, _DENOISE_KEYS))
-            input_dim = denoise.length
-            head = DecoderHead(output_dim=denoise.length, layers=parsed.get("decoder", ()))
-        model_spec = ModelSpec(
-            input_dim=input_dim,
-            encoder_layers=parsed["encoder"],
-            embed_dim=parsed["embed_dim"],
-            head=head,
-        )
+            denoise = DenoiseConfig(seed=train_cfg.seed, **fields["denoise"])
+            input_dim, head = denoise.length, DecoderHead(denoise.length, **fields["decoder"])
+        model_spec = ModelSpec(input_dim=input_dim, head=head, **fields["model_spec"])
     except ValueError as exc:
         raise ConfigError(f"bad model/dataset field: {exc}") from exc
-
-    sweep_kinds = None
-    if "sweep.kinds" in parsed:
-        sweep_kinds = tuple(k.strip() for k in parsed["sweep.kinds"].split(",") if k.strip())
-        for k in sweep_kinds:
-            if k not in DIST_KINDS:
-                raise ConfigError(f"sweep.kinds contains unknown kind {k!r}")
-
-    echo = dict(parsed)
-    echo["seed"] = run_seed
-    echo["out_dir"] = run_out
     return RunConfig(
-        task=task,
-        train_cfg=train_cfg,
-        model_spec=model_spec,
-        blobs=blobs,
-        denoise=denoise,
-        out_dir=run_out,
-        sweep_kinds=sweep_kinds,
-        sweep_seeds=parsed.get("sweep.seeds"),
-        echo=echo,
+        train_cfg=train_cfg, model_spec=model_spec, blobs=blobs, denoise=denoise, **fields["run"]
     )
+
+
+def config_block(cfg):
+    """Each schema key of cfg's task -> the value cfg runs with, defaults included."""
+    holders = {"run": cfg, "train_cfg": cfg.train_cfg, "model_spec": cfg.model_spec,
+               "blobs": cfg.blobs, "denoise": cfg.denoise, "decoder": cfg.model_spec.head}
+    return {key: getattr(holders[target], field)
+            for key, (_, target, field) in _task_schema(cfg.task).items()}
 
 
 def load_run_config(path, seed=None, out_dir=None):
@@ -240,10 +213,7 @@ def load_run_config(path, seed=None, out_dir=None):
 
 
 def _datasets(cfg):
-    if cfg.task == "blobs":
-        d = gen_blobs(cfg.blobs)
-        return d.source_train, d.target_train, d.source_eval, d.target_eval
-    d = gen_denoise(cfg.denoise)
+    d = gen_blobs(cfg.blobs) if cfg.task == "blobs" else gen_denoise(cfg.denoise)
     return d.source_train, d.target_train, d.source_eval, d.target_eval
 
 
@@ -287,9 +257,9 @@ def run_experiment(cfg, metrics_path=None):
     summary["zeroed_grad_steps"] = report.zeroed_grad_steps
     summary["skipped_steps_by_reason"] = report.skipped_steps_by_reason
     summary["blas_threads"] = blas_threads()
-    summary["config"] = {k: _jsonable(v) for k, v in (cfg.echo or {}).items()}
+    summary["config"] = config_block(cfg)
     with open(os.path.join(cfg.out_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, default=_jsonable)
+        json.dump(_jsonable(summary), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
     append_metrics(metrics_path or os.path.join(cfg.out_dir, "metrics.csv"), row)
@@ -297,8 +267,11 @@ def run_experiment(cfg, metrics_path=None):
 
 
 def _jsonable(v):
-    if isinstance(v, tuple):
-        return list(v)
+    """v with tuples as lists and non-finite floats as strings, for strict JSON."""
+    if isinstance(v, dict):
+        return {k: _jsonable(w) for k, w in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_jsonable(w) for w in v]
     if isinstance(v, float) and not math.isfinite(v):
         return str(v)
     return v

@@ -74,7 +74,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.dist_kind not in DIST_KINDS:
             raise ValueError(f"dist_kind must be one of {DIST_KINDS}")
-        if self.beta < 0:
+        if not self.beta >= 0:
             raise ValueError("beta must be >= 0")
         if not self.eta > 0:
             raise ValueError("eta must be positive (inf allowed)")

@@ -61,6 +61,16 @@ def test_spec_rejects_mismatched_embed_width():
         )
 
 
+def test_spec_rejects_zero_decoder_width():
+    with pytest.raises(ValueError, match="layer widths must be positive"):
+        ModelSpec(
+            input_dim=4,
+            encoder_layers=((8, "relu"), (2, "identity")),
+            embed_dim=2,
+            head=DecoderHead(output_dim=4, layers=((0, "tanh"),)),
+        )
+
+
 def test_layer_gradients_match_fd():
     assert audit_network(seed=3) <= 1e-5
 

@@ -14,6 +14,7 @@ from geomoment.matrixio import read_matrix, write_matrix, write_moments
 from geomoment.embedding import GaussianMoments
 from geomoment.runner import (
     build_run_config,
+    config_block,
     load_run_config,
     parse_config_text,
     run_experiment,
@@ -99,10 +100,33 @@ def test_bad_value_diagnostics():
         parse_config_text(bad)
 
 
-def test_eta_inf_parses():
+def strict_json(path):
+    """Load a JSON file, failing on the NaN and Infinity constants strict JSON lacks."""
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    with open(path) as fh:
+        return json.load(fh, parse_constant=reject)
+
+
+def test_eta_inf_parses(tmp_path):
     text = BLOBS_CFG.replace("eta = 0.02", "eta = inf")
-    cfg = build_run_config(parse_config_text(text), out_dir="unused")
+    cfg = build_run_config(parse_config_text(text), out_dir=str(tmp_path / "run"))
     assert math.isinf(cfg.train_cfg.eta)
+    run_experiment(cfg)
+    summary = strict_json(tmp_path / "run" / "summary.json")
+    assert summary["eta"] == summary["config"]["eta"] == "inf"
+
+
+def test_config_block_carries_every_key_a_config_file_sets():
+    configs = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+    for name in ("blobs_airm.cfg", "denoise_hilbert.cfg"):
+        with open(os.path.join(configs, name)) as fh:
+            parsed = parse_config_text(fh.read(), name)
+        block = config_block(build_run_config(parsed))
+        for key, value in parsed.items():
+            assert json.loads(json.dumps(block[key])) == json.loads(json.dumps(value)), key
 
 
 def test_dataset_fields_default_to_the_dataset_configs():
@@ -134,8 +158,7 @@ def test_run_experiment_outputs(tmp_path):
     assert os.path.exists(tmp_path / "run" / "summary.json")
     metrics = (tmp_path / "run" / "metrics.csv").read_text().strip().split("\n")
     assert len(metrics) == 2  # header + one row
-    with open(tmp_path / "run" / "summary.json") as fh:
-        summary = json.load(fh)
+    summary = strict_json(tmp_path / "run" / "summary.json")
     assert summary["task"] == "blobs"
     assert "wall_time_s" in summary
     assert row["epochs"] == 4
@@ -208,7 +231,14 @@ def test_sweep_dim_cardinality_and_flags(tmp_path):
     root = tmp_path / "sweep"
     for r in rows:
         if r["regime_ok"]:
-            assert (root / f"d{r['dim']}_{r['kind']}_s{r['seed']}" / "report.csv").exists()
+            run_dir = root / f"d{r['dim']}_{r['kind']}_s{r['seed']}"
+            assert (run_dir / "report.csv").exists()
+            # each run's config block holds that run's own settings
+            config = strict_json(run_dir / "summary.json")["config"]
+            assert config["dist_kind"] == r["kind"]
+            assert config["seed"] == r["seed"]
+            assert config["embed_dim"] == config["encoder"][-1][0] == r["dim"]
+            assert config["out_dir"] == str(run_dir)
     assert sorted(os.listdir(tmp_path)) == ["run.cfg", "sweep"]
 
 
@@ -304,6 +334,17 @@ def test_cli_train_and_config_error(tmp_path, capsys):
     bad = write_cfg(tmp_path, BLOBS_CFG + "typo_key = 1\n", name="bad.cfg")
     assert main(["train", "--config", bad]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_rejects_zero_decoder_width_and_nan_beta(tmp_path, capsys):
+    for name, text in (
+        ("decoder.cfg", DENOISE_CFG.replace("decoder = 12:tanh", "decoder = 0:tanh")),
+        ("beta.cfg", BLOBS_CFG.replace("beta = 0.1", "beta = nan")),
+    ):
+        out = tmp_path / f"{name}.out"
+        assert main(["train", "--config", write_cfg(tmp_path, text, name), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_sweep(tmp_path):

@@ -217,3 +217,9 @@ def test_source_labels_required_for_classifier():
     d = gen_blobs(BLOBS)
     with pytest.raises(ValueError):
         train(config(), SPEC, LabeledSet(x=d.source_train.x, y=None), d.target_train)
+
+
+def test_nan_beta_rejected():
+    # NaN fails every comparison, so only a `not beta >= 0` check rejects it
+    with pytest.raises(ValueError, match="beta must be >= 0"):
+        config(beta=math.nan)
