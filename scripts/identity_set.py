@@ -11,7 +11,10 @@ own configs: ``configs/blobs_airm.cfg`` at embedding dims 2 and 4 and
 ``configs/denoise_hilbert.cfg`` at dim 2, each over the five kinds and
 seeds 0-2, once at beta 0.1 and once at beta 0. That writes 192 files:
 each run's ``report.csv`` and ``summary.json`` and each sweep's
-``sweep.csv``, ``metrics.csv`` and ``sweep_summary.json``. A
+``sweep.csv``, ``metrics.csv`` and ``sweep_summary.json``. Each tree also
+writes ``dataset_hashes.json``: the sha256 (with dtype and shape) of every
+array that its ``gen_blobs`` or ``gen_denoise`` returns for each sweep's
+config and seed, so a dataset change shows up array by array. A
 ``summary.json`` is compared without its ``wall_time_s`` and with its
 ``config.out_dir`` taken relative to its side's output root. For every
 file the script prints "identical", or the largest relative difference
@@ -21,6 +24,8 @@ on one side.
 
 import argparse
 import csv
+import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -31,14 +36,18 @@ import tempfile
 
 from bench_pairs import export, git
 
+SCRIPTS = os.path.dirname(os.path.abspath(__file__))
+
 KINDS = "airm,hilbert,mean_euclid,coral_frob,log_euclid"
 # (name, config, embedding dims) of each sweep
 SWEEPS = (
     ("blobs", "configs/blobs_airm.cfg", "2,4"),
     ("denoise", "configs/denoise_hilbert.cfg", "2"),
 )
+SEEDS = "0,1,2"
 BETAS = ("0.1", "0")
-COMPARED = ("report.csv", "summary.json", "sweep.csv", "metrics.csv", "sweep_summary.json")
+COMPARED = ("report.csv", "summary.json", "sweep.csv", "metrics.csv", "sweep_summary.json",
+            "dataset_hashes.json")
 
 
 def with_keys(text, keys):
@@ -57,10 +66,43 @@ def run_set(tree, out_root):
             cfg_path = os.path.join(out_root, f"{name}_beta{beta}.cfg")
             with open(cfg_path, "w") as fh:
                 fh.write(with_keys(text, {"beta": beta, "sweep.kinds": KINDS,
-                                          "sweep.seeds": "0,1,2"}))
+                                          "sweep.seeds": SEEDS}))
             cmd = [sys.executable, "-m", "geomoment.cli", "sweep-dim", "--config", cfg_path,
                    "--dims", dims, "--out", os.path.join(out_root, f"{name}_beta{beta}")]
             subprocess.run(cmd, cwd=tree, env=env, check=True, capture_output=True)
+    out = os.path.join(out_root, "dataset_hashes.json")
+    cmd = [sys.executable, "-c", f"import identity_set; identity_set.hash_datasets({out!r})"]
+    env["PYTHONPATH"] = os.pathsep.join(["src", SCRIPTS])
+    subprocess.run(cmd, cwd=tree, env=env, check=True, capture_output=True)
+
+
+def hash_datasets(out_path):
+    """Write {name.s<seed>: {array: "sha256 dtype shape"}} for each sweep's config and seed.
+
+    Runs inside a tree, with the tree's ``src`` on the path, so the arrays
+    come from that tree's ``gen_blobs`` and ``gen_denoise``.
+    """
+    import numpy as np
+    from geomoment.datasets import gen_blobs, gen_denoise
+    from geomoment.runner import load_run_config
+
+    def arrays(prefix, obj):
+        if isinstance(obj, np.ndarray):
+            yield prefix, obj
+        elif dataclasses.is_dataclass(obj):
+            for f in dataclasses.fields(obj):
+                yield from arrays(f"{prefix}.{f.name}" if prefix else f.name, getattr(obj, f.name))
+
+    hashes = {}
+    for name, config, _ in SWEEPS:
+        for seed in map(int, SEEDS.split(",")):
+            cfg = load_run_config(config, seed=seed)
+            data = gen_blobs(cfg.blobs) if cfg.task == "blobs" else gen_denoise(cfg.denoise)
+            hashes[f"{name}.s{seed}"] = {
+                path: f"{hashlib.sha256(a.tobytes()).hexdigest()} {a.dtype} {a.shape}"
+                for path, a in arrays("", data)}
+    with open(out_path, "w") as fh:
+        json.dump(hashes, fh, indent=2, sort_keys=True)
 
 
 def output_files(root):

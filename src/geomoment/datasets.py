@@ -2,7 +2,10 @@
 
 Both generators are pure functions of their config: every draw comes
 from a Philox stream keyed by (config seed, documented stream id), so
-the same config always yields byte-identical arrays.
+the same config always yields byte-identical arrays. The order of the
+draws defines a dataset: each denoise signal takes one
+``integers(1, 4)`` and one ``random((parts, 3))``, in signal order
+(see ``_draw_signals``).
 """
 
 import math
@@ -54,6 +57,9 @@ class BlobsConfig:
             raise ValueError("need input_dim >= 2 for the rotation plane")
         if self.samples_per_class < 1:
             raise ValueError("need at least one sample per class")
+        for name in ("center_radius", "cov_scale", "target_rotation"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         t = self.target_translation
         if t is None:
             t = (0.0,) * self.input_dim
@@ -62,6 +68,8 @@ class BlobsConfig:
             raise ValueError(
                 f"translation length {len(t)} must equal input_dim {self.input_dim}"
             )
+        if not all(math.isfinite(v) for v in t):
+            raise ValueError("target_translation entries must be finite")
         object.__setattr__(self, "target_translation", t)
 
 
@@ -166,6 +174,8 @@ class DenoiseConfig:
     def __post_init__(self):
         if self.length < 4 or self.samples < 2:
             raise ValueError("signal length >= 4 and samples >= 2 required")
+        if not (math.isfinite(self.noise_mean) and math.isfinite(self.noise_std)):
+            raise ValueError("noise_mean and noise_std must be finite")
         if self.noise_std < 0:
             raise ValueError("noise_std must be >= 0")
 
@@ -180,21 +190,31 @@ class DenoiseData:
 
 
 def _draw_signals(cfg, stream_id, count):
-    """Sums of up to 3 random sinusoids, min-max normalized to [0, 1]."""
+    """Sums of 1 to 3 random sinusoids, min-max normalized to [0, 1] per row.
+
+    The draw contract, which defines the dataset: for each signal in
+    order, one ``rng.integers(1, 4)`` (its part count) and then one
+    ``rng.random((parts, 3))``, the unit draws of each part's
+    (freq, phase, amp), mapped as ``low + (high - low) * u`` like
+    ``rng.uniform``. The parts are summed in order onto zeros, unused
+    slots adding a zero-amplitude wave.
+    """
     rng = stream(cfg.seed, stream_id)
-    t = np.arange(cfg.length) / cfg.length
-    out = np.empty((count, cfg.length))
+    parts = np.empty(count, dtype=np.int64)
+    u = np.zeros((count, 3, 3))
     for i in range(count):
-        parts = rng.integers(1, 4)
-        s = np.zeros(cfg.length)
-        for _ in range(parts):
-            freq = rng.uniform(0.5, 4.0)
-            phase = rng.uniform(0.0, 2.0 * math.pi)
-            amp = rng.uniform(0.5, 1.0)
-            s += amp * np.sin(2.0 * math.pi * freq * t + phase)
-        lo, hi = s.min(), s.max()
-        out[i] = (s - lo) / (hi - lo)
-    return out
+        p = parts[i] = rng.integers(1, 4)
+        rng.random(out=u[i, :p])  # the draw of rng.random((p, 3)), in place
+    low, high = np.array([0.5, 0.0, 0.5]), np.array([4.0, 2.0 * math.pi, 1.0])
+    freq, phase, amp = np.moveaxis(low + (high - low) * u, 2, 0)[..., None]
+    amp[np.arange(3) >= parts[:, None]] = 0.0
+    t = np.arange(cfg.length) / cfg.length
+    waves = amp * np.sin(2.0 * math.pi * freq * t + phase)  # (count, 3, length)
+    s = np.zeros((count, cfg.length))
+    for k in range(3):
+        s += waves[:, k]
+    lo, hi = s.min(axis=1, keepdims=True), s.max(axis=1, keepdims=True)
+    return (s - lo) / (hi - lo)
 
 
 def gen_denoise(cfg):

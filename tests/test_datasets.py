@@ -2,11 +2,30 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from geomoment.datasets import BlobsConfig, DenoiseConfig, gen_blobs, gen_denoise
+from geomoment.datasets import (
+    BlobsConfig,
+    DenoiseConfig,
+    _draw_signals,
+    gen_blobs,
+    gen_denoise,
+)
 from geomoment.moments import batch_moments
 from geomoment.network import ClassifierHead, ModelSpec
+from geomoment.rng import (
+    STREAM_NOISE_EVAL,
+    STREAM_NOISE_TRAIN,
+    STREAM_SOURCE_EVAL,
+    STREAM_SOURCE_TRAIN,
+    STREAM_TARGET_EVAL,
+    STREAM_TARGET_TRAIN,
+    stream,
+)
 from geomoment.trainer import TrainConfig, train
+
+SIGNAL_STREAMS = (STREAM_SOURCE_TRAIN, STREAM_TARGET_TRAIN, STREAM_SOURCE_EVAL, STREAM_TARGET_EVAL)
 
 
 def test_blobs_bit_reproducible():
@@ -120,3 +139,83 @@ def test_denoise_eval_carries_clean_refs():
     d = gen_denoise(DenoiseConfig(length=32, samples=30, seed=1))
     assert d.target_eval.ref is not None
     assert not np.array_equal(d.target_eval.x, d.target_eval.ref)
+
+
+def _reference_signals(cfg, stream_id, count):
+    """One signal at a time, one rng.uniform per value: the reference for _draw_signals."""
+    rng = stream(cfg.seed, stream_id)
+    t = np.arange(cfg.length) / cfg.length
+    out = np.empty((count, cfg.length))
+    for i in range(count):
+        parts = rng.integers(1, 4)
+        s = np.zeros(cfg.length)
+        for _ in range(parts):
+            freq = rng.uniform(0.5, 4.0)
+            phase = rng.uniform(0.0, 2.0 * math.pi)
+            amp = rng.uniform(0.5, 1.0)
+            s += amp * np.sin(2.0 * math.pi * freq * t + phase)
+        lo, hi = s.min(), s.max()
+        out[i] = (s - lo) / (hi - lo)
+    return out
+
+
+def _assert_rows_span_unit_interval(x):
+    assert np.all(x.min(axis=1) == 0.0)
+    assert np.all(x.max(axis=1) == 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    length=st.integers(4, 70),
+    samples=st.integers(2, 40),
+    seed=st.integers(0, 2**63 - 1),
+    stream_id=st.sampled_from(SIGNAL_STREAMS),
+)
+def test_draw_signals_matches_per_signal_reference_bitwise(length, samples, seed, stream_id):
+    cfg = DenoiseConfig(length=length, samples=samples, seed=seed)
+    got = _draw_signals(cfg, stream_id, samples)
+    assert got.tobytes() == _reference_signals(cfg, stream_id, samples).tobytes()
+    _assert_rows_span_unit_interval(got)
+
+
+def test_gen_denoise_full_size_matches_reference_bitwise():
+    cfg = DenoiseConfig(length=64, samples=1200, seed=0)
+    d = gen_denoise(cfg)
+    src, tgt_ref, src_eval, tgt_eval_ref = (
+        _reference_signals(cfg, sid, cfg.samples) for sid in SIGNAL_STREAMS
+    )
+    noise_tr = stream(cfg.seed, STREAM_NOISE_TRAIN).normal(
+        cfg.noise_mean, cfg.noise_std, tgt_ref.shape)
+    noise_ev = stream(cfg.seed, STREAM_NOISE_EVAL).normal(
+        cfg.noise_mean, cfg.noise_std, tgt_eval_ref.shape)
+    pairs = (
+        (d.source_train.x, src),
+        (d.target_train.x, tgt_ref + noise_tr),
+        (d.target_train_refs, tgt_ref),
+        (d.source_eval.x, src_eval),
+        (d.source_eval.ref, src_eval),
+        (d.target_eval.x, tgt_eval_ref + noise_ev),
+        (d.target_eval.ref, tgt_eval_ref),
+    )
+    for got, want in pairs:
+        assert got.shape == (1200, 64)
+        assert got.tobytes() == want.tobytes()
+    for clean in (d.source_train.x, d.target_train_refs, d.source_eval.x, d.target_eval.ref):
+        _assert_rows_span_unit_interval(clean)
+
+
+NON_FINITE_SETTINGS = {
+    "noise_mean": lambda v: DenoiseConfig(noise_mean=v),
+    "noise_std": lambda v: DenoiseConfig(noise_std=v),
+    "center_radius": lambda v: BlobsConfig(input_dim=4, center_radius=v),
+    "cov_scale": lambda v: BlobsConfig(input_dim=4, cov_scale=v),
+    "target_rotation": lambda v: BlobsConfig(input_dim=4, target_rotation=v),
+    "target_translation": lambda v: BlobsConfig(input_dim=4, target_translation=(0.0, v, 0.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", sorted(NON_FINITE_SETTINGS))
+def test_dataset_configs_reject_non_finite(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        NON_FINITE_SETTINGS[field](value)

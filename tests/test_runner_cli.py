@@ -347,6 +347,21 @@ def test_cli_rejects_zero_decoder_width_and_nan_beta(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_cli_rejects_non_finite_dataset_settings(tmp_path, capsys):
+    for name, text in (
+        ("noise_std.cfg", DENOISE_CFG + "denoise.noise_std = nan\n"),
+        ("noise_mean.cfg", DENOISE_CFG + "denoise.noise_mean = inf\n"),
+        ("radius.cfg", BLOBS_CFG.replace("center_radius = 2.2", "center_radius = nan")),
+        ("scale.cfg", BLOBS_CFG.replace("cov_scale = 1.4", "cov_scale = inf")),
+        ("rotation.cfg", BLOBS_CFG.replace("rotation = 1.0471975511965976", "rotation = nan")),
+        ("translation.cfg", BLOBS_CFG.replace("0,0,-1.8,1.2", "0,0,-inf,1.2")),
+    ):
+        out = tmp_path / f"{name}.out"
+        assert main(["train", "--config", write_cfg(tmp_path, text, name), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_cli_sweep(tmp_path):
     cfg_path = write_cfg(tmp_path, BLOBS_CFG)
     code = main(
