@@ -9,12 +9,15 @@ of ``scripts/bench_pairs.py``) to a temporary directory. In each tree,
 ``geomoment sweep-dim`` runs with ``OPENBLAS_NUM_THREADS=1`` on the tree's
 own configs: ``configs/blobs_airm.cfg`` at embedding dims 2 and 4 and
 ``configs/denoise_hilbert.cfg`` at dim 2, each over the five kinds and
-seeds 0-2, once at beta 0.1 and once at beta 0. That writes 192 files:
-each run's ``report.csv`` and ``summary.json`` and each sweep's
-``sweep.csv``, ``metrics.csv`` and ``sweep_summary.json``. Each tree also
-writes ``dataset_hashes.json``: the sha256 (with dtype and shape) of every
-array that its ``gen_blobs`` or ``gen_denoise`` returns for each sweep's
-config and seed, so a dataset change shows up array by array. A
+seeds 0-2, once at beta 0.1 and once at beta 0. ``geomoment train`` then
+runs each config once at seed 0 and beta 0.1: a sweep trains each (dim,
+kind) cell's seeds together, so these single runs check the trainer's
+one-run path. That writes each run's ``report.csv`` and
+``summary.json``, each sweep's ``sweep.csv``, ``metrics.csv`` and
+``sweep_summary.json``, and each single run's ``metrics.csv``. Each tree
+also writes ``dataset_hashes.json``: the sha256 (with dtype and shape) of
+every array that its ``gen_blobs`` or ``gen_denoise`` returns for each
+sweep's config and seed, so a dataset change shows up array by array. A
 ``summary.json`` is compared without its ``wall_time_s`` and with its
 ``config.out_dir`` taken relative to its side's output root. For every
 file the script prints "identical", or the largest relative difference
@@ -70,6 +73,12 @@ def run_set(tree, out_root):
             cmd = [sys.executable, "-m", "geomoment.cli", "sweep-dim", "--config", cfg_path,
                    "--dims", dims, "--out", os.path.join(out_root, f"{name}_beta{beta}")]
             subprocess.run(cmd, cwd=tree, env=env, check=True, capture_output=True)
+        cfg_path = os.path.join(out_root, f"{name}_train.cfg")
+        with open(cfg_path, "w") as fh:
+            fh.write(with_keys(text, {"beta": "0.1"}))
+        cmd = [sys.executable, "-m", "geomoment.cli", "train", "--config", cfg_path,
+               "--seed", "0", "--out", os.path.join(out_root, f"{name}_train")]
+        subprocess.run(cmd, cwd=tree, env=env, check=True, capture_output=True)
     out = os.path.join(out_root, "dataset_hashes.json")
     cmd = [sys.executable, "-c", f"import identity_set; identity_set.hash_datasets({out!r})"]
     env["PYTHONPATH"] = os.pathsep.join(["src", SCRIPTS])

@@ -154,7 +154,9 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NonFiniteLoss as exc:
-        print(f"non-finite loss: {exc} record={exc.record}", file=sys.stderr)
+        rec = exc.record or {}
+        print(f"non-finite loss in the run with seed={rec.get('seed')} "
+              f"dist_kind={rec.get('dist_kind')}: {exc} record={rec}", file=sys.stderr)
         return 3
     except (GeomomentError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

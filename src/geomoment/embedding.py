@@ -56,7 +56,7 @@ class GaussianMoments:
 
     @property
     def dim(self):
-        return self.mean.size
+        return self.mean.shape[-1]
 
     @property
     def chol(self):
@@ -64,25 +64,35 @@ class GaussianMoments:
 
         The gate's determinant, the SPD rule and the Siegel pencil of
         the geometric losses all read this one factor. It is computed
-        on each access, except on moments from factored(), which keep it.
+        on each access, except on moments from runs(), which keep it.
         """
         if "_chol" in self.__dict__:
             return self._chol
         return cholesky(self.cov)
 
-    def factored(self):
-        """These moments, with cov's Cholesky factor computed once and kept.
+    def runs(self):
+        """Each run's moments, with its covariance's Cholesky factor computed once and kept.
 
         For a caller that hands the same moments to several readers of
         chol within one step (the trainer's gate and distance loss).
         Moments that are kept longer, such as prepared ones, should stay
         unfactored, so that no factor outlives the step that needed it.
+        The moments of one batch give a list of one; those of a stack
+        (mean R x n, cov R x n x n) give one per run, all factored by
+        one batched Cholesky (spd.cholesky).
         """
-        m = object.__new__(type(self))
-        object.__setattr__(m, "mean", self.mean)
-        object.__setattr__(m, "cov", self.cov)
-        object.__setattr__(m, "_chol", cholesky(self.cov))
-        return m
+        chol = cholesky(self.cov)
+        if self.cov.ndim == 2:
+            return [_factored(self.mean, self.cov, chol)]
+        return [_factored(*run) for run in zip(self.mean, self.cov, chol)]
+
+
+def _factored(mean, cov, chol):
+    m = object.__new__(GaussianMoments)
+    object.__setattr__(m, "mean", mean)
+    object.__setattr__(m, "cov", cov)
+    object.__setattr__(m, "_chol", chol)
+    return m
 
 
 @dataclass(frozen=True)

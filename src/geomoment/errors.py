@@ -64,6 +64,8 @@ class RegimeViolation(GeomomentError):
 
 
 class NonFiniteLoss(GeomomentError):
+    """A training loss is inf or NaN; record holds epoch, step, the loss, seed and dist_kind."""
+
     def __init__(self, message, record=None):
         super().__init__(message)
         self.record = record

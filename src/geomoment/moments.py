@@ -22,17 +22,19 @@ def batch_moments(batch):
     as built (one symmetric rank-k update), so the moments skip
     GaussianMoments' re-checks; a non-finite batch still raises
     ValueError. The covariance may come out singular (identical rows);
-    downstream gating detects that.
+    downstream gating detects that. A stack R x b x n of batches gives
+    R x n means and R x n x n covariances, each run's bit for bit as
+    its batch alone (GaussianMoments.runs splits them).
     """
     data = np.asarray(batch, dtype=float)
-    if data.ndim != 2:
+    if data.ndim < 2:
         raise ValueError(f"expected a b x n batch, got shape {data.shape}")
-    b = data.shape[0]
+    b = data.shape[-2]
     if b < 2:
         raise BatchTooSmall(f"need at least 2 rows, got {b}")
-    mean = data.mean(axis=0)
-    centered = data - mean
-    return GaussianMoments.trusted(mean, centered.T @ centered / (b - 1))
+    mean = data.mean(axis=-2)
+    centered = data - mean[..., None, :]
+    return GaussianMoments.trusted(mean, centered.mT @ centered / (b - 1))
 
 
 def check_regime(b, n):

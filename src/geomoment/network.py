@@ -6,6 +6,7 @@ a Philox stream, and Adam updates. Everything is float64 numpy and
 bit-reproducible for a given seed.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,11 +89,33 @@ def init_model(spec, seed):
     return params
 
 
-def _act(name, pre):
+def stack_runs(run_params):
+    """One parameter list for a stack of runs' [W, b] lists.
+
+    Each array gains a leading run axis; one run's list is returned as
+    it is, so a single run keeps its 2-D weights.
+    """
+    if len(run_params) == 1:
+        return run_params[0]
+    return [[np.stack(arrays) for arrays in zip(*pairs)] for pairs in zip(*run_params)]
+
+
+def split_runs(params, runs):
+    """Each run's [W, b] list, as views of the parameters of a stack of runs."""
+    return [[[W.reshape(runs, *W.shape[-2:])[r], b.reshape(runs, -1)[r]] for W, b in params]
+            for r in range(runs)]
+
+
+def forward_buffers(spec, rows):
+    """One scratch array per layer, for stack_forward passes over at most rows rows."""
+    return [np.empty((rows, fan_out)) for _, fan_out, _ in full_plan(spec)]
+
+
+def _act(name, pre, out=None):
     if name == "relu":
-        return np.maximum(pre, 0.0)
+        return np.maximum(pre, 0.0, out=out)
     if name == "tanh":
-        return np.tanh(pre)
+        return np.tanh(pre, out=out)
     return pre
 
 
@@ -104,19 +127,27 @@ def _act_grad(name, pre, post):
     return np.ones_like(pre)
 
 
-def stack_forward(plan, params, x):
+def stack_forward(plan, params, x, buffers=None):
+    """Dense stack on x (..., b, fan_in); parameters may carry the same leading run axes.
+
+    With buffers (forward_buffers), each layer writes its output in place
+    into its buffer's first b rows, and the caches are not fit for
+    stack_backward: the in-place pass serves evaluation only.
+    """
     caches = []
     h = np.asarray(x, dtype=float)
-    for (_, _, act), (W, b) in zip(plan, params):
-        pre = h @ W + b
-        post = _act(act, pre)
+    for i, ((_, _, act), (W, b)) in enumerate(zip(plan, params)):
+        buf = None if buffers is None else buffers[i][: h.shape[-2]]
+        pre = np.matmul(h, W, out=buf)
+        pre += b[..., None, :]
+        post = _act(act, pre, out=buf)
         caches.append((h, pre, post))
         h = post
     return h, caches
 
 
 def stack_backward(plan, params, caches, dout):
-    """Returns (dx, grads) with grads aligned to params."""
+    """Returns (dx, grads) with grads aligned to params, each with the stack's leading axes."""
     grads = [None] * len(plan)
     dh = dout
     for i in range(len(plan) - 1, -1, -1):
@@ -124,36 +155,45 @@ def stack_backward(plan, params, caches, dout):
         W, _ = params[i]
         hin, pre, post = caches[i]
         dpre = dh * _act_grad(act, pre, post)
-        grads[i] = [hin.T @ dpre, dpre.sum(axis=0)]
-        dh = dpre @ W.T
+        grads[i] = [hin.mT @ dpre, dpre.sum(axis=-2)]
+        dh = dpre @ W.mT
     return dh, grads
 
 
-def model_forward(spec, params, x):
+def model_forward(spec, params, x, buffers=None):
     ep = encoder_plan(spec)
     hp = head_plan(spec)
-    z, enc_caches = stack_forward(ep, params[: len(ep)], x)
-    out, head_caches = stack_forward(hp, params[len(ep) :], z)
+    n_enc = len(ep)
+    z, enc_caches = stack_forward(ep, params[:n_enc], x, buffers and buffers[:n_enc])
+    out, head_caches = stack_forward(hp, params[n_enc:], z, buffers and buffers[n_enc:])
     return z, out, enc_caches, head_caches
 
 
 def softmax_cross_entropy(logits, labels):
-    """Mean cross-entropy and its gradient w.r.t. the logits."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    """Mean cross-entropy and its gradient w.r.t. the logits.
+
+    logits (..., b, k) and integer labels (..., b): one mean per batch
+    of the stack, a numpy scalar for a single batch.
+    """
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    logz = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     logp = shifted - logz
-    b = logits.shape[0]
-    loss = -float(logp[np.arange(b), labels].mean())
+    b, k = logits.shape[-2:]
+    at = np.arange(labels.size).reshape(labels.shape) * k + labels  # flat index of each label
+    loss = -logp.reshape(-1)[at].mean(axis=-1)
     dlogits = np.exp(logp)
-    dlogits[np.arange(b), labels] -= 1.0
+    dlogits.reshape(-1)[at] -= 1.0
     return loss, dlogits / b
 
 
 def mse_loss(out, ref):
-    """Mean squared error over all entries and its gradient w.r.t. out."""
+    """Mean squared error over each batch's entries and its gradient w.r.t. out.
+
+    One mean per batch of a stack (..., b, m), a numpy scalar for a single batch.
+    """
     diff = out - ref
-    loss = float(np.mean(diff**2))
-    return loss, 2.0 * diff / diff.size
+    loss = np.mean(diff**2, axis=(-2, -1))
+    return loss, 2.0 * diff / (diff.shape[-2] * diff.shape[-1])
 
 
 class Adam:
@@ -163,6 +203,8 @@ class Adam:
     rebinds every entry of params to a view of it, so the caller's lists
     see each update while a step runs its three elementwise update
     expressions once over all parameters. step takes the same list.
+    The parameters of a stack of R runs (stack_runs) share one R x P
+    buffer, a row per run; the runs step together.
     """
 
     def __init__(self, params, learn_rate, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -172,14 +214,20 @@ class Adam:
         self.eps = eps
         self.t = 0
         self.params = params
-        self.flat = np.concatenate([a for pair in params for a in pair], axis=None)
+        self.lead = params[0][1].shape[:-1]  # the first bias's leading run axes
+        self.flat = self._flatten(params)
         offset = 0
         for pair in params:
             for j, a in enumerate(pair):
-                pair[j] = self.flat[offset : offset + a.size].reshape(a.shape)
-                offset += a.size
+                size = math.prod(a.shape[len(self.lead) :])
+                pair[j] = self.flat[..., offset : offset + size].reshape(a.shape)
+                offset += size
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
+
+    def _flatten(self, arrays):
+        return np.concatenate([a.reshape(*self.lead, -1) for pair in arrays for a in pair],
+                              axis=-1)
 
     def step(self, params, grads):
         if params is not self.params:
@@ -187,7 +235,7 @@ class Adam:
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
-        g = np.concatenate([a for pair in grads for a in pair], axis=None)
+        g = self._flatten(grads)
         self.m = self.beta1 * self.m + (1.0 - self.beta1) * g
         self.v = self.beta2 * self.v + (1.0 - self.beta2) * g**2
         self.flat -= self.lr * (self.m / c1) / (np.sqrt(self.v / c2) + self.eps)

@@ -227,14 +227,28 @@ def append_metrics(path, row):
 
 def run_experiment(cfg, metrics_path=None):
     """Train one configuration, write report.csv / summary.json / metrics.csv."""
-    source, target, eval_source, eval_target = _datasets(cfg)
-    t0 = time.perf_counter()
-    report = train(
-        cfg.train_cfg, cfg.model_spec, source, target,
-        eval_source=eval_source, eval_target=eval_target,
-    )
-    wall = time.perf_counter() - t0
+    return run_stack([cfg], metrics_path)[0]
 
+
+def run_stack(cfgs, metrics_path=None):
+    """Train configurations that differ in seed alone as one stack (trainer.train).
+
+    Each run then writes its files as run_experiment does, in the given
+    order, and the (metrics row, report) pairs are returned in that order.
+    A run's wall_time_s is its share of the stack's training time: the
+    stack's time divided by its number of runs.
+    """
+    sources, targets, eval_sources, eval_targets = zip(*(_datasets(cfg) for cfg in cfgs))
+    t0 = time.perf_counter()
+    reports = train(
+        [cfg.train_cfg for cfg in cfgs], cfgs[0].model_spec, sources, targets,
+        eval_source=eval_sources, eval_target=eval_targets,
+    )
+    wall = (time.perf_counter() - t0) / len(cfgs)
+    return [_write_run(cfg, report, wall, metrics_path) for cfg, report in zip(cfgs, reports)]
+
+
+def _write_run(cfg, report, wall, metrics_path):
     os.makedirs(cfg.out_dir, exist_ok=True)
     with open(os.path.join(cfg.out_dir, "report.csv"), "w") as fh:
         fh.write(report.to_csv_text())
@@ -316,7 +330,8 @@ def sweep_dim(cfg, dims):
     """Run the dimensionality sweep and write sweep.csv plus a best-dim summary.
 
     Every output lands under cfg.out_dir: the sweep files at its root and
-    each run's report in a d{dim}_{kind}_s{seed} subdirectory. Dims that
+    each run's report in a d{dim}_{kind}_s{seed} subdirectory. The seeds
+    of one (dim, kind) cell train as one stack (run_stack). Dims that
     violate the 10x batch-size regime are recorded as flagged rows with
     NaN metrics instead of being run.
     """
@@ -326,16 +341,15 @@ def sweep_dim(cfg, dims):
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     for dim in dims:
+        regime = check_regime(cfg.train_cfg.batch_source, dim)
         for kind in kinds:
-            for seed in seeds:
-                regime = check_regime(cfg.train_cfg.batch_source, dim)
-                report = None
-                if regime.ok:
-                    _, report = run_experiment(
-                        _with_dim(cfg, dim, kind, seed),
-                        metrics_path=os.path.join(out_dir, "metrics.csv"),
-                    )
-                rows.append(_sweep_row(dim, kind, seed, regime.ratio, report))
+            reports = [None] * len(seeds)
+            if regime.ok:
+                runs = run_stack([_with_dim(cfg, dim, kind, seed) for seed in seeds],
+                                 metrics_path=os.path.join(out_dir, "metrics.csv"))
+                reports = [report for _, report in runs]
+            rows += [_sweep_row(dim, kind, seed, regime.ratio, report)
+                     for seed, report in zip(seeds, reports)]
 
     csv_path = os.path.join(out_dir, "sweep.csv")
     with open(csv_path, "w") as fh:

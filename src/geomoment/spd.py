@@ -111,12 +111,15 @@ def cholesky(M):
     """Lower Cholesky factor of M, or None where it does not exist.
 
     The package's one factorization: a NaN in M may pass through into
-    the factor without raising, which spd_factor then rejects.
+    the factor without raising, which spd_factor then rejects. A stack
+    (R, n, n) gives the list of its R slices' factors, from one batched
+    call, or from one call per slice when any slice fails.
     """
     try:
-        return np.linalg.cholesky(M)
+        L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
-        return None
+        return None if M.ndim == 2 else [cholesky(m) for m in M]
+    return L if M.ndim == 2 else list(L)
 
 
 def lower_inverse(L):

@@ -7,6 +7,7 @@ exceeds the threshold eta, after which the latch stays open for the
 rest of the run. Target labels never enter the optimization path.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -20,14 +21,17 @@ from .moments import batch_moments, check_regime
 from .network import (
     ClassifierHead,
     encoder_plan,
+    forward_buffers,
     head_plan,
     init_model,
     make_optimizer,
     model_forward,
     mse_loss,
     softmax_cross_entropy,
+    split_runs,
     stack_backward,
     stack_forward,
+    stack_runs,
 )
 from .rng import STREAM_SOURCE_BATCH, STREAM_TARGET_BATCH, stream
 
@@ -111,13 +115,19 @@ class TrainReport:
         return REPORT_HEADER + "\n" + "".join(csv_line(r, REPORT_HEADER) for r in rows)
 
 
-def evaluate(params, spec, dataset):
-    """Accuracy for classifier heads, reconstruction MSE for decoder heads."""
-    _, out, _, _ = model_forward(spec, params, dataset.x)
+def evaluate(params, spec, dataset, buffers=None):
+    """Accuracy for classifier heads, reconstruction MSE for decoder heads.
+
+    With buffers (network.forward_buffers, for at least the set's rows)
+    the forward pass and the MSE are written in place into them, so a
+    run's repeated evaluations allocate no large temporaries.
+    """
+    _, out, _, _ = model_forward(spec, params, dataset.x, buffers)
     if isinstance(spec.head, ClassifierHead):
         return float(np.mean(out.argmax(axis=1) == dataset.y))
     ref = dataset.ref if dataset.ref is not None else dataset.x
-    return float(np.mean((out - ref) ** 2))
+    diff = np.subtract(out, ref, out=out)
+    return float(np.mean(np.square(diff, out=diff)))
 
 
 def _task_loss(spec, out, xb, yb):
@@ -126,123 +136,186 @@ def _task_loss(spec, out, xb, yb):
     return mse_loss(out, xb)
 
 
+def _rows(arrays):
+    """The runs' arrays as one block of rows; one run's array as it is."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
 def train(config, spec, source, target, eval_source=None, eval_target=None):
     """Run the gated two-phase optimization and return the epoch report.
 
     source is a LabeledSet, target a FeatureSet (no labels, by type).
     The optional eval sets only feed the per-epoch metric columns.
+
+    A stack of runs passes a sequence of configs that differ in seed
+    alone and, per run, one source, target and (optional) eval set, all
+    of one shape; the result is then the list of the runs' reports. Each
+    step trains every run of the stack at once, over a leading run axis
+    of the network, its losses, the source moments and Adam; each run
+    keeps its own Philox batch draws, gate latch, distance loss and
+    evaluation, and its report equals the one it gets alone, bit for
+    bit. A single config is the one-run stack, kept without a run axis.
     """
-    regime = check_regime(config.batch_source, spec.embed_dim)
+    if isinstance(config, TrainConfig):
+        return train((config,), spec, (source,), (target,), (eval_source,), (eval_target,))[0]
+    configs, sources, targets = tuple(config), tuple(source), tuple(target)
+    R = len(configs)
+    cfg = configs[0]
+    if any(dataclasses.replace(c, seed=cfg.seed) != cfg for c in configs):
+        raise ValueError("the configs of a stack may differ in seed only")
+    eval_sources = tuple(eval_source) if eval_source is not None else (None,) * R
+    eval_targets = tuple(eval_target) if eval_target is not None else (None,) * R
+    if not len(sources) == len(targets) == len(eval_sources) == len(eval_targets) == R:
+        raise ValueError("a stack needs one source, target and eval set per config")
+    if len({s.x.shape for s in sources}) > 1 or len({t.x.shape for t in targets}) > 1:
+        raise ValueError("the runs of a stack need sources and targets of one shape")
+    regime = check_regime(cfg.batch_source, spec.embed_dim)
     if not regime.ok:
         raise RegimeViolation(
-            f"batch_source={config.batch_source} is below 10 x embed_dim="
+            f"batch_source={cfg.batch_source} is below 10 x embed_dim="
             f"{spec.embed_dim} (ratio {regime.ratio:.2f})"
         )
-    if isinstance(spec.head, ClassifierHead) and source.y is None:
+    classifier = isinstance(spec.head, ClassifierHead)
+    if classifier and any(s.y is None for s in sources):
         raise ValueError("classifier task needs source labels")
 
-    params = init_model(spec, config.seed)
-    opt = make_optimizer(params, config.learn_rate)
+    params = stack_runs([init_model(spec, c.seed) for c in configs])
+    opt = make_optimizer(params, cfg.learn_rate)
+    run_params = split_runs(params, R)
     ep = encoder_plan(spec)
     hp = head_plan(spec)
     n_enc = len(ep)
+    n = spec.embed_dim
+    evals = [e for e in eval_sources + eval_targets if e is not None]
+    buffers = forward_buffers(spec, max(e.x.shape[0] for e in evals)) if evals else None
 
-    rs = stream(config.seed, STREAM_SOURCE_BATCH)
-    rt = stream(config.seed, STREAM_TARGET_BATCH)
-    n_s = source.x.shape[0]
-    n_t = target.x.shape[0]
-    bs = min(config.batch_source, n_s)
-    bt = min(config.batch_target, n_t)
+    streams = [(stream(c.seed, STREAM_SOURCE_BATCH), stream(c.seed, STREAM_TARGET_BATCH))
+               for c in configs]
+    n_s = sources[0].x.shape[0]
+    n_t = targets[0].x.shape[0]
+    bs = min(cfg.batch_source, n_s)
+    bt = min(cfg.batch_target, n_t)
     steps_per_epoch = max(1, n_s // bs)
+    # every run's rows, stacked; a batch indexes them with its run's row offset
+    xs = _rows([s.x for s in sources])
+    ys = _rows([s.y for s in sources]) if classifier else None
+    xt = _rows([t.x for t in targets])
+    idx_s = np.empty((R, bs), dtype=np.intp)
+    idx_t = np.empty((R, bt), dtype=np.intp)
+    # views that index the batches: a single run's batch has no run axis
+    rows_s, rows_t = (idx_s[0], idx_t[0]) if R == 1 else (idx_s, idx_t)
 
-    latch = False
-    gate_open_epoch = -1
+    latch = [False] * R
+    gate_open_epoch = [-1] * R
     cols = {
-        k: np.zeros(config.epochs)
+        k: np.zeros((R, cfg.epochs))
         for k in ("loss_task", "loss_dist", "det_ps", "source_metric", "target_metric")
     }
-    gate_on = np.zeros(config.epochs, dtype=bool)
-    skipped = np.zeros(config.epochs, dtype=int)
-    skipped_by_reason = dict.fromkeys(GATE_CLOSED_REASONS, 0)
-    zeroed = dict.fromkeys(ZERO_GRAD_REASONS, 0)
+    gate_on = np.zeros((R, cfg.epochs), dtype=bool)
+    skipped = np.zeros((R, cfg.epochs), dtype=int)
+    skipped_by_reason = [dict.fromkeys(GATE_CLOSED_REASONS, 0) for _ in configs]
+    zeroed = [dict.fromkeys(ZERO_GRAD_REASONS, 0) for _ in configs]
 
-    for epoch in range(config.epochs):
-        task_sum = 0.0
-        dist_sum = 0.0
-        dist_steps = 0
-        det_sum = 0.0
+    def non_finite(what, epoch, step, r, value):
+        return NonFiniteLoss(
+            f"{what} loss became non-finite at epoch {epoch + 1} step {step + 1}",
+            record={"epoch": epoch + 1, "step": step + 1, f"loss_{what}": float(value),
+                    "seed": configs[r].seed, "dist_kind": cfg.dist_kind},
+        )
+
+    for epoch in range(cfg.epochs):
+        task_sum = 0.0  # a float, or one per run of a stack
+        dist_sum = np.zeros(R)
+        dist_steps = np.zeros(R, dtype=int)
+        det_sum = np.zeros(R)
         for step in range(steps_per_epoch):
-            idx_s = rs.choice(n_s, size=bs, replace=False)
-            idx_t = rt.choice(n_t, size=bt, replace=False)
-            xb = source.x[idx_s]
-            yb = source.y[idx_s] if source.y is not None else None
+            for r, (rs, rt) in enumerate(streams):
+                np.add(rs.choice(n_s, size=bs, replace=False), r * n_s, out=idx_s[r])
+                np.add(rt.choice(n_t, size=bt, replace=False), r * n_t, out=idx_t[r])
+            xb = xs[rows_s]
+            yb = ys[rows_s] if classifier else None
 
             z_s, out, enc_caches, head_caches = model_forward(spec, params, xb)
             loss_task, dout = _task_loss(spec, out, xb, yb)
-            task_sum += loss_task
-            if not math.isfinite(loss_task):
-                raise NonFiniteLoss(
-                    f"task loss became non-finite at epoch {epoch + 1} step {step + 1}",
-                    record={"epoch": epoch + 1, "step": step + 1, "loss_task": loss_task},
-                )
+            task_sum = task_sum + loss_task
+            for r, value in enumerate(loss_task.reshape(R).tolist()):
+                if not math.isfinite(value):
+                    raise non_finite("task", epoch, step, r, value)
             dz, head_grads = stack_backward(hp, params[n_enc:], head_caches, dout)
 
-            # shared by the gate and the distance loss, and so is its covariance factor
-            ms = batch_moments(z_s).factored()
-            gate = schur_gate(ms, config.eta)
-            det_sum += gate.det
-            if gate.open and not latch:
-                latch = True
-                gate_open_epoch = epoch + 1
+            # each run's factored moments, shared by its gate and its distance loss
+            ms = batch_moments(z_s).runs()
+            adapting = []
+            for r, m in enumerate(ms):
+                gate = schur_gate(m, cfg.eta)
+                det_sum[r] += gate.det
+                if gate.open and not latch[r]:
+                    latch[r] = True
+                    gate_open_epoch[r] = epoch + 1
+                if latch[r] and cfg.beta > 0:
+                    adapting.append(r)
 
             grads_t = None
-            if latch and config.beta > 0:
-                z_t, t_caches = stack_forward(ep, params[:n_enc], target.x[idx_t])
-                try:
-                    le = dist_loss(z_s, z_t, config.dist_kind, source_moments=ms)
+            if adapting:
+                sub = slice(None) if len(adapting) == R else adapting  # the adapting runs
+                enc_t = [[W[sub], b[sub]] for W, b in params[:n_enc]]
+                z_t, t_caches = stack_forward(ep, enc_t, xt[rows_t[sub]])
+                z_s_runs = z_s.reshape(R, bs, n)
+                z_t_runs = z_t.reshape(len(adapting), bt, n)
+                dz_runs = dz.reshape(R, bs, n)
+                up = np.empty_like(z_t)  # the adapting runs' upstream target gradients
+                up_runs = up.reshape(len(adapting), bt, n)
+                done = []
+                for k, r in enumerate(adapting):
+                    try:
+                        le = dist_loss(z_s_runs[r], z_t_runs[k], cfg.dist_kind,
+                                       source_moments=ms[r])
+                    except GateClosed as exc:
+                        up_runs[k] = 0.0
+                        skipped[r, epoch] += 1
+                        skipped_by_reason[r][exc.reason] += 1
+                        continue
                     if not math.isfinite(le.value):
-                        raise NonFiniteLoss(
-                            f"distance loss became non-finite at epoch {epoch + 1} "
-                            f"step {step + 1}",
-                            record={"epoch": epoch + 1, "step": step + 1,
-                                    "loss_dist": le.value},
-                        )
-                    dist_sum += le.value
-                    dist_steps += 1
+                        raise non_finite("dist", epoch, step, r, le.value)
+                    dist_sum[r] += le.value
+                    dist_steps[r] += 1
                     if le.zero_grad_reason:
-                        zeroed[le.zero_grad_reason] += 1
-                    dz = dz + config.beta * le.grad_source
-                    _, grads_t = stack_backward(
-                        ep, params[:n_enc], t_caches, config.beta * le.grad_target
-                    )
-                except GateClosed as exc:
-                    skipped[epoch] += 1
-                    skipped_by_reason[exc.reason] += 1
+                        zeroed[r][le.zero_grad_reason] += 1
+                    dz_runs[r] += cfg.beta * le.grad_source
+                    np.multiply(cfg.beta, le.grad_target, out=up_runs[k])
+                    done.append(k)
+                if done:
+                    _, grads_t = stack_backward(ep, enc_t, t_caches, up)
+                    if len(done) < len(adapting):  # a skipped run's gradients are dropped
+                        grads_t = [[a[done] for a in g] for g in grads_t]
+                        sub = [adapting[k] for k in done]
 
             _, enc_grads = stack_backward(ep, params[:n_enc], enc_caches, dz)
             if grads_t is not None:
                 for g, gt in zip(enc_grads, grads_t):
-                    g[0] += gt[0]
-                    g[1] += gt[1]
+                    g[0][sub] += gt[0]
+                    g[1][sub] += gt[1]
             opt.step(params, enc_grads + head_grads)
 
-        cols["loss_task"][epoch] = task_sum / steps_per_epoch
-        cols["det_ps"][epoch] = det_sum / steps_per_epoch
-        cols["loss_dist"][epoch] = dist_sum / dist_steps if dist_steps else 0.0
-        gate_on[epoch] = latch
-        cols["source_metric"][epoch] = (
-            evaluate(params, spec, eval_source) if eval_source is not None else float("nan")
-        )
-        cols["target_metric"][epoch] = (
-            evaluate(params, spec, eval_target) if eval_target is not None else float("nan")
-        )
+        cols["loss_task"][:, epoch] = task_sum / steps_per_epoch
+        cols["det_ps"][:, epoch] = det_sum / steps_per_epoch
+        np.divide(dist_sum, dist_steps, out=cols["loss_dist"][:, epoch], where=dist_steps > 0)
+        gate_on[:, epoch] = latch
+        for r, p in enumerate(run_params):
+            for key, sets in (("source_metric", eval_sources), ("target_metric", eval_targets)):
+                cols[key][r, epoch] = (
+                    evaluate(p, spec, sets[r], buffers) if sets[r] is not None else float("nan")
+                )
 
-    return TrainReport(
-        **cols,
-        gate_on=gate_on,
-        skipped_steps=skipped,
-        skipped_steps_by_reason=skipped_by_reason,
-        gate_open_epoch=gate_open_epoch,
-        zeroed_grad_steps=zeroed,
-        params=params,
-    )
+    return [
+        TrainReport(
+            **{k: v[r] for k, v in cols.items()},
+            gate_on=gate_on[r],
+            skipped_steps=skipped[r],
+            skipped_steps_by_reason=skipped_by_reason[r],
+            gate_open_epoch=gate_open_epoch[r],
+            zeroed_grad_steps=zeroed[r],
+            params=run_params[r],
+        )
+        for r in range(R)
+    ]

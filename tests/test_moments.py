@@ -66,12 +66,40 @@ def test_cholesky_factor_computed_once_on_factored_moments(monkeypatch):
     assert np.allclose(L @ L.T, m.cov, rtol=0, atol=1e-14)
     # plain moments keep no factor; factored ones compute it once and keep it
     assert np.array_equal(m.chol, L) and calls == [(3, 3)] * 2
-    f = m.factored()
+    (f,) = m.runs()
     assert f.mean is m.mean and f.cov is m.cov and calls == [(3, 3)] * 3
     assert f.chol is f.chol and np.array_equal(f.chol, L) and calls == [(3, 3)] * 3
     assert "_chol" not in m.__dict__
     singular = batch_moments(np.tile([1.0, 2.0], (5, 1)))
-    assert singular.chol is None and singular.factored().chol is None
+    assert singular.chol is None and singular.runs()[0].chol is None
+
+
+def test_stacked_moments_equal_each_batch_alone(monkeypatch):
+    # one batched Cholesky, and one per slice once any slice fails
+    rng = rng_for("moments-stack")
+    batches = [rng.standard_normal((20, 3)) for _ in range(3)]
+    calls = []
+    real = np.linalg.cholesky
+
+    def counted(M):
+        calls.append(M.shape)
+        return real(M)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    for singular in (None, 1):
+        stack = np.stack([np.tile([1.0, 2.0, 3.0], (20, 1)) if i == singular else z
+                          for i, z in enumerate(batches)])
+        calls.clear()
+        runs = batch_moments(stack).runs()
+        assert calls == ([(3, 3, 3)] if singular is None else [(3, 3, 3)] + [(3, 3)] * 3)
+        for i, (run, z) in enumerate(zip(runs, stack, strict=True)):
+            (alone,) = batch_moments(z).runs()
+            assert run.mean.tobytes() == alone.mean.tobytes()
+            assert run.cov.tobytes() == alone.cov.tobytes()
+            if i == singular:
+                assert run.chol is None and alone.chol is None
+            else:
+                assert run.chol.tobytes() == alone.chol.tobytes()
 
 
 def test_gaussian_batches_are_spd():

@@ -362,6 +362,18 @@ def test_cli_rejects_non_finite_dataset_settings(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_cli_non_finite_loss_names_its_run_and_stops_the_cell(tmp_path, capsys):
+    # a huge step sends every run's task loss to NaN in its first epoch
+    text = BLOBS_CFG.replace("learn_rate = 1e-3", "learn_rate = 1e300") + "sweep.seeds = 5,6\n"
+    out = tmp_path / "sw"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["sweep-dim", "--config", write_cfg(tmp_path, text), "--dims", "2",
+                     "--out", str(out)])
+    assert code == 3
+    assert "non-finite loss in the run with seed=5 dist_kind=airm" in capsys.readouterr().err
+    assert os.listdir(out) == []  # neither seed of the cell wrote a file
+
+
 def test_cli_sweep(tmp_path):
     cfg_path = write_cfg(tmp_path, BLOBS_CFG)
     code = main(

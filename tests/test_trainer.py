@@ -1,15 +1,25 @@
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
 
 from geomoment import losses, trainer
 from geomoment.datasets import BlobsConfig, gen_blobs
-from geomoment.errors import GateClosed, RegimeViolation
+from geomoment.errors import GateClosed, NonFiniteLoss, RegimeViolation
 from geomoment.losses import LossEval
 from geomoment.network import ClassifierHead, ModelSpec
-from geomoment.trainer import EvalSet, FeatureSet, LabeledSet, TrainConfig, evaluate, train
+from geomoment.runner import build_run_config, parse_config_text
+from geomoment.trainer import (
+    EvalSet,
+    FeatureSet,
+    LabeledSet,
+    TrainConfig,
+    TrainReport,
+    evaluate,
+    train,
+)
 
 BLOBS = BlobsConfig(
     num_classes=3,
@@ -223,3 +233,106 @@ def test_nan_beta_rejected():
     # NaN fails every comparison, so only a `not beta >= 0` check rejects it
     with pytest.raises(ValueError, match="beta must be >= 0"):
         config(beta=math.nan)
+
+
+BLOBS_AIRM_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "blobs_airm.cfg")
+
+
+def _sweep_cell(dim, kind, seeds):
+    """A sweep-dim cell of configs/blobs_airm.cfg: (configs, spec, per-run datasets)."""
+    with open(BLOBS_AIRM_CFG) as fh:
+        parsed = parse_config_text(fh.read())
+    parsed.update(embed_dim=dim, encoder=((32, "relu"), (dim, "identity")), dist_kind=kind)
+    runs = [build_run_config(parsed, seed=s) for s in seeds]
+    return [r.train_cfg for r in runs], runs[0].model_spec, [gen_blobs(r.blobs) for r in runs]
+
+
+def _small_cell(seeds):
+    """Three-epoch runs of the small BLOBS set, one per seed."""
+    configs = [config(seed=s, epochs=3) for s in seeds]
+    return configs, SPEC, [gen_blobs(dataclasses.replace(BLOBS, seed=s)) for s in seeds]
+
+
+def _edit(cell, run, fields=None, data=None):
+    """The cell with one run's config fields, or its dataset's fields from data(dataset), replaced."""
+    configs, spec, datasets = cell
+    if fields:
+        configs[run] = dataclasses.replace(configs[run], **fields)
+    if data:
+        datasets[run] = dataclasses.replace(datasets[run], **data(datasets[run]))
+    return configs, spec, datasets
+
+
+def _constant_target(d):
+    rows = d.target_train.x.shape[0]
+    return {"target_train": FeatureSet(x=np.tile([0.5, 1.0, -0.5, 2.0], (rows, 1)))}
+
+
+def _nan_rows(d):
+    x = d.source_train.x.copy()
+    x[::30] = np.nan
+    return {"source_train": dataclasses.replace(d.source_train, x=x)}
+
+
+def _gates_never_open(expected):
+    def check(reports):
+        assert [r.gate_open_epoch == -1 for r in reports] == expected
+    return check
+
+
+def _skips_only_in(run):
+    def check(reports):
+        for i, r in enumerate(reports):
+            skips = r.skipped_steps_by_reason["covariance_not_spd"]
+            assert (skips > 0) == (i == run) and r.skipped_steps.sum() == skips
+    return check
+
+
+# name -> (the cell, a check of its stacked reports or the (error, match) it raises)
+STACK_CASES = {
+    "blobs dim 2 cell": (lambda: _sweep_cell(2, "hilbert", (0, 1, 2)),
+                         _gates_never_open([False, False, False])),
+    "blobs dim 4 cell, gate of seed 159990 never opens": (
+        lambda: _sweep_cell(4, "airm", (0, 159990, 2)), _gates_never_open([False, True, False])),
+    "constant target in one run": (
+        lambda: _edit(_small_cell((0, 1, 2)), 1, data=_constant_target), _skips_only_in(1)),
+    "configs differ in beta": (
+        lambda: _edit(_small_cell((0, 1)), 1, fields={"beta": 0.2}), (ValueError, "seed only")),
+    "non-finite source rows": (
+        lambda: _edit(_small_cell((0, 7, 2)), 1, data=_nan_rows),
+        (NonFiniteLoss, "task loss became non-finite")),
+}
+
+
+@pytest.mark.parametrize("case", STACK_CASES)
+def test_stacked_runs_equal_their_runs_alone(case):
+    cell, expect = STACK_CASES[case]
+    configs, spec, datasets = cell()
+    sets = [(d.source_train, d.target_train, d.source_eval, d.target_eval) for d in datasets]
+    if isinstance(expect, tuple):
+        error, match = expect
+        with pytest.raises(error, match=match) as info:
+            train(configs, spec, *zip(*sets))
+        if error is NonFiniteLoss:  # the record names the run that failed
+            assert info.value.record["seed"] == 7
+            assert info.value.record["dist_kind"] == "airm"
+            assert not math.isfinite(info.value.record["loss_task"])
+        return
+    stacked = train(configs, spec, *zip(*sets))
+    expect(stacked)
+    for cfg, run_sets, got in zip(configs, sets, stacked, strict=True):
+        alone = train(cfg, spec, *run_sets)
+        assert got.to_csv_text() == alone.to_csv_text()
+        for f in dataclasses.fields(TrainReport):
+            a, b = getattr(got, f.name), getattr(alone, f.name)
+            if f.name == "params":
+                a = [x for pair in a for x in pair]
+                b = [x for pair in b for x in pair]
+            else:
+                a, b = [a], [b]
+            for x, y in zip(a, b, strict=True):
+                if isinstance(x, np.ndarray):
+                    assert x.dtype == y.dtype and x.shape == y.shape
+                    assert x.tobytes() == y.tobytes(), f.name
+                else:
+                    assert x == y, f.name
