@@ -9,7 +9,7 @@ from .blas import pin_blas_threads
 from .bounds import DiscreteDist, check_target_bound, fisher_rao_univariate, hilbert_discrete, tv_discrete
 from .embedding import EmbeddingParams, embed
 from .errors import ConfigError, GeomomentError, NonFiniteLoss
-from .gradcheck import audit_dist_loss, audit_network
+from .gradcheck import FD_BOUND, audit_dist_loss, audit_network
 from .losses import DIST_KINDS
 from .matrixio import fmt, matrix_text, read_matrix, read_moments, write_matrix
 from .rng import stream
@@ -43,7 +43,10 @@ def _cmd_gradcheck(args):
     worst_net = audit_network(seed=args.seed)
     print(f"dist_loss max relative error: {fmt(worst_loss)}")
     print(f"network max relative error: {fmt(worst_net)}")
-    return 0
+    if worst_loss <= FD_BOUND and worst_net <= FD_BOUND:
+        return 0
+    print(f"error: gradient audit above {FD_BOUND:g}", file=sys.stderr)
+    return 1
 
 
 def _cmd_bound_check(args):

@@ -22,7 +22,7 @@ from .errors import (
     NotPositiveDefinite,
 )
 from .moments import batch_moments
-from .spd import SPECTRAL_KINDS, pencil_eigh, pencil_grads, spd_eigh, sym
+from .spd import SPECTRAL_KINDS, pencil_grads, spd_eigh, sym
 
 DIST_KINDS = ("airm", "hilbert", "mean_euclid", "coral_frob", "log_euclid")
 
@@ -38,16 +38,6 @@ class LossEval:
     grad_source: np.ndarray
     grad_target: np.ndarray
     zero_grad_reason: str = ""  # one of ZERO_GRAD_REASONS when both gradients were zeroed
-
-
-def grad_spd_pair(P1, P2, kind):
-    """(value, dP1, dP2) of dist_airm or dist_hilbert from one pencil factorization."""
-    if kind not in SPECTRAL_KINDS:
-        raise ValueError(f"kind must be airm or hilbert, got {kind!r}")
-    value_of, slope_of = SPECTRAL_KINDS[kind]
-    lam, V = pencil_eigh(P1, P2)
-    value = value_of(lam)
-    return (value, *pencil_grads(lam, V, slope_of(lam, value)))
 
 
 def grad_embed(m, upstream, params=EmbeddingParams()):

@@ -59,14 +59,6 @@ def read_matrix(path):
     return M
 
 
-def write_moments(path, m):
-    with open(path, "w") as fh:
-        fh.write(f"dim={m.dim}\n")
-        fh.write(" ".join(fmt(v) for v in m.mean) + "\n")
-        for row in m.cov:
-            fh.write(" ".join(fmt(v) for v in row) + "\n")
-
-
 def read_moments(path):
     n, body = _read_body(path)
     if not body:

@@ -1,4 +1,6 @@
-"""Shared random-instance builders and finite-difference utilities."""
+"""Shared random-instance builders."""
+
+import zlib
 
 import numpy as np
 
@@ -6,7 +8,8 @@ from geomoment.rng import stream
 
 
 def rng_for(test_id, seed=0):
-    return stream(seed, 1000 + (hash(test_id) % 1000))
+    """The test's own stream, the same in every process (crc32 is not salted, unlike hash)."""
+    return stream(seed, 1000 + zlib.crc32(test_id.encode()) % 1000)
 
 
 def rand_orthogonal(rng, n):
@@ -36,35 +39,6 @@ def rand_invertible(rng, n, cond=100.0):
     return (U * s) @ V.T
 
 
-def fd_sym_grad(f, P, h=1e-5):
-    """Central-difference gradient of scalar f on symmetric coordinates.
-
-    Entry (i, j), i != j, holds G_ij + G_ji of the true symmetric-matrix
-    gradient G because both mirrored entries are perturbed together.
-    """
-    n = P.shape[0]
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            step = h * max(1.0, abs(P[i, j]))
-            Pp = P.copy()
-            Pm = P.copy()
-            Pp[i, j] += step
-            Pm[i, j] -= step
-            if i != j:
-                Pp[j, i] += step
-                Pm[j, i] -= step
-            out[i, j] = out[j, i] = (f(Pp) - f(Pm)) / (2.0 * step)
-    return out
-
-
 def sym_grad_pairs(G):
-    """Map an analytic symmetric gradient to the fd_sym_grad convention."""
+    """Map an analytic symmetric gradient to the convention of central_diff(mirror=True)."""
     return G + G.T - np.diag(np.diag(G))
-
-
-def max_rel_err(a, b, floor=1e-6):
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
-    return float(np.max(np.abs(a - b) / denom))

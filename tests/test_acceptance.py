@@ -12,7 +12,7 @@ import numpy as np
 from geomoment.bounds import fisher_rao_univariate, hilbert_discrete, tv_discrete
 from geomoment.datasets import BlobsConfig, DenoiseConfig, gen_blobs, gen_denoise
 from geomoment.embedding import GaussianMoments, embed
-from geomoment.gradcheck import audit_dist_loss, audit_network
+from geomoment.gradcheck import FD_BOUND, audit_dist_loss, audit_network
 from geomoment.network import ClassifierHead, DecoderHead, ModelSpec
 from geomoment.rng import stream
 from geomoment.runner import load_run_config
@@ -230,7 +230,7 @@ def test_criterion_5_gradient_audit():
     worst_loss = audit_dist_loss(seed=105, dims=(2, 3, 5), batch=40, n_coords=50)
     worst_net = audit_network(seed=105)
     elapsed = time.perf_counter() - t0
-    ok = worst_loss <= 1e-5 and worst_net <= 1e-5 and elapsed < 60.0
+    ok = worst_loss <= FD_BOUND and worst_net <= FD_BOUND and elapsed < 60.0
     _report(
         5,
         ok,

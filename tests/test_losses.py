@@ -3,29 +3,34 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from geomoment import embedding, losses, spd
+from geomoment import embedding, spd
 from geomoment.embedding import EmbeddingParams, GaussianMoments, embed
 from geomoment.errors import BatchTooSmall, DegenerateSpectrum, GateClosed, NearZeroDistance
-from geomoment.gradcheck import audit_dist_loss
-from geomoment.losses import DIST_KINDS, dist_loss, grad_embed, grad_moments, grad_spd_pair
+from geomoment.gradcheck import FD_BOUND, audit_dist_loss, central_diff, rel_err
+from geomoment.losses import DIST_KINDS, dist_loss, grad_embed, grad_moments
 from geomoment.moments import batch_moments
 from geomoment.rng import stream
 from geomoment.spd import dist_airm, dist_hilbert
-from helpers import (
-    fd_sym_grad,
-    max_rel_err,
-    rand_invertible,
-    rand_orthogonal,
-    rand_spd,
-    rng_for,
-    sym_grad_pairs,
-)
+from helpers import rand_invertible, rand_orthogonal, rand_spd, rng_for, sym_grad_pairs
 
 
 def rand_batches(rng, b, n):
     zs = rng.standard_normal((b, n)) + 0.2 * rng.standard_normal(n)
     zt = 1.2 * rng.standard_normal((b, n)) + 0.7 * rng.standard_normal(n)
     return zs, zt
+
+
+def pencil_value_grads(P1, P2, kind):
+    """(value, dP1, dP2) of a SPECTRAL_KINDS distance from one pencil eigensolve."""
+    value_of, slope_of = spd.SPECTRAL_KINDS[kind]
+    lam, V = spd.pencil_eigh(P1, P2)
+    value = value_of(lam)
+    return (value, *spd.pencil_grads(lam, V, slope_of(lam, value)))
+
+
+def fd_sym_upper(f, P, h_max=np.inf):
+    """central_diff(mirror=True) of f at each upper-triangle coordinate of a symmetric P."""
+    return [central_diff(f, P, ij, h_max, mirror=True) for ij in zip(*np.triu_indices(len(P)))]
 
 
 # ---------------------------------------------------------------- dist_loss
@@ -124,7 +129,7 @@ def test_unknown_kind_rejected():
 
 
 def test_end_to_end_gradients_match_fd():
-    assert audit_dist_loss(seed=7, dims=(2, 3, 5), batch=40, n_coords=50) <= 1e-5
+    assert audit_dist_loss(seed=7, dims=(2, 3, 5), batch=40, n_coords=50) <= FD_BOUND
 
 
 def test_descent_step_decreases_geometric_losses():
@@ -155,7 +160,7 @@ def test_geometric_loss_value_is_the_embedded_distance(n, seed, scale, shift):
     for kind, dist in (("airm", dist_airm), ("hilbert", dist_hilbert)):
         ref = dist(Ps, Pt)
         assert dist_loss(zs, zt, kind).value == pytest.approx(ref, rel=1e-12)
-        assert grad_spd_pair(Ps, Pt, kind)[0] == pytest.approx(ref, rel=1e-12)
+        assert pencil_value_grads(Ps, Pt, kind)[0] == pytest.approx(ref, rel=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -182,7 +187,7 @@ def test_siegel_factor_loss_equals_the_embedded_matrix_path(n, a, seed, scale, s
     lam = spd.pencil_eigvals(Ps, Pt)
     rtol = max(1e-12, 8 * np.finfo(float).eps * lam[-1] / lam[0])
     for kind in ("airm", "hilbert"):
-        value, dPs, dPt = grad_spd_pair(Ps, Pt, kind)
+        value, dPs, dPt = pencil_value_grads(Ps, Pt, kind)
         gs = grad_moments(zs, ms.mean, *grad_embed(ms, dPs, params))
         gt = grad_moments(zt, mt.mean, *grad_embed(mt, dPt, params))
         le = dist_loss(zs, zt, kind, params)
@@ -286,8 +291,7 @@ def test_geometric_loss_factors_once_and_validates_each_side_once(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(losses, "pencil_eigh", counted("factor", losses.pencil_eigh))
-    monkeypatch.setattr(spd, "pencil_eigvals", counted("factor", spd.pencil_eigvals))
+    monkeypatch.setattr(spd, "_pencil_form", counted("factor", spd._pencil_form))
     monkeypatch.setattr(embedding, "validate_spd", counted("validate", embedding.validate_spd))
     monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
     zs, zt = rand_batches(rng_for("loss-count"), 30, 3)
@@ -326,33 +330,40 @@ def test_single_row_batch_rejected_all_kinds():
             dist_loss(zs, zt[:1], kind)
 
 
-# ------------------------------------------------------------ grad_spd_pair
+# ----------------------------------------------------------- pencil_grads
 
 
-def test_grad_spd_pair_fd():
+def test_pencil_grads_fd():
     rng = rng_for("gsp-fd")
+    iu = np.triu_indices(4)
     for kind in ("airm", "hilbert"):
         for _ in range(5):
             P1 = rand_spd(rng, 4)
             P2 = rand_spd(rng, 4)
-            _, dP1, dP2 = grad_spd_pair(P1, P2, kind)
+            _, dP1, dP2 = pencil_value_grads(P1, P2, kind)
             dist = dist_airm if kind == "airm" else dist_hilbert
-            fd1 = fd_sym_grad(lambda M: dist(M, P2), P1)
-            fd2 = fd_sym_grad(lambda M: dist(P1, M), P2)
-            assert max_rel_err(fd1, sym_grad_pairs(dP1)) <= 1e-5
-            assert max_rel_err(fd2, sym_grad_pairs(dP2)) <= 1e-5
+            h_max = np.inf
+            if kind == "hilbert":
+                # log(lambda_max / lambda_min) curves like 1 / (relative gap) of each
+                # extreme eigenvalue: keep the step well inside both
+                lam = spd.pencil_eigvals(P1, P2)
+                h_max = 1e-2 * min(lam[1] / lam[0] - 1.0, 1.0 - lam[-2] / lam[-1])
+            fd1 = fd_sym_upper(lambda M: dist(M, P2), P1, h_max)
+            fd2 = fd_sym_upper(lambda M: dist(P1, M), P2, h_max)
+            assert rel_err(fd1, sym_grad_pairs(dP1)[iu]) <= FD_BOUND
+            assert rel_err(fd2, sym_grad_pairs(dP2)[iu]) <= FD_BOUND
 
 
-def test_grad_spd_pair_degenerate_pencil():
+def test_pencil_grads_degenerate_pencil():
     P = rand_spd(rng_for("gsp-degen"), 3)
     with pytest.raises(DegenerateSpectrum):
-        grad_spd_pair(P, P, "hilbert")
+        pencil_value_grads(P, P, "hilbert")
 
 
-def test_grad_spd_pair_near_zero_airm():
+def test_pencil_grads_near_zero_airm():
     P = rand_spd(rng_for("gsp-nearzero"), 3)
     with pytest.raises(NearZeroDistance):
-        grad_spd_pair(P, P, "airm")
+        pencil_value_grads(P, P, "airm")
 
 
 def test_hilbert_averages_a_degenerate_top_eigenspace():
@@ -372,7 +383,7 @@ def test_hilbert_averages_a_degenerate_top_eigenspace():
     def close(got, want):
         return np.linalg.norm(got - want) <= 1e-9 * scale
 
-    value, dP1, dP2 = grad_spd_pair(P1, P2, "hilbert")
+    value, dP1, dP2 = pencil_value_grads(P1, P2, "hilbert")
     assert value == pytest.approx(np.log(4.0), rel=1e-12)
     assert close(dP1, want_dP1) and close(dP2, want_dP2)
     assert abs(np.sum(dP1 * P1) + np.sum(dP2 * P2)) <= 1e-10 * scale * np.linalg.norm(P2)
@@ -392,7 +403,7 @@ def test_hilbert_euler_identity():
     for _ in range(20):
         P1 = rand_spd(rng, 4)
         P2 = rand_spd(rng, 4)
-        _, dP1, dP2 = grad_spd_pair(P1, P2, "hilbert")
+        _, dP1, dP2 = pencil_value_grads(P1, P2, "hilbert")
         total = np.sum(dP1 * P1) + np.sum(dP2 * P2)
         assert abs(total) <= 1e-10
 
@@ -431,15 +442,12 @@ def test_grad_embed_fd():
         def f(mean, cov):
             return float(np.sum(G * embed(GaussianMoments(mean, cov), params)))
 
-        h = 1e-6
+        mean, cov = m.mean.copy(), m.cov.copy()
         for i in range(n):
-            mp, mm = m.mean.copy(), m.mean.copy()
-            mp[i] += h
-            mm[i] -= h
-            fd = (f(mp, m.cov) - f(mm, m.cov)) / (2 * h)
+            fd = central_diff(lambda mu: f(mu, cov), mean, (i,))
             assert abs(fd - dmean[i]) <= 1e-6 * max(1.0, abs(fd))
-        fdc = fd_sym_grad(lambda C: f(m.mean, C), m.cov, h=1e-6)
-        assert max_rel_err(fdc, sym_grad_pairs(dcov)) <= 1e-6
+        fdc = fd_sym_upper(lambda C: f(mean, C), cov)
+        assert rel_err(fdc, sym_grad_pairs(dcov)[np.triu_indices(n)]) <= 1e-6
 
 
 # ------------------------------------------------------------- grad_moments
@@ -473,12 +481,8 @@ def test_grad_moments_fd():
         m = batch_moments(zz)
         return float(dmean @ m.mean + np.sum(D * m.cov))
 
-    h = 1e-6
     for _ in range(30):
         i = int(rng.integers(15))
         j = int(rng.integers(3))
-        zp, zm = z.copy(), z.copy()
-        zp[i, j] += h
-        zm[i, j] -= h
-        fd = (f(zp) - f(zm)) / (2 * h)
+        fd = central_diff(f, z, (i, j))
         assert abs(fd - rows[i, j]) <= 1e-6 * max(1.0, abs(fd))

@@ -1,4 +1,5 @@
 import ctypes
+import dataclasses
 import json
 import math
 import os
@@ -6,12 +7,11 @@ import os
 import numpy as np
 import pytest
 
-from geomoment import blas, trainer
+from geomoment import blas, gradcheck, trainer
 from geomoment.cli import main
 from geomoment.datasets import BlobsConfig, DenoiseConfig
 from geomoment.errors import ConfigError, GateClosed
-from geomoment.matrixio import read_matrix, write_matrix, write_moments
-from geomoment.embedding import GaussianMoments
+from geomoment.matrixio import read_matrix, write_matrix
 from geomoment.runner import (
     build_run_config,
     config_block,
@@ -247,7 +247,7 @@ def test_sweep_dim_cardinality_and_flags(tmp_path):
 
 def test_cli_embed_and_dist(tmp_path, capsys):
     mpath = tmp_path / "moments.txt"
-    write_moments(mpath, GaussianMoments(mean=[1.0], cov=[[1.0]]))
+    mpath.write_text("dim=1\n1.0\n1.0\n")  # mean [1], covariance [[1]]
     out = tmp_path / "P.txt"
     assert main(["embed", str(mpath), "--out", str(out)]) == 0
     P = read_matrix(out)
@@ -320,10 +320,20 @@ def test_cli_bound_check(tmp_path):
     assert all(ln.split(",")[6] == "1" for ln in lines[1:])
 
 
-def test_cli_gradcheck(capsys):
+def test_cli_gradcheck(capsys, monkeypatch):
     assert main(["gradcheck", "--seed", "1", "--kind", "coral_frob"]) == 0
     out = capsys.readouterr().out
     assert "max relative error" in out
+
+    dist_loss = gradcheck.dist_loss
+
+    def wrong_grad(zs, zt, kind):  # target gradients 1% too large
+        le = dist_loss(zs, zt, kind)
+        return dataclasses.replace(le, grad_target=1.01 * le.grad_target)
+
+    monkeypatch.setattr(gradcheck, "dist_loss", wrong_grad)
+    assert main(["gradcheck", "--seed", "1", "--kind", "coral_frob"]) == 1
+    assert f"gradient audit above {gradcheck.FD_BOUND:g}" in capsys.readouterr().err
 
 
 def test_cli_train_and_config_error(tmp_path, capsys):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from geomoment.errors import NotPositiveDefinite, NotSymmetric
+from geomoment.gradcheck import central_diff
 from geomoment.spd import (
     SPECTRAL_KINDS,
     dist_airm,
@@ -30,11 +31,7 @@ def test_spectral_slope_is_the_derivative_of_the_value(kind, logs):
     value = value_of(lam)
     slope = slope_of(lam, value)
     for i in range(lam.size):
-        step = 1e-6 * lam[i]
-        up, down = lam.copy(), lam.copy()
-        up[i] += step
-        down[i] -= step
-        fd = (value_of(up) - value_of(down)) / (2.0 * step)
+        fd = central_diff(value_of, lam, (i,))
         assert fd == pytest.approx(slope[i], rel=1e-6, abs=1e-6)
 
 
