@@ -60,31 +60,30 @@ class GaussianMoments:
 
     @property
     def chol(self):
-        """Lower Cholesky factor of cov; None when it does not exist.
+        """Lower Cholesky factor of cov; None (a NaN slice in a stack) where it does not exist.
 
         The gate's determinant, the SPD rule and the Siegel pencil of
         the geometric losses all read this one factor. It is computed
-        on each access, except on moments from runs(), which keep it.
+        on each access, except on factored moments, which keep it.
         """
         if "_chol" in self.__dict__:
             return self._chol
         return cholesky(self.cov)
 
-    def runs(self):
-        """Each run's moments, with its covariance's Cholesky factor computed once and kept.
+    def factored(self):
+        """These moments, with their covariance's Cholesky factor computed once and kept.
 
-        For a caller that hands the same moments to several readers of
-        chol within one step (the trainer's gate and distance loss).
-        Moments that are kept longer, such as prepared ones, should stay
-        unfactored, so that no factor outlives the step that needed it.
-        The moments of one batch give a list of one; those of a stack
-        (mean R x n, cov R x n x n) give one per run, all factored by
-        one batched Cholesky (spd.cholesky).
+        For the readers of chol within one step (the trainer's gate and
+        distance loss); moments kept longer, such as prepared ones, stay
+        unfactored, so no factor outlives its step. A stack takes one batched
+        Cholesky.
         """
-        chol = cholesky(self.cov)
-        if self.cov.ndim == 2:
-            return [_factored(self.mean, self.cov, chol)]
-        return [_factored(*run) for run in zip(self.mean, self.cov, chol)]
+        return _factored(self.mean, self.cov, cholesky(self.cov))
+
+    def __getitem__(self, runs):
+        """The factored moments of the runs of a stack that runs indexes, keeping their factor."""
+        chol = self.chol
+        return _factored(self.mean[runs], self.cov[runs], None if chol is None else chol[runs])
 
 
 def _factored(mean, cov, chol):
@@ -162,9 +161,19 @@ def schur_gate(m, eta):
     range). Never raises: any failure closes the gate, with a
     symmetric-eigenvalue fallback keeping the reported determinant
     meaningful for singular or indefinite covariances (log det is -inf
-    unless every eigenvalue is positive).
+    unless every eigenvalue is positive). Stacked moments give arrays
+    over their runs, each run decided as alone.
     """
-    L = m.chol
+    if m.cov.ndim == 2:
+        return GateResult(*_gate(m.cov, m.chol, eta))
+    n = m.dim  # each run as alone, from its slice of the one factor (NaN where it has none)
+    runs = [_gate(c, None if math.isnan(f[0, 0]) else f, eta)
+            for c, f in zip(m.cov.reshape(-1, n, n), m.chol.reshape(-1, n, n))]
+    return GateResult(*(np.array(v).reshape(m.cov.shape[:-2]) for v in zip(*runs)))
+
+
+def _gate(cov, L, eta):
+    """schur_gate's (open, det, logdet) of one covariance from its factor, None where it failed."""
     if L is not None:
         d = L.diagonal()
         logdet = 2.0 * float(np.log(d).sum())
@@ -174,13 +183,13 @@ def schur_gate(m, eta):
             det = math.inf
     else:
         try:
-            lam = np.linalg.eigvalsh(m.cov)
+            lam = np.linalg.eigvalsh(cov)
         except np.linalg.LinAlgError:
-            return GateResult(open=False, det=float("nan"), logdet=float("nan"))
+            return False, float("nan"), float("nan")
         det = math.prod(lam.tolist())
         logdet = float(np.log(lam).sum()) if lam[0] > 0 else -math.inf
     is_open = logdet > math.log(eta) if eta > 0 else det > eta
-    return GateResult(open=bool(is_open), det=det, logdet=logdet)
+    return bool(is_open), det, logdet
 
 
 def siegel_pencil_eigh(ms, mt, params=EmbeddingParams()):
@@ -199,12 +208,12 @@ def siegel_pencil_eigh(ms, mt, params=EmbeddingParams()):
     Lt, _ = spd_factor(mt.cov, mt.chol)
     n = ms.dim
     r = math.sqrt(params.a)
-    K = np.zeros((n + 1, n + 1))
-    K[:n, :n] = Ls_inv @ Lt
-    K[:n, n] = r * (Ls_inv @ (mt.mean - ms.mean))
-    K[n, n] = 1.0
-    Fs_inv = np.zeros((n + 1, n + 1))
-    Fs_inv[:n, :n] = Ls_inv
-    Fs_inv[:n, n] = -(Ls_inv @ ms.mean)
-    Fs_inv[n, n] = 1.0 / r
-    return congruent_eigh(Fs_inv, K @ K.T)
+    K = np.zeros((*ms.cov.shape[:-2], n + 1, n + 1))  # stacked moments: a stack of pencils
+    K[..., :n, :n] = Ls_inv @ Lt
+    K[..., :n, n:] = r * (Ls_inv @ (mt.mean - ms.mean)[..., None])
+    K[..., n, n] = 1.0
+    Fs_inv = np.zeros(K.shape)
+    Fs_inv[..., :n, :n] = Ls_inv
+    Fs_inv[..., :n, n:] = -(Ls_inv @ ms.mean[..., None])
+    Fs_inv[..., n, n] = 1.0 / r
+    return congruent_eigh(Fs_inv, K @ K.mT)

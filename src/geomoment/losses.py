@@ -7,7 +7,9 @@ moments. Gradients are hand-derived and checked against central finite
 differences in the test suite.
 """
 
-from dataclasses import dataclass
+import math
+from contextlib import suppress
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -37,7 +39,7 @@ class LossEval:
     value: float
     grad_source: np.ndarray
     grad_target: np.ndarray
-    zero_grad_reason: str = ""  # one of ZERO_GRAD_REASONS when both gradients were zeroed
+    zero_grad_reason: str = ""  # a ZERO_GRAD_REASONS name; a stack's: one per run, or GateClosed's
 
 
 def grad_embed(m, upstream, params=EmbeddingParams()):
@@ -45,8 +47,8 @@ def grad_embed(m, upstream, params=EmbeddingParams()):
     G = sym(upstream)
     a = params.a
     n = m.dim
-    Gtl = G[:n, :n]
-    dmean = a * (Gtl + Gtl.T) @ m.mean + 2.0 * a * G[:n, n]
+    Gtl = G[..., :n, :n]
+    dmean = (a * (Gtl + Gtl.mT) @ m.mean[..., None])[..., 0] + 2.0 * a * G[..., :n, n]
     return dmean, Gtl
 
 
@@ -59,18 +61,18 @@ def grad_moments(batch, mean, dmean, dcov):
     centered rows sum to zero.
     """
     data = np.asarray(batch, dtype=float)
-    b = data.shape[0]
-    row_dmean = np.asarray(dmean, dtype=float) / b
+    b = data.shape[-2]
+    row_dmean = np.asarray(dmean, dtype=float)[..., None, :] / b
     D = sym(dcov)
-    if not np.any(D):
+    if not D.any():
         return np.broadcast_to(row_dmean, data.shape).copy()
-    return (data - mean) @ (D * (2.0 / (b - 1))) + row_dmean
+    return (data - mean[..., None, :]) @ (D * (2.0 / (b - 1))) + row_dmean
 
 
 def _log_derivative_coeffs(lam):
     """Daleckii-Krein divided-difference table for the matrix logarithm."""
-    li = lam[:, None]
-    lj = lam[None, :]
+    li = lam[..., :, None]
+    lj = lam[..., None, :]
     diff = li - lj
     close = np.abs(diff) <= 1e-12 * np.maximum(li, lj)
     safe = np.where(close, 1.0, diff)
@@ -79,23 +81,23 @@ def _log_derivative_coeffs(lam):
 
 def _coral_frob(ms, mt, _params):
     diff = ms.cov - mt.cov
-    zero = np.zeros(ms.dim)
-    return float(np.sum(diff * diff)), ((zero, 2.0 * diff), (zero, -2.0 * diff)), ""
+    zero = np.zeros(ms.mean.shape)
+    return (diff * diff).sum(axis=(-2, -1)), ((zero, 2.0 * diff), (zero, -2.0 * diff)), ""
 
 
 def _log_euclid(ms, mt, _params):
     """Squared Frobenius distance of the covariances' matrix logs."""
     lam_s, Qs = spd_eigh(ms.cov)
     lam_t, Qt = spd_eigh(mt.cov)
-    Ls = sym((Qs * np.log(lam_s)) @ Qs.T)
-    Lt = sym((Qt * np.log(lam_t)) @ Qt.T)
+    Ls = sym((Qs * np.log(lam_s)[..., None, :]) @ Qs.mT)
+    Lt = sym((Qt * np.log(lam_t)[..., None, :]) @ Qt.mT)
     diff = Ls - Lt
-    zero = np.zeros(ms.dim)
+    zero = np.zeros(ms.mean.shape)
     Ks = _log_derivative_coeffs(lam_s)
     Kt = _log_derivative_coeffs(lam_t)
-    dcov_s = sym(Qs @ (Ks * (Qs.T @ (2.0 * diff) @ Qs)) @ Qs.T)
-    dcov_t = sym(Qt @ (Kt * (Qt.T @ (-2.0 * diff) @ Qt)) @ Qt.T)
-    return float(np.sum(diff * diff)), ((zero, dcov_s), (zero, dcov_t)), ""
+    dcov_s = sym(Qs @ (Ks * (Qs.mT @ (2.0 * diff) @ Qs)) @ Qs.mT)
+    dcov_t = sym(Qt @ (Kt * (Qt.mT @ (-2.0 * diff) @ Qt)) @ Qt.mT)
+    return (diff * diff).sum(axis=(-2, -1)), ((zero, dcov_s), (zero, dcov_t)), ""
 
 
 def _spectral(spectral_kind, ms, mt, params):
@@ -129,23 +131,46 @@ def dist_loss(zs, zt, kind, params=EmbeddingParams(), source_moments=None):
     meets a covariance that fails the SPD rule, and pencil_unresolved
     where a computed pencil eigenvalue is <= 0, beyond double precision.
     source_moments, when given, must be batch_moments(zs): the trainer's
-    gate already holds them, factored.
+    gate already holds them, factored. Stacks (..., b, n) give each run's
+    loss bit for bit as alone, or NaN, zero gradients and the GateClosed reason.
     """
     if kind not in DIST_KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {DIST_KINDS}")
     zs_data = np.asarray(zs, dtype=float)
     zt_data = np.asarray(zt, dtype=float)
-    if zs_data.ndim != 2 or zt_data.ndim != 2 or zs_data.shape[1] != zt_data.shape[1]:
+    if (zs_data.ndim < 2 or zt_data.ndim != zs_data.ndim or zs_data.shape[:-2] != zt_data.shape[:-2]
+            or zs_data.shape[-1] != zt_data.shape[-1]):
         raise ValueError(f"expected b x n batches of one width: {zs_data.shape}, {zt_data.shape}")
+    runs = zs_data.shape[:-2]
+    if not runs:
+        return _loss(zs_data, zt_data, kind, params, source_moments)
+    with suppress(GateClosed):  # the whole stack at once, unless a run is closed or zeroed
+        le = _loss(zs_data, zt_data, kind, params, source_moments)
+        if not le.zero_grad_reason:
+            return replace(le, zero_grad_reason=np.full(runs, ""))
+    alone = [_run_alone(zs_data[i], zt_data[i], kind, params) for i in np.ndindex(runs)]
+    return LossEval(*(np.reshape([getattr(le, f) for le in alone], shape) for f, shape in (
+        ("value", runs), ("grad_source", zs_data.shape), ("grad_target", zt_data.shape),
+        ("zero_grad_reason", runs))))
+
+
+def _run_alone(zs, zt, kind, params):
+    try:
+        return _loss(zs, zt, kind, params, None)
+    except GateClosed as exc:
+        return LossEval(math.nan, np.zeros_like(zs), np.zeros_like(zt), exc.reason)
+
+
+def _loss(zs_data, zt_data, kind, params, source_moments):
     if kind == "mean_euclid":  # the two means only, not the covariances
-        b = min(zs_data.shape[0], zt_data.shape[0])
+        b = min(zs_data.shape[-2], zt_data.shape[-2])
         if b < 2:
             raise BatchTooSmall(f"need at least 2 rows, got {b}")
-        mean_s = zs_data.mean(axis=0) if source_moments is None else source_moments.mean
-        mean_t = zt_data.mean(axis=0)
+        mean_s = zs_data.mean(axis=-2) if source_moments is None else source_moments.mean
+        mean_t = zt_data.mean(axis=-2)
         diff = mean_s - mean_t
-        zero = np.zeros((diff.size, diff.size))
-        value, zero_reason = float(diff @ diff), ""
+        zero = np.zeros(diff.shape + diff.shape[-1:])
+        value, zero_reason = np.vecdot(diff, diff), ""
         sides = (2.0 * diff, zero), (-2.0 * diff, zero)
     else:
         ms = batch_moments(zs_data) if source_moments is None else source_moments
@@ -166,4 +191,4 @@ def dist_loss(zs, zt, kind, params=EmbeddingParams(), source_moments=None):
         (dmean_s, dcov_s), (dmean_t, dcov_t) = sides
         gs = grad_moments(zs_data, mean_s, dmean_s, dcov_s)
         gt = grad_moments(zt_data, mean_t, dmean_t, dcov_t)
-    return LossEval(value, gs, gt, zero_reason)
+    return LossEval(value if value.ndim else float(value), gs, gt, zero_reason)

@@ -24,7 +24,7 @@ def batch_moments(batch):
     ValueError. The covariance may come out singular (identical rows);
     downstream gating detects that. A stack R x b x n of batches gives
     R x n means and R x n x n covariances, each run's bit for bit as
-    its batch alone (GaussianMoments.runs splits them).
+    its batch alone.
     """
     data = np.asarray(batch, dtype=float)
     if data.ndim < 2:
@@ -32,7 +32,7 @@ def batch_moments(batch):
     b = data.shape[-2]
     if b < 2:
         raise BatchTooSmall(f"need at least 2 rows, got {b}")
-    mean = data.mean(axis=-2)
+    mean = data.sum(axis=-2) / b  # numpy's mean, bit for bit, without its wrapper
     centered = data - mean[..., None, :]
     return GaussianMoments.trusted(mean, centered.mT @ centered / (b - 1))
 

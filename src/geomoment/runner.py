@@ -230,15 +230,15 @@ def run_experiment(cfg, metrics_path=None):
     return run_stack([cfg], metrics_path)[0]
 
 
-def run_stack(cfgs, metrics_path=None):
+def run_stack(cfgs, metrics_path=None, datasets=None):
     """Train configurations that differ in seed alone as one stack (trainer.train).
 
     Each run then writes its files as run_experiment does, in the given
     order, and the (metrics row, report) pairs are returned in that order.
     A run's wall_time_s is its share of the stack's training time: the
-    stack's time divided by its number of runs.
+    stack's time divided by its number of runs. datasets: the runs' _datasets, if made.
     """
-    sources, targets, eval_sources, eval_targets = zip(*(_datasets(cfg) for cfg in cfgs))
+    sources, targets, eval_sources, eval_targets = zip(*(datasets or map(_datasets, cfgs)))
     t0 = time.perf_counter()
     reports = train(
         [cfg.train_cfg for cfg in cfgs], cfgs[0].model_spec, sources, targets,
@@ -340,13 +340,16 @@ def sweep_dim(cfg, dims):
     seeds = cfg.sweep_seeds or (cfg.train_cfg.seed,)
     os.makedirs(out_dir, exist_ok=True)
     rows = []
+    datasets = None  # each seed's, generated once: they depend on the seed alone
     for dim in dims:
         regime = check_regime(cfg.train_cfg.batch_source, dim)
         for kind in kinds:
             reports = [None] * len(seeds)
             if regime.ok:
-                runs = run_stack([_with_dim(cfg, dim, kind, seed) for seed in seeds],
-                                 metrics_path=os.path.join(out_dir, "metrics.csv"))
+                cell = [_with_dim(cfg, dim, kind, seed) for seed in seeds]
+                datasets = datasets or [_datasets(run_cfg) for run_cfg in cell]
+                runs = run_stack(cell, metrics_path=os.path.join(out_dir, "metrics.csv"),
+                                 datasets=datasets)
                 reports = [report for _, report in runs]
             rows += [_sweep_row(dim, kind, seed, regime.ratio, report)
                      for seed, report in zip(seeds, reports)]

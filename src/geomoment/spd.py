@@ -39,7 +39,7 @@ _TRTRI = get_lapack_funcs("trtri", dtype=np.float64)
 def sym(M):
     """Exactly symmetric part (M + M^T) / 2."""
     M = np.asarray(M, dtype=float)
-    return 0.5 * (M + M.T)
+    return 0.5 * (M + M.mT)
 
 
 def check_symmetric(M):
@@ -112,14 +112,16 @@ def cholesky(M):
 
     The package's one factorization: a NaN in M may pass through into
     the factor without raising, which spd_factor then rejects. A stack
-    (R, n, n) gives the list of its R slices' factors, from one batched
-    call, or from one call per slice when any slice fails.
+    (..., n, n) gives its slices' factors as one array, from one batched call,
+    or from one call per slice (NaN where one fails) when any slice fails.
     """
     try:
-        L = np.linalg.cholesky(M)
+        return np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
-        return None if M.ndim == 2 else [cholesky(m) for m in M]
-    return L if M.ndim == 2 else list(L)
+        if M.ndim == 2:
+            return None
+        return np.stack([np.full(m.shape, np.nan) if L is None else L
+                         for m, L in zip(M, map(cholesky, M))])
 
 
 def lower_inverse(L):
@@ -133,12 +135,14 @@ def lower_inverse(L):
 def spd_factor(M, L):
     """(L, L^{-1}) of a symmetric M under the rule lambda_min(M) > spd_tol(M).
 
-    L is M's Cholesky factor, or None where it failed. Since
-    ||L^{-1}||_F^2 = tr(M^{-1}) >= 1/lambda_min, tol * ||L^{-1}||_F^2 < 1/2
-    proves lambda_min > 2 tol, and M is accepted at once. Otherwise an
-    eigensolve decides exactly and a rejection raises NotPositiveDefinite
-    with lambda_min; so does an accepted M with no finite factor pair.
+    L is M's Cholesky factor, or None (NaN in a stack) where it failed.
+    Since ||L^{-1}||_F^2 = tr(M^{-1}) >= 1/lambda_min, tol * ||L^{-1}||_F^2 < 1/2
+    proves lambda_min > 2 tol, and M is accepted at once. Otherwise an eigensolve
+    decides exactly and a rejection raises NotPositiveDefinite with lambda_min;
+    so does an accepted M with no finite factor pair, and any slice of a stack.
     """
+    if M.ndim > 2:
+        return L, np.stack([spd_factor(m, f)[1] for m, f in zip(M, L)])
     Linv = None if L is None else lower_inverse(L)
     tol = spd_tol(M)
     # in Python floats: 0 * inf (tol underflows for a subnormal M) is NaN without a warning
@@ -152,7 +156,8 @@ def spd_factor(M, L):
 def spd_eigh(M):
     """eigh_sym(M) of a symmetric M, with spd_factor's rule decided on its eigenvalues."""
     lam, Q = eigh_sym(M)
-    _spd_rule(float(lam[0]), spd_tol(M))
+    for lam_min, m in zip(lam[..., 0].ravel().tolist(), M.reshape(-1, *M.shape[-2:])):
+        _spd_rule(lam_min, spd_tol(m))  # slice by slice
     return lam, Q
 
 
@@ -188,49 +193,49 @@ def congruent_eigh(Finv, M):
     eigenvectors Y, so that V^T P1 V = I and P2 V = P1 V diag(lam).
     """
     lam, Y = eigh_sym(M)
-    return lam, Finv.T @ Y
+    return lam, Finv.mT @ Y
 
 
 def _positive(lam):
     # lam > 0 everywhere also rejects the NaN spectrum of a non-finite pencil
-    if not np.all(lam > 0):
+    if not (lam > 0).all():
         lam_min = float(np.min(lam))
         raise NonPositiveSpectrum(f"pencil eigenvalue {lam_min:.6e} <= 0", lambda_min=lam_min)
     return lam
 
 
 def _airm(lam):
-    return float(np.sqrt(0.5 * np.sum(np.log(_positive(lam)) ** 2)))
+    return np.sqrt(0.5 * (np.log(_positive(lam)) ** 2).sum(axis=-1))
 
 
 def _airm_slope(lam, value):
-    if value < DIST_EPS:
-        raise NearZeroDistance(f"distance {value:.3e} below {DIST_EPS:.1e}")
-    return np.log(lam) / (2.0 * value * lam)
+    nearest = min(np.ravel(value).tolist())
+    if nearest < DIST_EPS:
+        raise NearZeroDistance(f"distance {nearest:.3e} below {DIST_EPS:.1e}")
+    return np.log(lam) / ((2.0 * np.asarray(value))[..., None] * lam)
 
 
 def _hilbert(lam):
-    return float(np.log(_positive(lam)[-1]) - np.log(lam[0]))
+    return np.log(_positive(lam)[..., -1]) - np.log(lam[..., 0])
 
 
 def _hilbert_slope(lam, value):
     # a degenerate extreme eigenspace shares its slope evenly: a deterministic subgradient
-    lo, hi = lam[0], lam[-1]
+    lo, hi = lam[..., :1], lam[..., -1:]
     top = lam >= hi * (1.0 - DEGEN_RTOL)
     bottom = lam <= lo * (1.0 + DEGEN_RTOL)
-    if np.any(top & bottom):
-        raise DegenerateSpectrum(f"pencil spectrum collapses: [{lo:.6e}, {hi:.6e}]")
-    slope = np.zeros_like(lam)
-    slope[top] = 1.0 / (hi * np.count_nonzero(top))
-    slope[bottom] = -1.0 / (lo * np.count_nonzero(bottom))
-    return slope
+    if (top & bottom).any():
+        raise DegenerateSpectrum(f"pencil spectrum collapses: [{np.min(lo):.6e}, {np.max(hi):.6e}]")
+    # 1/(hi * count) on top, -1/(lo * count) on bottom and +0 elsewhere, as True / x is 1 / x
+    up = top / (hi * top.sum(axis=-1, keepdims=True))
+    return up - bottom / (lo * bottom.sum(axis=-1, keepdims=True))
 
 
 SpectralKind = namedtuple("SpectralKind", "value slope")
 
-# kind -> (value(lam), slope(lam, value) = d value / d lam) of an ascending pencil
-# spectrum; a value raises NonPositiveSpectrum on an eigenvalue <= 0, a slope
-# NearZeroDistance or DegenerateSpectrum where the gradient is undefined
+# kind -> (value(lam), slope(lam, value) = d value / d lam) of ascending pencil spectra
+# (..., n), each slice's as alone; a value raises NonPositiveSpectrum on an eigenvalue
+# <= 0, a slope NearZeroDistance or DegenerateSpectrum where a gradient is undefined
 SPECTRAL_KINDS = {
     "airm": SpectralKind(_airm, _airm_slope),  # sqrt(0.5 sum log^2 lambda_i)
     "hilbert": SpectralKind(_hilbert, _hilbert_slope),  # log(lambda_max / lambda_min)
@@ -243,18 +248,18 @@ def pencil_grads(lam, V, slope):
     (lam, V) are the eigenpairs of pencil_eigh, P2 v = lam P1 v with
     v^T P1 v = 1, for which d lam/dP2 = v v^T and d lam/dP1 = -lam v v^T.
     """
-    Vs = V * slope
-    return sym(-(Vs * lam) @ V.T), sym(Vs @ V.T)
+    Vs = V * slope[..., None, :]
+    return sym(-(Vs * lam[..., None, :]) @ V.mT), sym(Vs @ V.mT)
 
 
 def dist_airm(P1, P2):
     """Affine-invariant Riemannian distance sqrt(0.5 * sum log^2 lambda_i(P1^{-1}P2))."""
-    return SPECTRAL_KINDS["airm"].value(pencil_eigvals(P1, P2))
+    return float(SPECTRAL_KINDS["airm"].value(pencil_eigvals(P1, P2)))
 
 
 def dist_hilbert(P1, P2):
     """Hilbert projective distance log(lambda_max / lambda_min) of P1^{-1}P2."""
-    return SPECTRAL_KINDS["hilbert"].value(pencil_eigvals(P1, P2))
+    return float(SPECTRAL_KINDS["hilbert"].value(pencil_eigvals(P1, P2)))
 
 
 def dist_logeuclid(P1, P2):

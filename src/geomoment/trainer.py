@@ -15,7 +15,7 @@ import numpy as np
 
 from .embedding import schur_gate
 from .errors import GateClosed, NonFiniteLoss, RegimeViolation
-from .losses import DIST_KINDS, GATE_CLOSED_REASONS, ZERO_GRAD_REASONS, dist_loss
+from .losses import DIST_KINDS, GATE_CLOSED_REASONS, ZERO_GRAD_REASONS, LossEval, dist_loss
 from .matrixio import csv_line
 from .moments import batch_moments, check_regime
 from .network import (
@@ -136,6 +136,11 @@ def _task_loss(spec, out, xb, yb):
     return mse_loss(out, xb)
 
 
+def _per_run(result):
+    """A stacked call's per-run results as a list; a single run's result as a list of one."""
+    return result.tolist() if isinstance(result, np.ndarray) else [result]
+
+
 def _rows(arrays):
     """The runs' arrays as one block of rows; one run's array as it is."""
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
@@ -151,8 +156,8 @@ def train(config, spec, source, target, eval_source=None, eval_target=None):
     alone and, per run, one source, target and (optional) eval set, all
     of one shape; the result is then the list of the runs' reports. Each
     step trains every run of the stack at once, over a leading run axis
-    of the network, its losses, the source moments and Adam; each run
-    keeps its own Philox batch draws, gate latch, distance loss and
+    of the network, its losses, the source moments, gate, distance loss
+    and Adam; each run keeps its own Philox batch draws, gate latch and
     evaluation, and its report equals the one it gets alone, bit for
     bit. A single config is the one-run stack, kept without a run axis.
     """
@@ -185,7 +190,6 @@ def train(config, spec, source, target, eval_source=None, eval_target=None):
     ep = encoder_plan(spec)
     hp = head_plan(spec)
     n_enc = len(ep)
-    n = spec.embed_dim
     evals = [e for e in eval_sources + eval_targets if e is not None]
     buffers = forward_buffers(spec, max(e.x.shape[0] for e in evals)) if evals else None
 
@@ -243,52 +247,46 @@ def train(config, spec, source, target, eval_source=None, eval_target=None):
                     raise non_finite("task", epoch, step, r, value)
             dz, head_grads = stack_backward(hp, params[n_enc:], head_caches, dout)
 
-            # each run's factored moments, shared by its gate and its distance loss
-            ms = batch_moments(z_s).runs()
-            adapting = []
-            for r, m in enumerate(ms):
-                gate = schur_gate(m, cfg.eta)
-                det_sum[r] += gate.det
-                if gate.open and not latch[r]:
+            # the runs' moments, factored once for the gate and the distance loss
+            ms = batch_moments(z_s).factored()
+            gate = schur_gate(ms, cfg.eta)
+            det_sum += gate.det
+            for r, is_open in enumerate(_per_run(gate.open)):
+                if is_open and not latch[r]:
                     latch[r] = True
                     gate_open_epoch[r] = epoch + 1
-                if latch[r] and cfg.beta > 0:
-                    adapting.append(r)
+            adapting = [r for r in range(R) if latch[r]] if cfg.beta > 0 else []
 
             grads_t = None
             if adapting:
                 sub = slice(None) if len(adapting) == R else adapting  # the adapting runs
                 enc_t = [[W[sub], b[sub]] for W, b in params[:n_enc]]
                 z_t, t_caches = stack_forward(ep, enc_t, xt[rows_t[sub]])
-                z_s_runs = z_s.reshape(R, bs, n)
-                z_t_runs = z_t.reshape(len(adapting), bt, n)
-                dz_runs = dz.reshape(R, bs, n)
-                up = np.empty_like(z_t)  # the adapting runs' upstream target gradients
-                up_runs = up.reshape(len(adapting), bt, n)
-                done = []
+                try:
+                    le = dist_loss(z_s[sub], z_t, cfg.dist_kind, source_moments=ms[sub])
+                except GateClosed as exc:  # a single run's call raises what a stack reports
+                    le = LossEval(math.nan, None, None, exc.reason)
+                values, reasons = _per_run(le.value), _per_run(le.zero_grad_reason)
+                done = []  # positions in adapting of the runs whose gate stayed open
                 for k, r in enumerate(adapting):
-                    try:
-                        le = dist_loss(z_s_runs[r], z_t_runs[k], cfg.dist_kind,
-                                       source_moments=ms[r])
-                    except GateClosed as exc:
-                        up_runs[k] = 0.0
+                    if reasons[k] in GATE_CLOSED_REASONS:
                         skipped[r, epoch] += 1
-                        skipped_by_reason[r][exc.reason] += 1
+                        skipped_by_reason[r][reasons[k]] += 1
                         continue
-                    if not math.isfinite(le.value):
-                        raise non_finite("dist", epoch, step, r, le.value)
-                    dist_sum[r] += le.value
+                    if not math.isfinite(values[k]):
+                        raise non_finite("dist", epoch, step, r, values[k])
+                    dist_sum[r] += values[k]
                     dist_steps[r] += 1
-                    if le.zero_grad_reason:
-                        zeroed[r][le.zero_grad_reason] += 1
-                    dz_runs[r] += cfg.beta * le.grad_source
-                    np.multiply(cfg.beta, le.grad_target, out=up_runs[k])
+                    if reasons[k]:
+                        zeroed[r][reasons[k]] += 1
                     done.append(k)
                 if done:
-                    _, grads_t = stack_backward(ep, enc_t, t_caches, up)
-                    if len(done) < len(adapting):  # a skipped run's gradients are dropped
+                    gs = le.grad_source
+                    _, grads_t = stack_backward(ep, enc_t, t_caches, cfg.beta * le.grad_target)
+                    if len(done) < len(adapting):  # a closed run's gradients are dropped
                         grads_t = [[a[done] for a in g] for g in grads_t]
-                        sub = [adapting[k] for k in done]
+                        sub, gs = [adapting[k] for k in done], gs[done]
+                    dz[sub] += cfg.beta * gs
 
             _, enc_grads = stack_backward(ep, params[:n_enc], enc_caches, dz)
             if grads_t is not None:

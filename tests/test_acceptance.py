@@ -77,20 +77,12 @@ def _report(num, ok, detail):
     assert ok, f"criterion {num} failed: {detail}"
 
 
-def _blobs_run(kind, beta, seed):
-    data = gen_blobs(dataclasses.replace(BLOBS, seed=seed))
-    cfg = dataclasses.replace(BLOBS_TRAIN, dist_kind=kind, beta=beta, seed=seed)
-    rep = train(cfg, BLOBS_SPEC, data.source_train, data.target_train,
-                data.source_eval, data.target_eval)
-    return rep
-
-
-def _denoise_run(kind, beta, seed):
-    data = gen_denoise(dataclasses.replace(DENOISE, seed=seed))
-    cfg = dataclasses.replace(DENOISE_TRAIN, dist_kind=kind, beta=beta, seed=seed)
-    rep = train(cfg, DENOISE_SPEC, data.source_train, data.target_train,
-                data.source_eval, data.target_eval)
-    return rep
+def _stacked_runs(gen, data_cfg, train_cfg, spec, kind, beta, seeds):
+    """Each seed's report of one method, its seeds trained as one stack (bit for bit as alone)."""
+    data = [gen(dataclasses.replace(data_cfg, seed=s)) for s in seeds]
+    cfgs = [dataclasses.replace(train_cfg, dist_kind=kind, beta=beta, seed=s) for s in seeds]
+    sets = [(d.source_train, d.target_train, d.source_eval, d.target_eval) for d in data]
+    return train(cfgs, spec, *zip(*sets))
 
 
 def test_criterion_1_metric_axioms():
@@ -249,7 +241,8 @@ def test_criterion_6_blobs_classification():
         ("hilbert", "hilbert", 0.1),
     ):
         t0 = time.perf_counter()
-        accs = [float(_blobs_run(kind, beta, s).target_metric[-1]) for s in seeds]
+        reports = _stacked_runs(gen_blobs, BLOBS, BLOBS_TRAIN, BLOBS_SPEC, kind, beta, seeds)
+        accs = [float(rep.target_metric[-1]) for rep in reports]
         times[label] = time.perf_counter() - t0
         means[label] = float(np.mean(accs))
     chance = 1.0 / BLOBS.num_classes
@@ -281,7 +274,9 @@ def test_criterion_7_denoise_reconstruction():
         ("hilbert", "hilbert", 0.1),
     ):
         t0 = time.perf_counter()
-        errs = [float(_denoise_run(kind, beta, s).target_metric[-1]) for s in seeds]
+        reports = _stacked_runs(gen_denoise, DENOISE, DENOISE_TRAIN, DENOISE_SPEC, kind, beta,
+                                seeds)
+        errs = [float(rep.target_metric[-1]) for rep in reports]
         times[label] = time.perf_counter() - t0
         means[label] = float(np.mean(errs))
     ok = (

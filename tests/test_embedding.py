@@ -15,6 +15,7 @@ from geomoment.embedding import (
     unembed,
 )
 from geomoment.errors import NotInImage, NotPositiveDefinite
+from geomoment.moments import batch_moments
 from geomoment.spd import pencil_eigh, validate_spd
 from geomoment.rng import stream
 from helpers import rand_orthogonal, rand_spd, rng_for
@@ -178,6 +179,43 @@ def test_gate_fallback_on_singular_and_indefinite_covariances():
     # an even count of negative eigenvalues gives det > eta, but no Cholesky factor
     g = schur_gate(GaussianMoments(mean=np.zeros(3), cov=np.diag([-1.0, -2.0, 3.0])), 1.0)
     assert g.det == pytest.approx(6.0) and not g.open and g.logdet == -np.inf
+
+
+# name -> a b x 3 batch builder, by the gate path its moments take alone
+GATE_RUNS = {
+    "normal": lambda rng: rng.standard_normal((30, 3)),
+    "singular": lambda rng: np.tile(rng.standard_normal(3), (30, 1)),  # eigvalsh fallback
+    "rank one": lambda rng: np.outer(rng.standard_normal(30), rng.standard_normal(3)),
+    "det overflows": lambda rng: 1e110 * rng.standard_normal((30, 3)),
+    "det underflows": lambda rng: 1e-110 * rng.standard_normal((30, 3)),
+}
+
+
+@pytest.mark.parametrize("eta", [0.02, 1e-8, 0.0, math.inf, math.nan])
+def test_stacked_gate_equals_each_run_alone(eta, monkeypatch):
+    rng = rng_for("gate-stack")
+    z = np.stack([GATE_RUNS[name](rng) for name in ("normal", "singular", "rank one",
+                                                     "det overflows", "normal",
+                                                     "det underflows")])
+    stacked = batch_moments(z).factored()
+    fallbacks = []
+    real = np.linalg.eigvalsh
+
+    def counted(M):
+        fallbacks.append(M.shape)
+        return real(M)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    g = schur_gate(stacked, eta)
+    assert fallbacks == [(3, 3)] * 2  # the singular and rank-one slices only
+    assert g.open.shape == g.det.shape == g.logdet.shape == (len(z),)
+    for i, zi in enumerate(z):
+        alone = schur_gate(batch_moments(zi), eta)
+        assert type(alone.open) is bool and type(alone.det) is float
+        assert bool(g.open[i]) is alone.open
+        assert np.float64(g.det[i]).tobytes() == np.float64(alone.det).tobytes()
+        assert np.float64(g.logdet[i]).tobytes() == np.float64(alone.logdet).tobytes()
+    assert g.det[3] == math.inf and g.det[5] == 0.0 and g.logdet[1] == -math.inf
 
 
 def _assert_solves_pencil(P1, P2, lam, V):

@@ -486,3 +486,84 @@ def test_grad_moments_fd():
         j = int(rng.integers(3))
         fd = central_diff(f, z, (i, j))
         assert abs(fd - rows[i, j]) <= 1e-6 * max(1.0, abs(fd))
+
+
+# ----------------------------------------------------------- stacked runs
+
+
+def _unresolved_pair(rng, b, n):
+    """A batch pair whose covariances pass the SPD rule but whose pencil is unresolved."""
+    lam = np.geomspace(1.0, 1e-10, n)
+    while True:
+        zs, zt = (_batch_with_spectrum(rng, b, rand_orthogonal(rng, n), lam) for _ in range(2))
+        try:
+            for kind in ("airm", "hilbert"):
+                dist_loss(zs, zt, kind)
+        except GateClosed as exc:
+            if exc.reason == "pencil_unresolved" and all(
+                    not _validate_rejects(batch_moments(z).cov) for z in (zs, zt)):
+                return zs, zt
+
+
+def _stack_run(name, rng, b=35, n=3):
+    """(zs, zt) of one run of a stack, by the outcome its call alone has."""
+    zs, zt = rand_batches(rng, b, n)
+    if name == "constant target":  # covariance_not_spd for airm, hilbert and log_euclid
+        zt = np.tile(zt[0], (b, 1))
+    elif name == "identical":  # NearZeroDistance for airm, DegenerateSpectrum for hilbert
+        zt = zs.copy()
+    elif name == "unresolved":  # pencil_unresolved for airm and hilbert
+        zs, zt = _unresolved_pair(rng, b, n)
+    return zs, zt
+
+
+# name -> the runs of one stack, by the outcome each has alone
+STACKS = {
+    "normal runs": ("normal", "normal", "normal"),
+    "a constant target": ("normal", "constant target", "normal"),
+    "identical batches": ("identical", "normal", "normal"),
+    "an unresolved pencil": ("normal", "normal", "unresolved"),
+    "every outcome": ("unresolved", "normal", "identical", "constant target", "normal"),
+}
+# kind -> run name -> its reason, where that is not ""
+REASONS = {
+    "airm": {"constant target": "covariance_not_spd", "identical": "NearZeroDistance",
+             "unresolved": "pencil_unresolved"},
+    "hilbert": {"constant target": "covariance_not_spd", "identical": "DegenerateSpectrum",
+                "unresolved": "pencil_unresolved"},
+    "log_euclid": {"constant target": "covariance_not_spd"},
+}
+
+
+@pytest.mark.parametrize("kind", DIST_KINDS)
+@pytest.mark.parametrize("stack", STACKS)
+def test_stacked_loss_equals_each_run_alone(stack, kind):
+    rng = rng_for(f"loss-stack-{stack}")
+    zs, zt = map(np.stack, zip(*(_stack_run(name, rng) for name in STACKS[stack])))
+    stacked = dist_loss(zs, zt, kind)
+    factored = batch_moments(zs).factored()
+    given_moments = dist_loss(zs, zt, kind, source_moments=factored)
+    pair = dist_loss(zs[[1, 2]], zt[[1, 2]], kind, source_moments=factored[[1, 2]])
+    for got in (stacked, given_moments):
+        assert got.grad_source.shape == zs.shape and got.grad_target.shape == zt.shape
+        for f in ("value", "grad_source", "grad_target", "zero_grad_reason"):
+            want = np.asarray(getattr(stacked, f))
+            assert np.asarray(getattr(got, f)).tobytes() == want.tobytes()
+    for i in range(len(zs)):
+        try:
+            alone = dist_loss(zs[i], zt[i], kind)
+        except GateClosed as exc:
+            assert stacked.zero_grad_reason[i] == exc.reason
+            assert np.isnan(stacked.value[i])
+            assert not np.any(stacked.grad_source[i]) and not np.any(stacked.grad_target[i])
+            continue
+        assert stacked.zero_grad_reason[i] == alone.zero_grad_reason
+        assert np.float64(stacked.value[i]).tobytes() == np.float64(alone.value).tobytes()
+        assert stacked.grad_source[i].tobytes() == alone.grad_source.tobytes()
+        assert stacked.grad_target[i].tobytes() == alone.grad_target.tobytes()
+    for j, i in enumerate((1, 2)):  # a subset of the runs, with their kept source factors
+        assert pair.zero_grad_reason[j] == stacked.zero_grad_reason[i]
+        assert pair.grad_source[j].tobytes() == stacked.grad_source[i].tobytes()
+        assert pair.grad_target[j].tobytes() == stacked.grad_target[i].tobytes()
+    want = [REASONS.get(kind, {}).get(name, "") for name in STACKS[stack]]
+    assert stacked.zero_grad_reason.tolist() == want

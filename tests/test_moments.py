@@ -66,16 +66,16 @@ def test_cholesky_factor_computed_once_on_factored_moments(monkeypatch):
     assert np.allclose(L @ L.T, m.cov, rtol=0, atol=1e-14)
     # plain moments keep no factor; factored ones compute it once and keep it
     assert np.array_equal(m.chol, L) and calls == [(3, 3)] * 2
-    (f,) = m.runs()
+    f = m.factored()
     assert f.mean is m.mean and f.cov is m.cov and calls == [(3, 3)] * 3
     assert f.chol is f.chol and np.array_equal(f.chol, L) and calls == [(3, 3)] * 3
     assert "_chol" not in m.__dict__
     singular = batch_moments(np.tile([1.0, 2.0], (5, 1)))
-    assert singular.chol is None and singular.runs()[0].chol is None
+    assert singular.chol is None and singular.factored().chol is None
 
 
 def test_stacked_moments_equal_each_batch_alone(monkeypatch):
-    # one batched Cholesky, and one per slice once any slice fails
+    # one batched Cholesky, and one per slice once any slice fails; a failed slice is NaN
     rng = rng_for("moments-stack")
     batches = [rng.standard_normal((20, 3)) for _ in range(3)]
     calls = []
@@ -90,16 +90,22 @@ def test_stacked_moments_equal_each_batch_alone(monkeypatch):
         stack = np.stack([np.tile([1.0, 2.0, 3.0], (20, 1)) if i == singular else z
                           for i, z in enumerate(batches)])
         calls.clear()
-        runs = batch_moments(stack).runs()
+        stacked = batch_moments(stack).factored()
+        runs = [stacked[i] for i in range(len(stack))]
         assert calls == ([(3, 3, 3)] if singular is None else [(3, 3, 3)] + [(3, 3)] * 3)
         for i, (run, z) in enumerate(zip(runs, stack, strict=True)):
-            (alone,) = batch_moments(z).runs()
+            alone = batch_moments(z).factored()
             assert run.mean.tobytes() == alone.mean.tobytes()
             assert run.cov.tobytes() == alone.cov.tobytes()
             if i == singular:
-                assert run.chol is None and alone.chol is None
+                assert np.isnan(run.chol).all() and alone.chol is None
             else:
                 assert run.chol.tobytes() == alone.chol.tobytes()
+        # a subset of the runs keeps their factors, with no new factorization
+        calls.clear()
+        pair = stacked[[0, 2]]
+        assert pair.chol.tobytes() == np.stack([runs[0].chol, runs[2].chol]).tobytes()
+        assert pair.mean.tobytes() == stacked.mean[[0, 2]].tobytes() and calls == []
 
 
 def test_gaussian_batches_are_spd():
