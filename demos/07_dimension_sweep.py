@@ -7,7 +7,8 @@ batch-per-dimension rule are flagged instead of run: with too few
 samples per dimension the batch covariance turns rank deficient and the
 embedded matrix stops being invertible.
 
-Writes runs/demo_sweep/sweep.csv; takes a couple of minutes.
+Writes runs/demo_sweep/sweep.csv; takes about 2 s (1.6-2.1 s measured
+on a 2-core machine with OPENBLAS_NUM_THREADS=1).
 """
 
 from geomoment.runner import build_run_config, parse_config_text, sweep_dim

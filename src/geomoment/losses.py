@@ -166,8 +166,9 @@ def _loss(zs_data, zt_data, kind, params, source_moments):
         b = min(zs_data.shape[-2], zt_data.shape[-2])
         if b < 2:
             raise BatchTooSmall(f"need at least 2 rows, got {b}")
-        mean_s = zs_data.mean(axis=-2) if source_moments is None else source_moments.mean
-        mean_t = zt_data.mean(axis=-2)
+        mean_s = (zs_data.sum(axis=-2) / zs_data.shape[-2] if source_moments is None
+                  else source_moments.mean)  # numpy's means, without its wrapper
+        mean_t = zt_data.sum(axis=-2) / zt_data.shape[-2]
         diff = mean_s - mean_t
         zero = np.zeros(diff.shape + diff.shape[-1:])
         value, zero_reason = np.vecdot(diff, diff), ""

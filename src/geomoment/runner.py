@@ -20,7 +20,7 @@ from .losses import DIST_KINDS
 from .matrixio import csv_line
 from .moments import check_regime
 from .network import ACTIVATIONS, ClassifierHead, DecoderHead, ModelSpec
-from .trainer import TrainConfig, train
+from .trainer import TrainConfig, batch_rows, batch_sizes, train
 
 METRICS_HEADER = (
     "task,dist_kind,seed,embed_dim,beta,eta,epochs,"
@@ -230,19 +230,19 @@ def run_experiment(cfg, metrics_path=None):
     return run_stack([cfg], metrics_path)[0]
 
 
-def run_stack(cfgs, metrics_path=None, datasets=None):
+def run_stack(cfgs, metrics_path=None, datasets=None, batches=None):
     """Train configurations that differ in seed alone as one stack (trainer.train).
 
-    Each run then writes its files as run_experiment does, in the given
-    order, and the (metrics row, report) pairs are returned in that order.
-    A run's wall_time_s is its share of the stack's training time: the
-    stack's time divided by its number of runs. datasets: the runs' _datasets, if made.
+    Each run then writes its files as run_experiment does, and the (metrics
+    row, report) pairs are returned, in the given order. A run's wall_time_s
+    is the stack's training time divided by its number of runs.
+    datasets, batches: the runs' _datasets and train's batches, if made.
     """
     sources, targets, eval_sources, eval_targets = zip(*(datasets or map(_datasets, cfgs)))
     t0 = time.perf_counter()
     reports = train(
         [cfg.train_cfg for cfg in cfgs], cfgs[0].model_spec, sources, targets,
-        eval_source=eval_sources, eval_target=eval_targets,
+        eval_source=eval_sources, eval_target=eval_targets, batches=batches,
     )
     wall = (time.perf_counter() - t0) / len(cfgs)
     return [_write_run(cfg, report, wall, metrics_path) for cfg, report in zip(cfgs, reports)]
@@ -331,25 +331,29 @@ def sweep_dim(cfg, dims):
 
     Every output lands under cfg.out_dir: the sweep files at its root and
     each run's report in a d{dim}_{kind}_s{seed} subdirectory. The seeds
-    of one (dim, kind) cell train as one stack (run_stack). Dims that
-    violate the 10x batch-size regime are recorded as flagged rows with
-    NaN metrics instead of being run.
+    of one (dim, kind) cell train as one stack (run_stack), on each seed's
+    datasets and batch rows (trainer.batch_rows), made once. Dims that
+    violate the 10x batch-size regime are flagged rows with NaN metrics, not run.
     """
     out_dir = cfg.out_dir
     kinds = cfg.sweep_kinds or (cfg.train_cfg.dist_kind,)
     seeds = cfg.sweep_seeds or (cfg.train_cfg.seed,)
     os.makedirs(out_dir, exist_ok=True)
     rows = []
-    datasets = None  # each seed's, generated once: they depend on the seed alone
+    datasets = batches = None  # each seed's: they depend on the seed alone
     for dim in dims:
         regime = check_regime(cfg.train_cfg.batch_source, dim)
         for kind in kinds:
             reports = [None] * len(seeds)
             if regime.ok:
                 cell = [_with_dim(cfg, dim, kind, seed) for seed in seeds]
-                datasets = datasets or [_datasets(run_cfg) for run_cfg in cell]
+                if datasets is None:
+                    datasets = [_datasets(run_cfg) for run_cfg in cell]
+                    draws = batch_rows(seeds, *batch_sizes(
+                        cfg.train_cfg, len(datasets[0][0].x), len(datasets[0][1].x)))
+                    batches = [next(draws) for _ in range(cfg.train_cfg.epochs)]
                 runs = run_stack(cell, metrics_path=os.path.join(out_dir, "metrics.csv"),
-                                 datasets=datasets)
+                                 datasets=datasets, batches=batches)
                 reports = [report for _, report in runs]
             rows += [_sweep_row(dim, kind, seed, regime.ratio, report)
                      for seed, report in zip(seeds, reports)]
@@ -364,12 +368,9 @@ def sweep_dim(cfg, dims):
     best = {}
     for kind in kinds:
         scored = {}
-        for r in rows:
-            if r["kind"] != kind or not r["regime_ok"]:
-                continue
-            if not math.isfinite(r["target_metric"]):
-                continue
-            scored.setdefault(r["dim"], []).append(r["target_metric"])
+        for r in rows:  # a dim that was not run has NaN metrics
+            if r["kind"] == kind and math.isfinite(r["target_metric"]):
+                scored.setdefault(r["dim"], []).append(r["target_metric"])
         if not scored:
             continue
         means = {d: sum(v) / len(v) for d, v in scored.items()}

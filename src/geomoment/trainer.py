@@ -146,7 +146,30 @@ def _rows(arrays):
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
-def train(config, spec, source, target, eval_source=None, eval_target=None):
+def batch_sizes(cfg, n_s, n_t):
+    """batch_rows' sizes (n_s, bs, n_t, bt, steps_per_epoch) for runs on n_s and n_t rows."""
+    bs = min(cfg.batch_source, n_s)
+    return n_s, bs, n_t, min(cfg.batch_target, n_t), max(1, n_s // bs)
+
+
+def batch_rows(seeds, n_s, bs, n_t, bt, steps_per_epoch):
+    """Yield each epoch's (rows_s, rows_t) of a stack of runs, int32 (steps, runs, b) blocks.
+
+    Step k of run r is the k-th choice(n, size=b, replace=False) of its
+    seed's own Philox source or target batch stream, plus r * n.
+    """
+    sides = [([stream(seed, sid) for seed in seeds], n, b)
+             for sid, n, b in ((STREAM_SOURCE_BATCH, n_s, bs), (STREAM_TARGET_BATCH, n_t, bt))]
+    while True:
+        blocks = tuple(np.empty((steps_per_epoch, len(seeds), b), np.int32) for _, _, b in sides)
+        for block, (gens, n, b) in zip(blocks, sides):
+            for k, r in np.ndindex(block.shape[:2]):
+                block[k, r] = gens[r].choice(n, size=b, replace=False)
+            block += np.arange(0, len(seeds) * n, n, dtype=np.int32)[:, None]
+        yield blocks
+
+
+def train(config, spec, source, target, eval_source=None, eval_target=None, batches=None):
     """Run the gated two-phase optimization and return the epoch report.
 
     source is a LabeledSet, target a FeatureSet (no labels, by type).
@@ -157,12 +180,14 @@ def train(config, spec, source, target, eval_source=None, eval_target=None):
     of one shape; the result is then the list of the runs' reports. Each
     step trains every run of the stack at once, over a leading run axis
     of the network, its losses, the source moments, gate, distance loss
-    and Adam; each run keeps its own Philox batch draws, gate latch and
-    evaluation, and its report equals the one it gets alone, bit for
-    bit. A single config is the one-run stack, kept without a run axis.
+    and Adam; each run keeps its own gate latch and evaluation, and its
+    report equals the one it gets alone, bit for bit. A single config is
+    the one-run stack, kept without a run axis. Each epoch's steps read
+    their rows from a batch_rows block: batches[epoch], or drawn lazily.
     """
     if isinstance(config, TrainConfig):
-        return train((config,), spec, (source,), (target,), (eval_source,), (eval_target,))[0]
+        return train((config,), spec, (source,), (target,), (eval_source,), (eval_target,),
+                     batches)[0]
     configs, sources, targets = tuple(config), tuple(source), tuple(target)
     R = len(configs)
     cfg = configs[0]
@@ -193,21 +218,16 @@ def train(config, spec, source, target, eval_source=None, eval_target=None):
     evals = [e for e in eval_sources + eval_targets if e is not None]
     buffers = forward_buffers(spec, max(e.x.shape[0] for e in evals)) if evals else None
 
-    streams = [(stream(c.seed, STREAM_SOURCE_BATCH), stream(c.seed, STREAM_TARGET_BATCH))
-               for c in configs]
-    n_s = sources[0].x.shape[0]
-    n_t = targets[0].x.shape[0]
-    bs = min(cfg.batch_source, n_s)
-    bt = min(cfg.batch_target, n_t)
-    steps_per_epoch = max(1, n_s // bs)
+    sizes = _, bs, _, bt, steps_per_epoch = batch_sizes(cfg, len(sources[0].x), len(targets[0].x))
+    if batches is not None and (len(batches) != cfg.epochs or any((s.shape, t.shape) != (
+            (steps_per_epoch, R, bs), (steps_per_epoch, R, bt)) for s, t in batches)):
+        raise ValueError(f"batches needs {cfg.epochs} epochs of ({steps_per_epoch}, {R}, b) rows")
+    batches = batches or batch_rows([c.seed for c in configs], *sizes)  # drawn epoch by epoch
     # every run's rows, stacked; a batch indexes them with its run's row offset
     xs = _rows([s.x for s in sources])
     ys = _rows([s.y for s in sources]) if classifier else None
     xt = _rows([t.x for t in targets])
-    idx_s = np.empty((R, bs), dtype=np.intp)
-    idx_t = np.empty((R, bt), dtype=np.intp)
-    # views that index the batches: a single run's batch has no run axis
-    rows_s, rows_t = (idx_s[0], idx_t[0]) if R == 1 else (idx_s, idx_t)
+    run = 0 if R == 1 else slice(None)  # a single run's batch has no run axis
 
     latch = [False] * R
     gate_open_epoch = [-1] * R
@@ -227,15 +247,13 @@ def train(config, spec, source, target, eval_source=None, eval_target=None):
                     "seed": configs[r].seed, "dist_kind": cfg.dist_kind},
         )
 
-    for epoch in range(cfg.epochs):
+    for epoch, (epoch_s, epoch_t) in zip(range(cfg.epochs), batches):
         task_sum = 0.0  # a float, or one per run of a stack
         dist_sum = np.zeros(R)
         dist_steps = np.zeros(R, dtype=int)
         det_sum = np.zeros(R)
         for step in range(steps_per_epoch):
-            for r, (rs, rt) in enumerate(streams):
-                np.add(rs.choice(n_s, size=bs, replace=False), r * n_s, out=idx_s[r])
-                np.add(rt.choice(n_t, size=bt, replace=False), r * n_t, out=idx_t[r])
+            rows_s, rows_t = epoch_s[step, run], epoch_t[step, run]
             xb = xs[rows_s]
             yb = ys[rows_s] if classifier else None
 

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from geomoment import blas, gradcheck, trainer
+from geomoment import blas, gradcheck, runner, trainer
 from geomoment.cli import main
 from geomoment.datasets import BlobsConfig, DenoiseConfig
 from geomoment.errors import ConfigError, GateClosed
@@ -240,6 +240,25 @@ def test_sweep_dim_cardinality_and_flags(tmp_path):
             assert config["embed_dim"] == config["encoder"][-1][0] == r["dim"]
             assert config["out_dir"] == str(run_dir)
     assert sorted(os.listdir(tmp_path)) == ["run.cfg", "sweep"]
+
+
+def test_sweep_dim_draws_each_seeds_batch_rows_once(tmp_path, monkeypatch):
+    calls = []  # the seeds of every batch_rows call
+    real_batch_rows = trainer.batch_rows
+
+    def batch_rows(seeds, *sizes):
+        calls.append(tuple(seeds))
+        return real_batch_rows(seeds, *sizes)
+
+    monkeypatch.setattr(trainer, "batch_rows", batch_rows)
+    monkeypatch.setattr(runner, "batch_rows", batch_rows)
+    text = BLOBS_CFG + "sweep.kinds = airm,mean_euclid,hilbert\nsweep.seeds = 0,1\n"
+    for dims in ([2], [2, 3], [32, 2, 3]):  # dim 32 is flagged, not run
+        calls.clear()
+        cfg = load_run_config(write_cfg(tmp_path, text),
+                              out_dir=str(tmp_path / "_".join(map(str, dims))))
+        sweep_dim(cfg, dims)
+        assert calls == [(0, 1)], dims
 
 
 # ----------------------------------------------------------------------- CLI

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import os
 
@@ -10,6 +11,7 @@ from geomoment.datasets import BlobsConfig, gen_blobs
 from geomoment.errors import GateClosed, NonFiniteLoss, RegimeViolation
 from geomoment.losses import LossEval
 from geomoment.network import ClassifierHead, ModelSpec
+from geomoment.rng import STREAM_SOURCE_BATCH, STREAM_TARGET_BATCH, stream
 from geomoment.runner import build_run_config, parse_config_text
 from geomoment.trainer import (
     EvalSet,
@@ -253,6 +255,15 @@ def _small_cell(seeds):
     return configs, SPEC, [gen_blobs(dataclasses.replace(BLOBS, seed=s)) for s in seeds]
 
 
+def _drawn_once(cell):
+    """The cell with its runs' batch rows drawn up front, as sweep_dim shares them."""
+    configs, spec, datasets = cell
+    n_s, n_t = len(datasets[0].source_train.x), len(datasets[0].target_train.x)
+    sizes = trainer.batch_sizes(configs[0], n_s, n_t)
+    draws = trainer.batch_rows([c.seed for c in configs], *sizes)
+    return configs, spec, datasets, [next(draws) for _ in range(configs[0].epochs)]
+
+
 def _edit(cell, run, fields=None, data=None):
     """The cell with one run's config fields, or its dataset's fields from data(dataset), replaced."""
     configs, spec, datasets = cell
@@ -292,6 +303,9 @@ def _skips_only_in(run):
 STACK_CASES = {
     "blobs dim 2 cell": (lambda: _sweep_cell(2, "hilbert", (0, 1, 2)),
                          _gates_never_open([False, False, False])),
+    "blobs dim 2 cell, batch rows drawn up front": (
+        lambda: _drawn_once(_sweep_cell(2, "mean_euclid", (0, 1, 2))),
+        _gates_never_open([False, False, False])),
     "blobs dim 4 cell, gate of seed 159990 never opens": (
         lambda: _sweep_cell(4, "airm", (0, 159990, 2)), _gates_never_open([False, True, False])),
     "constant target in one run": (
@@ -307,18 +321,19 @@ STACK_CASES = {
 @pytest.mark.parametrize("case", STACK_CASES)
 def test_stacked_runs_equal_their_runs_alone(case):
     cell, expect = STACK_CASES[case]
-    configs, spec, datasets = cell()
+    configs, spec, datasets, *shared = cell()  # shared: the cell's batches, if drawn up front
+    batches = shared[0] if shared else None
     sets = [(d.source_train, d.target_train, d.source_eval, d.target_eval) for d in datasets]
     if isinstance(expect, tuple):
         error, match = expect
         with pytest.raises(error, match=match) as info:
-            train(configs, spec, *zip(*sets))
+            train(configs, spec, *zip(*sets), batches=batches)
         if error is NonFiniteLoss:  # the record names the run that failed
             assert info.value.record["seed"] == 7
             assert info.value.record["dist_kind"] == "airm"
             assert not math.isfinite(info.value.record["loss_task"])
         return
-    stacked = train(configs, spec, *zip(*sets))
+    stacked = train(configs, spec, *zip(*sets), batches=batches)
     expect(stacked)
     for cfg, run_sets, got in zip(configs, sets, stacked, strict=True):
         alone = train(cfg, spec, *run_sets)
@@ -336,3 +351,79 @@ def test_stacked_runs_equal_their_runs_alone(case):
                     assert x.tobytes() == y.tobytes(), f.name
                 else:
                     assert x == y, f.name
+
+
+@pytest.mark.parametrize("seeds", [(3, 5, 8), (4,)])
+def test_batch_rows_are_each_runs_own_choice_draws(seeds):
+    n_s, bs, n_t, bt, steps, epochs = 50, 8, 40, 6, 4, 3
+    blocks = list(itertools.islice(trainer.batch_rows(seeds, n_s, bs, n_t, bt, steps), epochs))
+    for side, stream_id, n, b in ((0, STREAM_SOURCE_BATCH, n_s, bs),
+                                  (1, STREAM_TARGET_BATCH, n_t, bt)):
+        for r, seed in enumerate(seeds):
+            g = stream(seed, stream_id)  # a run's steps are its stream's consecutive draws
+            for block in (rows[side] for rows in blocks):
+                assert block.dtype == np.int32 and block.shape == (steps, len(seeds), b)
+                for k in range(steps):
+                    expected = g.choice(n, size=b, replace=False) + r * n
+                    assert block[k, r].tolist() == expected.tolist()
+
+
+def test_batch_rows_drawn_per_epoch_equal_the_materialized_list():
+    seeds, sizes = (0, 159990, 2), (300, 128, 300, 128, 2)
+    materialized = list(itertools.islice(trainer.batch_rows(seeds, *sizes), 4))
+    lazy = trainer.batch_rows(seeds, *sizes)
+    alone = [trainer.batch_rows((seed,), *sizes) for seed in seeds]
+    for rows in materialized:
+        drawn = next(lazy)
+        runs = [next(g) for g in alone]  # a stack's run r is its run alone, offset by r * n
+        for side, n in ((0, 300), (1, 300)):
+            assert drawn[side].tobytes() == rows[side].tobytes()
+            for r, run in enumerate(runs):
+                assert (rows[side][:, r] == run[side][:, 0] + r * n).all()
+
+
+def test_train_draws_its_batch_rows_one_epoch_at_a_time(monkeypatch):
+    configs, spec, datasets = _small_cell((0, 1))
+    evaluations, pulled = [], []  # evaluate calls when each epoch's rows were drawn
+    real_batch_rows = trainer.batch_rows
+
+    def batch_rows(*args):
+        for rows in real_batch_rows(*args):
+            pulled.append(len(evaluations))
+            yield rows
+
+    def counted_evaluate(*args):
+        evaluations.append(1)
+        return evaluate(*args)
+
+    monkeypatch.setattr(trainer, "batch_rows", batch_rows)
+    monkeypatch.setattr(trainer, "evaluate", counted_evaluate)
+    sets = [(d.source_train, d.target_train, d.source_eval, d.target_eval) for d in datasets]
+    train(configs, spec, *zip(*sets))
+    # two runs, each evaluated on two sets after every epoch
+    assert pulled == [4 * epoch for epoch in range(configs[0].epochs)]
+
+
+# name -> the two-run, three-epoch cell's batches made wrong
+WRONG_BATCHES = {
+    "an epoch short": lambda batches: batches[:-1],
+    "an epoch over": lambda batches: batches + batches[:1],
+    "a step short": lambda batches: [(s[:-1], t) for s, t in batches],
+    "one run's rows": lambda batches: [(s[:, :1], t[:, :1]) for s, t in batches],
+    "a smaller target batch": lambda batches: [(s, t[..., :-1]) for s, t in batches],
+}
+
+
+@pytest.mark.parametrize("case", WRONG_BATCHES)
+def test_train_rejects_batches_of_the_wrong_epoch_count_or_shape(case):
+    configs, spec, datasets, batches = _drawn_once(_small_cell((0, 1)))
+    sets = [(d.source_train, d.target_train) for d in datasets]
+    with pytest.raises(ValueError, match=r"batches needs 3 epochs of \(7, 2, b\) rows"):
+        train(configs, spec, *zip(*sets), batches=WRONG_BATCHES[case](batches))
+
+
+def test_lone_run_rejects_a_stacks_batches():
+    configs, spec, datasets, batches = _drawn_once(_small_cell((0, 1)))
+    with pytest.raises(ValueError, match=r"batches needs 3 epochs of \(7, 1, b\) rows"):
+        train(configs[0], spec, datasets[0].source_train, datasets[0].target_train,
+              batches=batches)
