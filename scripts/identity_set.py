@@ -7,12 +7,16 @@ Run from the root of a checkout:
 The parent revision and HEAD are exported with ``git archive`` (the export
 of ``scripts/bench_pairs.py``) to a temporary directory. In each tree,
 ``geomoment sweep-dim`` runs with ``OPENBLAS_NUM_THREADS=1`` on the tree's
-own configs: ``configs/blobs_airm.cfg`` at embedding dims 2 and 4 and
-``configs/denoise_hilbert.cfg`` at dim 2, each over the five kinds and
-seeds 0-2, once at beta 0.1 and once at beta 0. ``geomoment train`` then
-runs each config once at seed 0 and beta 0.1: a sweep trains each (dim,
-kind) cell's seeds together, so these single runs check the trainer's
-one-run path. That writes each run's ``report.csv`` and
+own configs: ``configs/blobs_airm.cfg`` at embedding dims 2 and 4,
+``configs/denoise_hilbert.cfg`` at dim 2, and ``configs/blobs_airm.cfg``
+with a relu embedding (``encoder = 32:relu,2:relu``) and ``eta = 1e-8``
+at dim 2, each over the five kinds and seeds 0-2, once at beta 0.1 and
+once at beta 0. In that last sweep some steps close the gate
+(``covariance_not_spd``), so the set compares skipped steps too.
+``geomoment train`` then runs each config once at beta 0.1, at seed 0
+(seed 1 for the relu embedding, which skips 2 steps): a sweep trains
+each (dim, kind) cell's seeds together, so these single runs check the
+trainer's one-run path. That writes each run's ``report.csv`` and
 ``summary.json``, each sweep's ``sweep.csv``, ``metrics.csv`` and
 ``sweep_summary.json``, and each single run's ``metrics.csv``. Each tree
 also writes ``dataset_hashes.json``: the sha256 (with dtype and shape) of
@@ -42,10 +46,12 @@ from bench_pairs import export, git
 SCRIPTS = os.path.dirname(os.path.abspath(__file__))
 
 KINDS = "airm,hilbert,mean_euclid,coral_frob,log_euclid"
-# (name, config, embedding dims) of each sweep
+# (name, config, embedding dims, config keys set, seed of the single run) of each sweep
 SWEEPS = (
-    ("blobs", "configs/blobs_airm.cfg", "2,4"),
-    ("denoise", "configs/denoise_hilbert.cfg", "2"),
+    ("blobs", "configs/blobs_airm.cfg", "2,4", {}, "0"),
+    ("denoise", "configs/denoise_hilbert.cfg", "2", {}, "0"),
+    ("blobs_relu", "configs/blobs_airm.cfg", "2", {"encoder": "32:relu,2:relu", "eta": "1e-8"},
+     "1"),
 )
 SEEDS = "0,1,2"
 BETAS = ("0.1", "0")
@@ -62,9 +68,9 @@ def with_keys(text, keys):
 def run_set(tree, out_root):
     """Run every sweep of the set inside tree, writing under out_root."""
     env = dict(os.environ, PYTHONPATH="src", OPENBLAS_NUM_THREADS="1")
-    for name, config, dims in SWEEPS:
+    for name, config, dims, keys, train_seed in SWEEPS:
         with open(os.path.join(tree, config)) as fh:
-            text = fh.read()
+            text = with_keys(fh.read(), keys)
         for beta in BETAS:
             cfg_path = os.path.join(out_root, f"{name}_beta{beta}.cfg")
             with open(cfg_path, "w") as fh:
@@ -77,7 +83,7 @@ def run_set(tree, out_root):
         with open(cfg_path, "w") as fh:
             fh.write(with_keys(text, {"beta": "0.1"}))
         cmd = [sys.executable, "-m", "geomoment.cli", "train", "--config", cfg_path,
-               "--seed", "0", "--out", os.path.join(out_root, f"{name}_train")]
+               "--seed", train_seed, "--out", os.path.join(out_root, f"{name}_train")]
         subprocess.run(cmd, cwd=tree, env=env, check=True, capture_output=True)
     out = os.path.join(out_root, "dataset_hashes.json")
     cmd = [sys.executable, "-c", f"import identity_set; identity_set.hash_datasets({out!r})"]
@@ -93,7 +99,7 @@ def hash_datasets(out_path):
     """
     import numpy as np
     from geomoment.datasets import gen_blobs, gen_denoise
-    from geomoment.runner import load_run_config
+    from geomoment.runner import build_run_config, parse_config_text
 
     def arrays(prefix, obj):
         if isinstance(obj, np.ndarray):
@@ -103,9 +109,11 @@ def hash_datasets(out_path):
                 yield from arrays(f"{prefix}.{f.name}" if prefix else f.name, getattr(obj, f.name))
 
     hashes = {}
-    for name, config, _ in SWEEPS:
+    for name, config, _, keys, _ in SWEEPS:
+        with open(config) as fh:
+            parsed = parse_config_text(with_keys(fh.read(), keys))
         for seed in map(int, SEEDS.split(",")):
-            cfg = load_run_config(config, seed=seed)
+            cfg = build_run_config(parsed, seed=seed)
             data = gen_blobs(cfg.blobs) if cfg.task == "blobs" else gen_denoise(cfg.denoise)
             hashes[f"{name}.s{seed}"] = {
                 path: f"{hashlib.sha256(a.tobytes()).hexdigest()} {a.dtype} {a.shape}"

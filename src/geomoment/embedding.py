@@ -60,7 +60,7 @@ class GaussianMoments:
 
     @property
     def chol(self):
-        """Lower Cholesky factor of cov; None (a NaN slice in a stack) where it does not exist.
+        """Lower Cholesky factor of cov; all NaN (per run, in a stack) where it does not exist.
 
         The gate's determinant, the SPD rule and the Siegel pencil of
         the geometric losses all read this one factor. It is computed
@@ -82,8 +82,7 @@ class GaussianMoments:
 
     def __getitem__(self, runs):
         """The factored moments of the runs of a stack that runs indexes, keeping their factor."""
-        chol = self.chol
-        return _factored(self.mean[runs], self.cov[runs], None if chol is None else chol[runs])
+        return _factored(self.mean[runs], self.cov[runs], self.chol[runs])
 
 
 def _factored(mean, cov, chol):
@@ -166,15 +165,14 @@ def schur_gate(m, eta):
     """
     if m.cov.ndim == 2:
         return GateResult(*_gate(m.cov, m.chol, eta))
-    n = m.dim  # each run as alone, from its slice of the one factor (NaN where it has none)
-    runs = [_gate(c, None if math.isnan(f[0, 0]) else f, eta)
-            for c, f in zip(m.cov.reshape(-1, n, n), m.chol.reshape(-1, n, n))]
+    n = m.dim  # each run as alone, from its slice of the one factor
+    runs = [_gate(c, f, eta) for c, f in zip(m.cov.reshape(-1, n, n), m.chol.reshape(-1, n, n))]
     return GateResult(*(np.array(v).reshape(m.cov.shape[:-2]) for v in zip(*runs)))
 
 
 def _gate(cov, L, eta):
-    """schur_gate's (open, det, logdet) of one covariance from its factor, None where it failed."""
-    if L is not None:
+    """schur_gate's (open, det, logdet) of one covariance from its factor (all NaN if it failed)."""
+    if not math.isnan(L[0, 0]):
         d = L.diagonal()
         logdet = 2.0 * float(np.log(d).sum())
         try:  # in Python floats: numpy's bits, and inf without a RuntimeWarning

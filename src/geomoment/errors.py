@@ -31,14 +31,6 @@ class BatchTooSmall(GeomomentError):
     pass
 
 
-class GateClosed(GeomomentError):
-    """Adaptation loss unavailable this step; the trainer skips it, counted by reason."""
-
-    def __init__(self, message, reason):  # reason: one of losses.GATE_CLOSED_REASONS
-        super().__init__(message)
-        self.reason = reason
-
-
 class DegenerateSpectrum(GeomomentError):
     pass
 

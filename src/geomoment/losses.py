@@ -7,8 +7,6 @@ moments. Gradients are hand-derived and checked against central finite
 differences in the test suite.
 """
 
-import math
-from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -18,7 +16,6 @@ from .embedding import EmbeddingParams, siegel_pencil_eigh
 from .errors import (
     BatchTooSmall,
     DegenerateSpectrum,
-    GateClosed,
     NearZeroDistance,
     NonPositiveSpectrum,
     NotPositiveDefinite,
@@ -39,7 +36,7 @@ class LossEval:
     value: float
     grad_source: np.ndarray
     grad_target: np.ndarray
-    zero_grad_reason: str = ""  # a ZERO_GRAD_REASONS name; a stack's: one per run, or GateClosed's
+    zero_grad_reason: str = ""  # "", or a ZERO_GRAD_REASONS or GATE_CLOSED_REASONS name; per run
 
 
 def grad_embed(m, upstream, params=EmbeddingParams()):
@@ -126,13 +123,14 @@ def dist_loss(zs, zt, kind, params=EmbeddingParams(), source_moments=None):
     Each kind gives its value and, per side, the gradient on (mean, cov),
     which one chain (grad_moments) takes to the rows. Where a geometric
     gradient is undefined both gradients are zero and zero_grad_reason
-    names the cause. GateClosed ("skip adaptation this step") is raised
-    with reason covariance_not_spd where a geometric kind or log_euclid
-    meets a covariance that fails the SPD rule, and pencil_unresolved
-    where a computed pencil eigenvalue is <= 0, beyond double precision.
-    source_moments, when given, must be batch_moments(zs): the trainer's
-    gate already holds them, factored. Stacks (..., b, n) give each run's
-    loss bit for bit as alone, or NaN, zero gradients and the GateClosed reason.
+    names the cause. A closed gate ("skip adaptation this step") gives a
+    NaN value, zero gradients and a GATE_CLOSED_REASONS name:
+    covariance_not_spd where a geometric kind or log_euclid meets a
+    covariance that fails the SPD rule, pencil_unresolved where a computed
+    pencil eigenvalue is <= 0, beyond double precision. source_moments,
+    when given, must be batch_moments(zs): the trainer's gate already
+    holds them, factored. Stacks (..., b, n) give each run's loss bit for
+    bit as alone, with one reason per run.
     """
     if kind not in DIST_KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {DIST_KINDS}")
@@ -142,23 +140,16 @@ def dist_loss(zs, zt, kind, params=EmbeddingParams(), source_moments=None):
             or zs_data.shape[-1] != zt_data.shape[-1]):
         raise ValueError(f"expected b x n batches of one width: {zs_data.shape}, {zt_data.shape}")
     runs = zs_data.shape[:-2]
+    le = _loss(zs_data, zt_data, kind, params, source_moments)  # a stack: all runs at once
     if not runs:
-        return _loss(zs_data, zt_data, kind, params, source_moments)
-    with suppress(GateClosed):  # the whole stack at once, unless a run is closed or zeroed
-        le = _loss(zs_data, zt_data, kind, params, source_moments)
-        if not le.zero_grad_reason:
-            return replace(le, zero_grad_reason=np.full(runs, ""))
-    alone = [_run_alone(zs_data[i], zt_data[i], kind, params) for i in np.ndindex(runs)]
+        return le
+    if not le.zero_grad_reason:
+        return replace(le, zero_grad_reason=np.full(runs, ""))
+    # some run's gate is closed or its gradients are zeroed: each run alone
+    alone = [_loss(zs_data[i], zt_data[i], kind, params, None) for i in np.ndindex(runs)]
     return LossEval(*(np.reshape([getattr(le, f) for le in alone], shape) for f, shape in (
         ("value", runs), ("grad_source", zs_data.shape), ("grad_target", zt_data.shape),
         ("zero_grad_reason", runs))))
-
-
-def _run_alone(zs, zt, kind, params):
-    try:
-        return _loss(zs, zt, kind, params, None)
-    except GateClosed as exc:
-        return LossEval(math.nan, np.zeros_like(zs), np.zeros_like(zt), exc.reason)
 
 
 def _loss(zs_data, zt_data, kind, params, source_moments):
@@ -179,13 +170,11 @@ def _loss(zs_data, zt_data, kind, params, source_moments):
         mean_s, mean_t = ms.mean, mt.mean
         try:
             value, sides, zero_reason = _COV_KINDS[kind](ms, mt, params)
-        except NotPositiveDefinite as exc:
+        except NotPositiveDefinite as exc:  # the gate closes: a NaN value
             # a NonPositiveSpectrum is the pencil's, once both covariances passed the SPD rule
-            if isinstance(exc, NonPositiveSpectrum):
-                what, reason = "pencil spectrum not resolved", "pencil_unresolved"
-            else:
-                what, reason = "covariance failed SPD validation", "covariance_not_spd"
-            raise GateClosed(f"{what}: {exc}", reason) from exc
+            value = np.full(mean_s.shape[:-1], np.nan)
+            zero_reason = ("pencil_unresolved" if isinstance(exc, NonPositiveSpectrum)
+                           else "covariance_not_spd")
     if zero_reason:
         gs, gt = np.zeros_like(zs_data), np.zeros_like(zt_data)
     else:

@@ -108,24 +108,24 @@ def matrix_log(P):
 
 
 def cholesky(M):
-    """Lower Cholesky factor of M, or None where it does not exist.
+    """Lower Cholesky factor of M, all NaN where it does not exist.
 
     The package's one factorization: a NaN in M may pass through into
     the factor without raising, which spd_factor then rejects. A stack
     (..., n, n) gives its slices' factors as one array, from one batched call,
-    or from one call per slice (NaN where one fails) when any slice fails.
+    or from one call per slice when any slice fails.
     """
     try:
         return np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
-        if M.ndim == 2:
-            return None
-        return np.stack([np.full(m.shape, np.nan) if L is None else L
-                         for m, L in zip(M, map(cholesky, M))])
+        return np.full(M.shape, np.nan) if M.ndim == 2 else np.stack([cholesky(m) for m in M])
 
 
 def lower_inverse(L):
-    """Inverse of a C-ordered lower-triangular L with a nonzero diagonal, by LAPACK trtri."""
+    """Inverse of a C-ordered lower-triangular L with a nonzero diagonal, by LAPACK trtri.
+
+    An all-NaN L (a failed factor) gives an all-NaN inverse.
+    """
     Linv, info = _TRTRI(L.T, lower=0)
     if info:
         raise ValueError(f"trtri failed with info {info}")
@@ -135,7 +135,7 @@ def lower_inverse(L):
 def spd_factor(M, L):
     """(L, L^{-1}) of a symmetric M under the rule lambda_min(M) > spd_tol(M).
 
-    L is M's Cholesky factor, or None (NaN in a stack) where it failed.
+    L is M's Cholesky factor, all NaN where it failed.
     Since ||L^{-1}||_F^2 = tr(M^{-1}) >= 1/lambda_min, tol * ||L^{-1}||_F^2 < 1/2
     proves lambda_min > 2 tol, and M is accepted at once. Otherwise an eigensolve
     decides exactly and a rejection raises NotPositiveDefinite with lambda_min;
@@ -143,12 +143,12 @@ def spd_factor(M, L):
     """
     if M.ndim > 2:
         return L, np.stack([spd_factor(m, f)[1] for m, f in zip(M, L)])
-    Linv = None if L is None else lower_inverse(L)
+    Linv = lower_inverse(L)
     tol = spd_tol(M)
     # in Python floats: 0 * inf (tol underflows for a subnormal M) is NaN without a warning
-    if Linv is None or not tol * float(np.vdot(Linv, Linv)) < 0.5:
+    if not tol * float(np.vdot(Linv, Linv)) < 0.5:
         _spd_rule(float(eigvals_sym(M)[0]), tol)
-        if Linv is None or not np.isfinite(Linv).all():
+        if not np.isfinite(Linv).all():
             raise NotPositiveDefinite("no finite Cholesky factor")
     return L, Linv
 
@@ -170,7 +170,7 @@ def _spd_rule(lam_min, tol):
 def _pencil_form(P1, P2):
     """L^{-1} of P1 = L L^T and the symmetric pencil form L^{-1} P2 L^{-T}."""
     L = cholesky(np.asarray(P1, dtype=float))
-    if L is None:
+    if np.isnan(L[0, 0]):  # a NaN pencil would give NaN eigenpairs or ConvergenceFailure
         raise NotPositiveDefinite("Cholesky of the pencil's first matrix failed")
     Linv = lower_inverse(L)
     return Linv, Linv @ np.asarray(P2, dtype=float) @ Linv.T

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embedding import schur_gate
-from .errors import GateClosed, NonFiniteLoss, RegimeViolation
-from .losses import DIST_KINDS, GATE_CLOSED_REASONS, ZERO_GRAD_REASONS, LossEval, dist_loss
+from .errors import NonFiniteLoss, RegimeViolation
+from .losses import DIST_KINDS, GATE_CLOSED_REASONS, ZERO_GRAD_REASONS, dist_loss
 from .matrixio import csv_line
 from .moments import batch_moments, check_regime
 from .network import (
@@ -97,7 +97,7 @@ class TrainReport:
     source_metric: np.ndarray
     target_metric: np.ndarray
     skipped_steps: np.ndarray
-    skipped_steps_by_reason: dict  # GateClosed reason -> adaptation steps it skipped
+    skipped_steps_by_reason: dict  # GATE_CLOSED_REASONS name -> adaptation steps it skipped
     gate_open_epoch: int  # 1-based; -1 when the gate never opened
     zeroed_grad_steps: dict  # reason -> adaptation steps whose distance gradients were zeroed
     params: list = field(repr=False)
@@ -169,14 +169,14 @@ def batch_rows(seeds, n_s, bs, n_t, bt, steps_per_epoch):
         yield blocks
 
 
-def train(config, spec, source, target, eval_source=None, eval_target=None, batches=None):
+def train(config, spec, source, target, eval_source, eval_target, batches=None):
     """Run the gated two-phase optimization and return the epoch report.
 
     source is a LabeledSet, target a FeatureSet (no labels, by type).
-    The optional eval sets only feed the per-epoch metric columns.
+    The eval sets only feed the per-epoch metric columns.
 
     A stack of runs passes a sequence of configs that differ in seed
-    alone and, per run, one source, target and (optional) eval set, all
+    alone and, per run, one source, target and pair of eval sets, all
     of one shape; the result is then the list of the runs' reports. Each
     step trains every run of the stack at once, over a leading run axis
     of the network, its losses, the source moments, gate, distance loss
@@ -189,12 +189,11 @@ def train(config, spec, source, target, eval_source=None, eval_target=None, batc
         return train((config,), spec, (source,), (target,), (eval_source,), (eval_target,),
                      batches)[0]
     configs, sources, targets = tuple(config), tuple(source), tuple(target)
+    eval_sources, eval_targets = tuple(eval_source), tuple(eval_target)
     R = len(configs)
     cfg = configs[0]
     if any(dataclasses.replace(c, seed=cfg.seed) != cfg for c in configs):
         raise ValueError("the configs of a stack may differ in seed only")
-    eval_sources = tuple(eval_source) if eval_source is not None else (None,) * R
-    eval_targets = tuple(eval_target) if eval_target is not None else (None,) * R
     if not len(sources) == len(targets) == len(eval_sources) == len(eval_targets) == R:
         raise ValueError("a stack needs one source, target and eval set per config")
     if len({s.x.shape for s in sources}) > 1 or len({t.x.shape for t in targets}) > 1:
@@ -215,8 +214,7 @@ def train(config, spec, source, target, eval_source=None, eval_target=None, batc
     ep = encoder_plan(spec)
     hp = head_plan(spec)
     n_enc = len(ep)
-    evals = [e for e in eval_sources + eval_targets if e is not None]
-    buffers = forward_buffers(spec, max(e.x.shape[0] for e in evals)) if evals else None
+    buffers = forward_buffers(spec, max(e.x.shape[0] for e in eval_sources + eval_targets))
 
     sizes = _, bs, _, bt, steps_per_epoch = batch_sizes(cfg, len(sources[0].x), len(targets[0].x))
     if batches is not None and (len(batches) != cfg.epochs or any((s.shape, t.shape) != (
@@ -275,17 +273,12 @@ def train(config, spec, source, target, eval_source=None, eval_target=None, batc
                     gate_open_epoch[r] = epoch + 1
             adapting = [r for r in range(R) if latch[r]] if cfg.beta > 0 else []
 
-            grads_t = None
             if adapting:
                 sub = slice(None) if len(adapting) == R else adapting  # the adapting runs
                 enc_t = [[W[sub], b[sub]] for W, b in params[:n_enc]]
                 z_t, t_caches = stack_forward(ep, enc_t, xt[rows_t[sub]])
-                try:
-                    le = dist_loss(z_s[sub], z_t, cfg.dist_kind, source_moments=ms[sub])
-                except GateClosed as exc:  # a single run's call raises what a stack reports
-                    le = LossEval(math.nan, None, None, exc.reason)
+                le = dist_loss(z_s[sub], z_t, cfg.dist_kind, source_moments=ms[sub])
                 values, reasons = _per_run(le.value), _per_run(le.zero_grad_reason)
-                done = []  # positions in adapting of the runs whose gate stayed open
                 for k, r in enumerate(adapting):
                     if reasons[k] in GATE_CLOSED_REASONS:
                         skipped[r, epoch] += 1
@@ -297,17 +290,12 @@ def train(config, spec, source, target, eval_source=None, eval_target=None, batc
                     dist_steps[r] += 1
                     if reasons[k]:
                         zeroed[r][reasons[k]] += 1
-                    done.append(k)
-                if done:
-                    gs = le.grad_source
-                    _, grads_t = stack_backward(ep, enc_t, t_caches, cfg.beta * le.grad_target)
-                    if len(done) < len(adapting):  # a closed run's gradients are dropped
-                        grads_t = [[a[done] for a in g] for g in grads_t]
-                        sub, gs = [adapting[k] for k in done], gs[done]
-                    dz[sub] += cfg.beta * gs
+                # a closed or zeroed run's gradients are exact zeros
+                _, grads_t = stack_backward(ep, enc_t, t_caches, cfg.beta * le.grad_target)
+                dz[sub] += cfg.beta * le.grad_source
 
             _, enc_grads = stack_backward(ep, params[:n_enc], enc_caches, dz)
-            if grads_t is not None:
+            if adapting:
                 for g, gt in zip(enc_grads, grads_t):
                     g[0][sub] += gt[0]
                     g[1][sub] += gt[1]
@@ -318,10 +306,8 @@ def train(config, spec, source, target, eval_source=None, eval_target=None, batc
         np.divide(dist_sum, dist_steps, out=cols["loss_dist"][:, epoch], where=dist_steps > 0)
         gate_on[:, epoch] = latch
         for r, p in enumerate(run_params):
-            for key, sets in (("source_metric", eval_sources), ("target_metric", eval_targets)):
-                cols[key][r, epoch] = (
-                    evaluate(p, spec, sets[r], buffers) if sets[r] is not None else float("nan")
-                )
+            cols["source_metric"][r, epoch] = evaluate(p, spec, eval_sources[r], buffers)
+            cols["target_metric"][r, epoch] = evaluate(p, spec, eval_targets[r], buffers)
 
     return [
         TrainReport(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,9 +7,15 @@ from hypothesis import strategies as st
 
 from geomoment import embedding, spd
 from geomoment.embedding import EmbeddingParams, GaussianMoments, embed
-from geomoment.errors import BatchTooSmall, DegenerateSpectrum, GateClosed, NearZeroDistance
+from geomoment.errors import BatchTooSmall, DegenerateSpectrum, NearZeroDistance
 from geomoment.gradcheck import FD_BOUND, audit_dist_loss, central_diff, rel_err
-from geomoment.losses import DIST_KINDS, dist_loss, grad_embed, grad_moments
+from geomoment.losses import (
+    DIST_KINDS,
+    GATE_CLOSED_REASONS,
+    dist_loss,
+    grad_embed,
+    grad_moments,
+)
 from geomoment.moments import batch_moments
 from geomoment.rng import stream
 from geomoment.spd import dist_airm, dist_hilbert
@@ -18,6 +26,13 @@ def rand_batches(rng, b, n):
     zs = rng.standard_normal((b, n)) + 0.2 * rng.standard_normal(n)
     zt = 1.2 * rng.standard_normal((b, n)) + 0.7 * rng.standard_normal(n)
     return zs, zt
+
+
+def assert_gate_closed(le, reason):
+    """le reports a closed gate: reason, a NaN float value and all-zero gradients."""
+    assert le.zero_grad_reason == reason
+    assert isinstance(le.value, float) and math.isnan(le.value)
+    assert not le.grad_source.any() and not le.grad_target.any()
 
 
 def pencil_value_grads(P1, P2, kind):
@@ -90,9 +105,9 @@ def test_gate_closed_on_collapsed_batch():
     zs = np.tile([1.0, 2.0], (20, 1))  # zero covariance
     zt = rng.standard_normal((20, 2))
     for kind in ("airm", "hilbert", "log_euclid"):
-        with pytest.raises(GateClosed) as info:
-            dist_loss(zs, zt, kind)
-        assert info.value.reason == "covariance_not_spd"
+        le = dist_loss(zs, zt, kind)
+        assert le.grad_source.shape == zs.shape and le.grad_target.shape == zt.shape
+        assert_gate_closed(le, "covariance_not_spd")
     # baselines do not need SPD covariances
     for kind in ("mean_euclid", "coral_frob"):
         dist_loss(zs, zt, kind)
@@ -252,29 +267,26 @@ def test_geometric_loss_gate_closes_exactly_when_validate_spd_rejects(
         assume(abs(lam_min - tol) > 1e-3 * tol)
     rejected = any(_validate_rejects(cov) for cov in covs)
     for kind in ("airm", "hilbert"):
-        try:
-            dist_loss(zs, zt, kind)
-            closed = False
-        except GateClosed:
-            closed = True
+        le = dist_loss(zs, zt, kind)
+        closed = le.zero_grad_reason in GATE_CLOSED_REASONS
+        if closed:
+            assert_gate_closed(le, "covariance_not_spd")
         assert closed == rejected
 
 
 def test_unresolved_pencil_spectrum_closes_the_gate():
     # both covariances pass the SPD rule, but in different eigenbases the
     # pencil spans ~kappa^2, beyond double precision: a non-positive computed
-    # eigenvalue must skip the step (GateClosed), not stop training
+    # eigenvalue must close the gate (skip the step), not stop training
     rng = rng_for("loss-unresolved-pencil")
     lam = np.geomspace(1.0, 1e-10, 3)
     unresolved = 0
     for _ in range(40):
         zs, zt = (_batch_with_spectrum(rng, 35, rand_orthogonal(rng, 3), lam) for _ in range(2))
         for kind in ("airm", "hilbert"):
-            try:
-                dist_loss(zs, zt, kind)
-            except GateClosed as exc:
-                assert str(exc).startswith("pencil spectrum not resolved")
-                assert exc.reason == "pencil_unresolved"
+            le = dist_loss(zs, zt, kind)
+            if le.zero_grad_reason in GATE_CLOSED_REASONS:
+                assert_gate_closed(le, "pencil_unresolved")
                 unresolved += 1
     assert unresolved > 0
 
@@ -491,18 +503,16 @@ def test_grad_moments_fd():
 # ----------------------------------------------------------- stacked runs
 
 
-def _unresolved_pair(rng, b, n):
+def _unresolved_pair(rng, b, n, tries=50):
     """A batch pair whose covariances pass the SPD rule but whose pencil is unresolved."""
     lam = np.geomspace(1.0, 1e-10, n)
-    while True:
+    for _ in range(tries):
         zs, zt = (_batch_with_spectrum(rng, b, rand_orthogonal(rng, n), lam) for _ in range(2))
-        try:
-            for kind in ("airm", "hilbert"):
-                dist_loss(zs, zt, kind)
-        except GateClosed as exc:
-            if exc.reason == "pencil_unresolved" and all(
-                    not _validate_rejects(batch_moments(z).cov) for z in (zs, zt)):
-                return zs, zt
+        if any(dist_loss(zs, zt, kind).zero_grad_reason == "pencil_unresolved"
+               for kind in ("airm", "hilbert")) and all(
+                not _validate_rejects(batch_moments(z).cov) for z in (zs, zt)):
+            return zs, zt
+    pytest.fail(f"no unresolved pencil in {tries} tries")
 
 
 def _stack_run(name, rng, b=35, n=3):
@@ -550,13 +560,9 @@ def test_stacked_loss_equals_each_run_alone(stack, kind):
             want = np.asarray(getattr(stacked, f))
             assert np.asarray(getattr(got, f)).tobytes() == want.tobytes()
     for i in range(len(zs)):
-        try:
-            alone = dist_loss(zs[i], zt[i], kind)
-        except GateClosed as exc:
-            assert stacked.zero_grad_reason[i] == exc.reason
-            assert np.isnan(stacked.value[i])
-            assert not np.any(stacked.grad_source[i]) and not np.any(stacked.grad_target[i])
-            continue
+        alone = dist_loss(zs[i], zt[i], kind)
+        if alone.zero_grad_reason in GATE_CLOSED_REASONS:
+            assert_gate_closed(alone, alone.zero_grad_reason)
         assert stacked.zero_grad_reason[i] == alone.zero_grad_reason
         assert np.float64(stacked.value[i]).tobytes() == np.float64(alone.value).tobytes()
         assert stacked.grad_source[i].tobytes() == alone.grad_source.tobytes()

@@ -70,8 +70,9 @@ def test_cholesky_factor_computed_once_on_factored_moments(monkeypatch):
     assert f.mean is m.mean and f.cov is m.cov and calls == [(3, 3)] * 3
     assert f.chol is f.chol and np.array_equal(f.chol, L) and calls == [(3, 3)] * 3
     assert "_chol" not in m.__dict__
-    singular = batch_moments(np.tile([1.0, 2.0], (5, 1)))
-    assert singular.chol is None and singular.factored().chol is None
+    singular = batch_moments(np.tile([1.0, 2.0], (5, 1)))  # no factor: an all-NaN one
+    for chol in (singular.chol, singular.factored().chol):
+        assert chol.shape == (2, 2) and np.isnan(chol).all()
 
 
 def test_stacked_moments_equal_each_batch_alone(monkeypatch):
@@ -97,10 +98,8 @@ def test_stacked_moments_equal_each_batch_alone(monkeypatch):
             alone = batch_moments(z).factored()
             assert run.mean.tobytes() == alone.mean.tobytes()
             assert run.cov.tobytes() == alone.cov.tobytes()
-            if i == singular:
-                assert np.isnan(run.chol).all() and alone.chol is None
-            else:
-                assert run.chol.tobytes() == alone.chol.tobytes()
+            assert np.isnan(run.chol).all() == (i == singular)
+            assert run.chol.tobytes() == alone.chol.tobytes()
         # a subset of the runs keeps their factors, with no new factorization
         calls.clear()
         pair = stacked[[0, 2]]

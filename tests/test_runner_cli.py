@@ -10,7 +10,8 @@ import pytest
 from geomoment import blas, gradcheck, runner, trainer
 from geomoment.cli import main
 from geomoment.datasets import BlobsConfig, DenoiseConfig
-from geomoment.errors import ConfigError, GateClosed
+from geomoment.errors import ConfigError
+from geomoment.losses import LossEval
 from geomoment.matrixio import read_matrix, write_matrix
 from geomoment.runner import (
     build_run_config,
@@ -165,8 +166,8 @@ def test_run_experiment_outputs(tmp_path):
 
 
 def test_summary_counts_skipped_steps_by_reason(tmp_path, monkeypatch):
-    def closed(*args, **kwargs):
-        raise GateClosed("closed for the test", "pencil_unresolved")
+    def closed(zs, zt, *args, **kwargs):
+        return LossEval(math.nan, np.zeros_like(zs), np.zeros_like(zt), "pencil_unresolved")
 
     monkeypatch.setattr(trainer, "dist_loss", closed)
     text = BLOBS_CFG.replace("eta = 0.02", "eta = 1e-8")  # a gate that opens at once

@@ -13,6 +13,7 @@ from geomoment.spd import (
     dist_logeuclid,
     eigvals_sym,
     matrix_log,
+    pencil_eigh,
     validate_spd,
 )
 from helpers import rand_invertible, rand_orthogonal, rand_spd, rand_sym, rng_for
@@ -92,6 +93,14 @@ def test_validate_rejects_non_finite():
     for M in (np.array([[1.0, np.nan], [np.nan, 1.0]]), np.array([[np.nan, 0.0], [0.0, 1.0]])):
         with pytest.raises(NotPositiveDefinite):
             validate_spd(M)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_pencil_of_a_first_matrix_with_no_factor_raises(n):
+    # not NaN eigenpairs (n <= 2) or a ConvergenceFailure (n >= 3) from a NaN pencil
+    for fn in (dist_airm, dist_hilbert, pencil_eigh):
+        with pytest.raises(NotPositiveDefinite, match="Cholesky of the pencil's first matrix"):
+            fn(-np.eye(n), np.eye(n))
 
 
 def test_eigvals_diagonal():

@@ -8,7 +8,7 @@ import pytest
 
 from geomoment import losses, trainer
 from geomoment.datasets import BlobsConfig, gen_blobs
-from geomoment.errors import GateClosed, NonFiniteLoss, RegimeViolation
+from geomoment.errors import NonFiniteLoss, RegimeViolation
 from geomoment.losses import LossEval
 from geomoment.network import ClassifierHead, ModelSpec
 from geomoment.rng import STREAM_SOURCE_BATCH, STREAM_TARGET_BATCH, stream
@@ -213,7 +213,7 @@ def test_skipped_steps_counted_by_reason(monkeypatch):
     def closing(zs, zt, kind, *args, **kwargs):
         reason = next(reasons)
         if reason:
-            raise GateClosed("closed for the test", reason)
+            return LossEval(math.nan, np.zeros_like(zs), np.zeros_like(zt), reason)
         return real(zs, zt, kind, *args, **kwargs)
 
     monkeypatch.setattr(trainer, "dist_loss", closing)
@@ -228,7 +228,8 @@ def test_skipped_steps_counted_by_reason(monkeypatch):
 def test_source_labels_required_for_classifier():
     d = gen_blobs(BLOBS)
     with pytest.raises(ValueError):
-        train(config(), SPEC, LabeledSet(x=d.source_train.x, y=None), d.target_train)
+        train(config(), SPEC, LabeledSet(x=d.source_train.x, y=None), d.target_train,
+              d.source_eval, d.target_eval)
 
 
 def test_nan_beta_rejected():
@@ -240,11 +241,12 @@ def test_nan_beta_rejected():
 BLOBS_AIRM_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "blobs_airm.cfg")
 
 
-def _sweep_cell(dim, kind, seeds):
-    """A sweep-dim cell of configs/blobs_airm.cfg: (configs, spec, per-run datasets)."""
+def _sweep_cell(dim, kind, seeds, **keys):
+    """A sweep-dim cell of configs/blobs_airm.cfg with keys set: (configs, spec, run datasets)."""
     with open(BLOBS_AIRM_CFG) as fh:
         parsed = parse_config_text(fh.read())
-    parsed.update(embed_dim=dim, encoder=((32, "relu"), (dim, "identity")), dist_kind=kind)
+    parsed.update({"embed_dim": dim, "encoder": ((32, "relu"), (dim, "identity")),
+                   "dist_kind": kind, **keys})
     runs = [build_run_config(parsed, seed=s) for s in seeds]
     return [r.train_cfg for r in runs], runs[0].model_spec, [gen_blobs(r.blobs) for r in runs]
 
@@ -291,11 +293,14 @@ def _gates_never_open(expected):
     return check
 
 
-def _skips_only_in(run):
+def _skips_only_in(run, adapts=False):
+    """Only run skips steps, and it adapts in each epoch it skips in exactly when adapts."""
     def check(reports):
         for i, r in enumerate(reports):
             skips = r.skipped_steps_by_reason["covariance_not_spd"]
             assert (skips > 0) == (i == run) and r.skipped_steps.sum() == skips
+        skipping = reports[run].skipped_steps > 0
+        assert (reports[run].loss_dist[skipping] > 0).all() == adapts
     return check
 
 
@@ -308,6 +313,9 @@ STACK_CASES = {
         _gates_never_open([False, False, False])),
     "blobs dim 4 cell, gate of seed 159990 never opens": (
         lambda: _sweep_cell(4, "airm", (0, 159990, 2)), _gates_never_open([False, True, False])),
+    "blobs dim 2 relu cell, seed 1 skips 2 steps": (
+        lambda: _sweep_cell(2, "airm", (0, 1, 2), encoder=((32, "relu"), (2, "relu")), eta=1e-8),
+        _skips_only_in(1, adapts=True)),
     "constant target in one run": (
         lambda: _edit(_small_cell((0, 1, 2)), 1, data=_constant_target), _skips_only_in(1)),
     "configs differ in beta": (
@@ -417,7 +425,7 @@ WRONG_BATCHES = {
 @pytest.mark.parametrize("case", WRONG_BATCHES)
 def test_train_rejects_batches_of_the_wrong_epoch_count_or_shape(case):
     configs, spec, datasets, batches = _drawn_once(_small_cell((0, 1)))
-    sets = [(d.source_train, d.target_train) for d in datasets]
+    sets = [(d.source_train, d.target_train, d.source_eval, d.target_eval) for d in datasets]
     with pytest.raises(ValueError, match=r"batches needs 3 epochs of \(7, 2, b\) rows"):
         train(configs, spec, *zip(*sets), batches=WRONG_BATCHES[case](batches))
 
@@ -425,5 +433,6 @@ def test_train_rejects_batches_of_the_wrong_epoch_count_or_shape(case):
 def test_lone_run_rejects_a_stacks_batches():
     configs, spec, datasets, batches = _drawn_once(_small_cell((0, 1)))
     with pytest.raises(ValueError, match=r"batches needs 3 epochs of \(7, 1, b\) rows"):
-        train(configs[0], spec, datasets[0].source_train, datasets[0].target_train,
+        d = datasets[0]
+        train(configs[0], spec, d.source_train, d.target_train, d.source_eval, d.target_eval,
               batches=batches)
