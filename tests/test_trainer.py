@@ -294,7 +294,7 @@ def _gates_never_open(expected):
 
 
 def _skips_only_in(run, adapts=False):
-    """Only run skips steps, and it adapts in each epoch it skips in exactly when adapts."""
+    """Check that only run skips steps, and that it adapts in every epoch it skips in iff adapts."""
     def check(reports):
         for i, r in enumerate(reports):
             skips = r.skipped_steps_by_reason["covariance_not_spd"]
@@ -313,7 +313,7 @@ STACK_CASES = {
         _gates_never_open([False, False, False])),
     "blobs dim 4 cell, gate of seed 159990 never opens": (
         lambda: _sweep_cell(4, "airm", (0, 159990, 2)), _gates_never_open([False, True, False])),
-    "blobs dim 2 relu cell, seed 1 skips 2 steps": (
+    "blobs dim 2 relu cell, seed 1 skips and adapts": (
         lambda: _sweep_cell(2, "airm", (0, 1, 2), encoder=((32, "relu"), (2, "relu")), eta=1e-8),
         _skips_only_in(1, adapts=True)),
     "constant target in one run": (
