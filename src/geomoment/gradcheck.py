@@ -26,6 +26,7 @@ from .rng import stream
 FD_STEP = 1e-4
 REL_FLOOR = 1e-6
 FD_BOUND = 1e-5  # the largest rel_err an audit accepts
+AUDIT_DIMS, AUDIT_BATCH, AUDIT_COORDS = (2, 3, 5), 40, 50  # audit_dist_loss's widths and draws
 
 
 def central_diff(f, x, idx, h_max=np.inf, mirror=False):
@@ -55,18 +56,18 @@ def rel_err(a, b):
     return float(np.max(np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), REL_FLOOR)))
 
 
-def audit_dist_loss(seed=0, kinds=DIST_KINDS, dims=(2, 3, 5), batch=40, n_coords=50):
-    """Max relative FD error of dist_loss feature gradients across kinds/dims."""
+def audit_dist_loss(seed=0, kinds=DIST_KINDS):
+    """Max relative FD error of dist_loss feature gradients across kinds and AUDIT_DIMS."""
     worst = 0.0
-    for n in dims:
+    for n in AUDIT_DIMS:
         rng = stream(seed, 100 + n)
-        zs = rng.standard_normal((batch, n)) + 0.3 * rng.standard_normal(n)
-        zt = 1.3 * rng.standard_normal((batch, n)) + rng.standard_normal(n)
+        zs = rng.standard_normal((AUDIT_BATCH, n)) + 0.3 * rng.standard_normal(n)
+        zt = 1.3 * rng.standard_normal((AUDIT_BATCH, n)) + rng.standard_normal(n)
         for kind in kinds:
             le = dist_loss(zs, zt, kind)
-            for _ in range(n_coords):
+            for _ in range(AUDIT_COORDS):
                 source = rng.uniform() < 0.5
-                idx = (int(rng.integers(batch)), int(rng.integers(n)))
+                idx = (int(rng.integers(AUDIT_BATCH)), int(rng.integers(n)))
                 z, grad = (zs, le.grad_source) if source else (zt, le.grad_target)
                 fd = central_diff(lambda _: dist_loss(zs, zt, kind).value, z, idx)
                 worst = max(worst, rel_err(fd, grad[idx]))

@@ -23,7 +23,7 @@ from .errors import (
 from .moments import batch_moments
 from .spd import SPECTRAL_KINDS, pencil_grads, spd_eigh, sym
 
-DIST_KINDS = ("airm", "hilbert", "mean_euclid", "coral_frob", "log_euclid")
+DIST_KINDS = (*SPECTRAL_KINDS, "mean_euclid", "coral_frob", "log_euclid")
 
 # Where a geometric gradient is undefined it is returned as zero, labelled by the cause.
 _ZEROING = (NearZeroDistance, DegenerateSpectrum)

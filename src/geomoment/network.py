@@ -106,16 +106,11 @@ def split_runs(params, runs):
             for r in range(runs)]
 
 
-def forward_buffers(spec, rows):
-    """One scratch array per layer, for stack_forward passes over at most rows rows."""
-    return [np.empty((rows, fan_out)) for _, fan_out, _ in full_plan(spec)]
-
-
-def _act(name, pre, out=None):
+def _act(name, pre):
     if name == "relu":
-        return np.maximum(pre, 0.0, out=out)
+        return np.maximum(pre, 0.0)
     if name == "tanh":
-        return np.tanh(pre, out=out)
+        return np.tanh(pre)
     return pre
 
 
@@ -127,20 +122,14 @@ def _act_grad(name, pre, post):
     return np.ones_like(pre)
 
 
-def stack_forward(plan, params, x, buffers=None):
-    """Dense stack on x (..., b, fan_in); parameters may carry the same leading run axes.
-
-    With buffers (forward_buffers), each layer writes its output in place
-    into its buffer's first b rows, and the caches are not fit for
-    stack_backward: the in-place pass serves evaluation only.
-    """
+def stack_forward(plan, params, x):
+    """Dense stack on x (..., b, fan_in); parameters may carry the same leading run axes."""
     caches = []
     h = np.asarray(x, dtype=float)
-    for i, ((_, _, act), (W, b)) in enumerate(zip(plan, params)):
-        buf = None if buffers is None else buffers[i][: h.shape[-2]]
-        pre = np.matmul(h, W, out=buf)
+    for (_, _, act), (W, b) in zip(plan, params):
+        pre = h @ W
         pre += b[..., None, :]
-        post = _act(act, pre, out=buf)
+        post = _act(act, pre)
         caches.append((h, pre, post))
         h = post
     return h, caches
@@ -160,12 +149,12 @@ def stack_backward(plan, params, caches, dout):
     return dh, grads
 
 
-def model_forward(spec, params, x, buffers=None):
+def model_forward(spec, params, x):
     ep = encoder_plan(spec)
     hp = head_plan(spec)
     n_enc = len(ep)
-    z, enc_caches = stack_forward(ep, params[:n_enc], x, buffers and buffers[:n_enc])
-    out, head_caches = stack_forward(hp, params[n_enc:], z, buffers and buffers[n_enc:])
+    z, enc_caches = stack_forward(ep, params[:n_enc], x)
+    out, head_caches = stack_forward(hp, params[n_enc:], z)
     return z, out, enc_caches, head_caches
 
 
@@ -207,11 +196,10 @@ class Adam:
     buffer, a row per run; the runs step together.
     """
 
-    def __init__(self, params, learn_rate, beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, learn_rate):
         self.lr = learn_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.params = params
         self.lead = params[0][1].shape[:-1]  # the first bias's leading run axes
@@ -233,14 +221,14 @@ class Adam:
         if params is not self.params:
             raise ValueError("Adam.step needs the parameter list it was built with")
         self.t += 1
-        c1 = 1.0 - self.beta1**self.t
-        c2 = 1.0 - self.beta2**self.t
+        c1 = 1.0 - self.BETA1**self.t
+        c2 = 1.0 - self.BETA2**self.t
         g = self._flatten(grads)
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * g
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * g**2
-        self.flat -= self.lr * (self.m / c1) / (np.sqrt(self.v / c2) + self.eps)
+        self.m = self.BETA1 * self.m + (1.0 - self.BETA1) * g
+        self.v = self.BETA2 * self.v + (1.0 - self.BETA2) * g**2
+        self.flat -= self.lr * (self.m / c1) / (np.sqrt(self.v / c2) + self.EPS)
 
 
 def make_optimizer(params, learn_rate):
-    """The training loop's optimizer: Adam with its default moments."""
+    """The training loop's optimizer: Adam at the learning rate."""
     return Adam(params, learn_rate)

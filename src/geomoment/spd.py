@@ -99,7 +99,7 @@ def eigh_sym(M):
 def matrix_log(P):
     """Matrix logarithm of an SPD matrix via eigendecomposition."""
     lam, Q = eigh_sym(P)
-    if lam[0] <= 0:
+    if not lam[0] > 0:  # a NaN eigenvalue fails too
         raise NotPositiveDefinite(
             f"matrix log needs positive eigenvalues, got {lam[0]:.6e}",
             lambda_min=float(lam[0]),

@@ -21,7 +21,6 @@ from .moments import batch_moments, check_regime
 from .network import (
     ClassifierHead,
     encoder_plan,
-    forward_buffers,
     head_plan,
     init_model,
     make_optimizer,
@@ -115,19 +114,13 @@ class TrainReport:
         return REPORT_HEADER + "\n" + "".join(csv_line(r, REPORT_HEADER) for r in rows)
 
 
-def evaluate(params, spec, dataset, buffers=None):
-    """Accuracy for classifier heads, reconstruction MSE for decoder heads.
-
-    With buffers (network.forward_buffers, for at least the set's rows)
-    the forward pass and the MSE are written in place into them, so a
-    run's repeated evaluations allocate no large temporaries.
-    """
-    _, out, _, _ = model_forward(spec, params, dataset.x, buffers)
+def evaluate(params, spec, dataset):
+    """Accuracy for classifier heads, reconstruction MSE for decoder heads."""
+    _, out, _, _ = model_forward(spec, params, dataset.x)
     if isinstance(spec.head, ClassifierHead):
         return float(np.mean(out.argmax(axis=1) == dataset.y))
     ref = dataset.ref if dataset.ref is not None else dataset.x
-    diff = np.subtract(out, ref, out=out)
-    return float(np.mean(np.square(diff, out=diff)))
+    return float(np.mean((out - ref) ** 2))
 
 
 def _task_loss(spec, out, xb, yb):
@@ -214,7 +207,6 @@ def train(config, spec, source, target, eval_source, eval_target, batches=None):
     ep = encoder_plan(spec)
     hp = head_plan(spec)
     n_enc = len(ep)
-    buffers = forward_buffers(spec, max(e.x.shape[0] for e in eval_sources + eval_targets))
 
     sizes = _, bs, _, bt, steps_per_epoch = batch_sizes(cfg, len(sources[0].x), len(targets[0].x))
     if batches is not None and (len(batches) != cfg.epochs or any((s.shape, t.shape) != (
@@ -306,8 +298,8 @@ def train(config, spec, source, target, eval_source, eval_target, batches=None):
         np.divide(dist_sum, dist_steps, out=cols["loss_dist"][:, epoch], where=dist_steps > 0)
         gate_on[:, epoch] = latch
         for r, p in enumerate(run_params):
-            cols["source_metric"][r, epoch] = evaluate(p, spec, eval_sources[r], buffers)
-            cols["target_metric"][r, epoch] = evaluate(p, spec, eval_targets[r], buffers)
+            cols["source_metric"][r, epoch] = evaluate(p, spec, eval_sources[r])
+            cols["target_metric"][r, epoch] = evaluate(p, spec, eval_targets[r])
 
     return [
         TrainReport(

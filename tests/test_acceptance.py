@@ -229,7 +229,7 @@ def test_criterion_4_tv_tanh_chain():
 
 def test_criterion_5_gradient_audit():
     t0 = time.perf_counter()
-    worst_loss = audit_dist_loss(seed=105, dims=(2, 3, 5), batch=40, n_coords=50)
+    worst_loss = audit_dist_loss(seed=105)
     worst_net = audit_network(seed=105)
     elapsed = time.perf_counter() - t0
     ok = worst_loss <= FD_BOUND and worst_net <= FD_BOUND and elapsed < 60.0

@@ -144,7 +144,7 @@ def test_unknown_kind_rejected():
 
 
 def test_end_to_end_gradients_match_fd():
-    assert audit_dist_loss(seed=7, dims=(2, 3, 5), batch=40, n_coords=50) <= FD_BOUND
+    assert audit_dist_loss(seed=7) <= FD_BOUND
 
 
 def test_descent_step_decreases_geometric_losses():

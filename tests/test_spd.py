@@ -142,6 +142,17 @@ def test_matrix_log_roundtrip_2x2():
     assert np.allclose(expm(L), P, rtol=1e-10)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_matrix_log_rejects_nan_entries(n):
+    # NaN compares false with 0 both ways, so only `not lam > 0` rejects it
+    P = np.eye(n)
+    P[0, 1] = P[1, 0] = np.nan
+    with pytest.raises(NotPositiveDefinite):
+        matrix_log(P)
+    with pytest.raises(NotPositiveDefinite):
+        dist_logeuclid(P, np.eye(n))
+
+
 def test_exp_log_roundtrip_conditioned():
     rng = rng_for("explog")
     for _ in range(50):

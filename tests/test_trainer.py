@@ -225,6 +225,27 @@ def test_skipped_steps_counted_by_reason(monkeypatch):
     )
 
 
+@pytest.mark.parametrize("seeds", [(3,), (0, 7)])
+def test_non_finite_distance_raises_with_its_runs_record(monkeypatch, seeds):
+    def infinite(zs, zt, *args, **kwargs):  # the last run's distance is infinite, not zeroed
+        if zs.ndim == 2:
+            return LossEval(math.inf, np.zeros_like(zs), np.zeros_like(zt), "")
+        value = np.zeros(len(zs))
+        value[-1] = math.inf
+        return LossEval(value, np.zeros_like(zs), np.zeros_like(zt), np.full(len(zs), ""))
+
+    monkeypatch.setattr(trainer, "dist_loss", infinite)
+    configs, spec, datasets = _small_cell(seeds)
+    sets = [(d.source_train, d.target_train, d.source_eval, d.target_eval) for d in datasets]
+    args = (configs[0], spec, *sets[0]) if len(seeds) == 1 else (configs, spec, *zip(*sets))
+    with pytest.raises(NonFiniteLoss, match="dist loss became non-finite") as info:
+        train(*args)
+    record = info.value.record
+    assert record["loss_dist"] == math.inf
+    assert record["seed"] == seeds[-1]
+    assert record["dist_kind"] == "airm"
+
+
 def test_source_labels_required_for_classifier():
     d = gen_blobs(BLOBS)
     with pytest.raises(ValueError):
