@@ -107,19 +107,20 @@ def split_runs(params, runs):
 
 
 def _act(name, pre):
+    """The activation of pre, written over pre."""
     if name == "relu":
-        return np.maximum(pre, 0.0)
+        return np.maximum(pre, 0.0, out=pre)
     if name == "tanh":
-        return np.tanh(pre)
+        return np.tanh(pre, out=pre)
     return pre
 
 
-def _act_grad(name, pre, post):
+def _act_grad(name, post):
     if name == "relu":
-        return (pre > 0).astype(float)
+        return (post > 0).astype(float)
     if name == "tanh":
         return 1.0 - post**2
-    return np.ones_like(pre)
+    return np.ones_like(post)
 
 
 def stack_forward(plan, params, x):
@@ -130,7 +131,7 @@ def stack_forward(plan, params, x):
         pre = h @ W
         pre += b[..., None, :]
         post = _act(act, pre)
-        caches.append((h, pre, post))
+        caches.append((h, post))
         h = post
     return h, caches
 
@@ -142,8 +143,8 @@ def stack_backward(plan, params, caches, dout):
     for i in range(len(plan) - 1, -1, -1):
         _, _, act = plan[i]
         W, _ = params[i]
-        hin, pre, post = caches[i]
-        dpre = dh * _act_grad(act, pre, post)
+        hin, post = caches[i]
+        dpre = dh * _act_grad(act, post)
         grads[i] = [hin.mT @ dpre, dpre.sum(axis=-2)]
         dh = dpre @ W.mT
     return dh, grads
