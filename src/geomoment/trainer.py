@@ -120,7 +120,8 @@ def evaluate(params, spec, dataset):
     if isinstance(spec.head, ClassifierHead):
         return float(np.mean(out.argmax(axis=1) == dataset.y))
     ref = dataset.ref if dataset.ref is not None else dataset.x
-    return float(np.mean((out - ref) ** 2))
+    diff = np.subtract(out, ref, out=out)  # out is this pass's own array: no temporaries
+    return float(np.mean(np.square(diff, out=diff)))
 
 
 def _task_loss(spec, out, xb, yb):
