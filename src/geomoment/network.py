@@ -117,7 +117,7 @@ def _act(name, pre):
 
 def _act_grad(name, post):
     if name == "relu":
-        return (post > 0).astype(float)
+        return (post > 0).astype(float)  # relu's output is > 0 exactly where its input is
     if name == "tanh":
         return 1.0 - post**2
     return np.ones_like(post)
