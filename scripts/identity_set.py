@@ -21,12 +21,14 @@ trainer's one-run path. That writes each run's ``report.csv`` and
 ``sweep_summary.json``, and each single run's ``metrics.csv``. Each tree
 also writes ``dataset_hashes.json``: the sha256 (with dtype and shape) of
 every array that its ``gen_blobs`` or ``gen_denoise`` returns for each
-sweep's config and seed, so a dataset change shows up array by array. A
+sweep's config and seed, so a dataset change shows up array by array, and
+``gradcheck.txt``: the stdout of ``geomoment gradcheck --seed 0``, the
+finite-difference audits of the distance-loss and network gradients. A
 ``summary.json`` is compared without its ``wall_time_s`` and with its
 ``config.out_dir`` taken relative to its side's output root. For every
 file the script prints "identical", or the largest relative difference
-per column (JSON leaf) that differs; it exits 1 when a file is missing
-on one side.
+per column (JSON leaf, or ``name: value`` line of ``gradcheck.txt``)
+that differs; it exits 1 when a file is missing on one side.
 """
 
 import argparse
@@ -56,7 +58,7 @@ SWEEPS = (
 SEEDS = "0,1,2"
 BETAS = ("0.1", "0")
 COMPARED = ("report.csv", "summary.json", "sweep.csv", "metrics.csv", "sweep_summary.json",
-            "dataset_hashes.json")
+            "dataset_hashes.json", "gradcheck.txt")
 
 
 def with_keys(text, keys):
@@ -85,6 +87,11 @@ def run_set(tree, out_root):
         cmd = [sys.executable, "-m", "geomoment.cli", "train", "--config", cfg_path,
                "--seed", train_seed, "--out", os.path.join(out_root, f"{name}_train")]
         subprocess.run(cmd, cwd=tree, env=env, check=True, capture_output=True)
+    cmd = [sys.executable, "-m", "geomoment.cli", "gradcheck", "--seed", "0"]
+    # an audit above its bound exits 1 but still prints its errors, which are compared
+    audit = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+    with open(os.path.join(out_root, "gradcheck.txt"), "w") as fh:
+        fh.write(audit.stdout)
     out = os.path.join(out_root, "dataset_hashes.json")
     cmd = [sys.executable, "-c", f"import identity_set; identity_set.hash_datasets({out!r})"]
     env["PYTHONPATH"] = os.pathsep.join(["src", SCRIPTS])
@@ -140,7 +147,10 @@ def comparable(rel, text, root):
 
 
 def columns(path, text):
-    """Column name -> list of cell texts of a CSV file, or leaf key -> [value] of a JSON file."""
+    """Column name -> list of cell texts of a CSV file, leaf key -> [value] of a JSON file,
+    or name -> [value] of a text file's ``name: value`` lines."""
+    if path.endswith(".txt"):
+        return {k: [v.strip()] for k, _, v in (ln.rpartition(":") for ln in text.splitlines())}
     if path.endswith(".json"):
         flat = {}
 

@@ -16,10 +16,9 @@ from .network import (
     ModelSpec,
     full_plan,
     init_model,
-    mse_loss,
-    softmax_cross_entropy,
     stack_backward,
     stack_forward,
+    task_loss,
 )
 from .rng import stream
 
@@ -77,11 +76,7 @@ def audit_dist_loss(seed=0, kinds=DIST_KINDS):
 def _net_loss(spec, params, x, y):
     plan = full_plan(spec)
     out, caches = stack_forward(plan, params, x)
-    if isinstance(spec.head, ClassifierHead):
-        loss, dout = softmax_cross_entropy(out, y)
-    else:
-        loss, dout = mse_loss(out, x)
-    return loss, dout, plan, caches
+    return *task_loss(spec, out, x, y), plan, caches
 
 
 def audit_network(seed=0):

@@ -52,26 +52,24 @@ class ModelSpec:
             )
 
 
-def encoder_plan(spec):
-    """(fan_in, fan_out, activation) triples for the encoder stack."""
+def _plan(fan_in, layers):
+    """(fan_in, fan_out, activation) triples of a dense stack of (width, activation) layers."""
     plan = []
-    fan_in = spec.input_dim
-    for width, act in spec.encoder_layers:
+    for width, act in layers:
         plan.append((fan_in, width, act))
         fan_in = width
     return plan
+
+
+def encoder_plan(spec):
+    return _plan(spec.input_dim, spec.encoder_layers)
 
 
 def head_plan(spec):
-    if isinstance(spec.head, ClassifierHead):
-        return [(spec.embed_dim, spec.head.num_classes, "identity")]
-    plan = []
-    fan_in = spec.embed_dim
-    for width, act in spec.head.layers:
-        plan.append((fan_in, width, act))
-        fan_in = width
-    plan.append((fan_in, spec.head.output_dim, "identity"))
-    return plan
+    head = spec.head
+    if isinstance(head, ClassifierHead):
+        return _plan(spec.embed_dim, ((head.num_classes, "identity"),))
+    return _plan(spec.embed_dim, (*head.layers, (head.output_dim, "identity")))
 
 
 def full_plan(spec):
@@ -115,12 +113,13 @@ def _act(name, pre):
     return pre
 
 
-def _act_grad(name, post):
+def _act_grad(name, post, dh):
+    """dh taken back through the activation whose output is post; identity returns dh itself."""
     if name == "relu":
-        return (post > 0).astype(float)  # relu's output is > 0 exactly where its input is
+        return dh * (post > 0)  # relu's output is > 0 exactly where its input is
     if name == "tanh":
-        return 1.0 - post**2
-    return np.ones_like(post)
+        return dh * (1.0 - post**2)
+    return dh
 
 
 def stack_forward(plan, params, x):
@@ -144,19 +143,10 @@ def stack_backward(plan, params, caches, dout):
         _, _, act = plan[i]
         W, _ = params[i]
         hin, post = caches[i]
-        dpre = dh * _act_grad(act, post)
+        dpre = _act_grad(act, post, dh)  # dh itself for identity: written nowhere
         grads[i] = [hin.mT @ dpre, dpre.sum(axis=-2)]
         dh = dpre @ W.mT
     return dh, grads
-
-
-def model_forward(spec, params, x):
-    ep = encoder_plan(spec)
-    hp = head_plan(spec)
-    n_enc = len(ep)
-    z, enc_caches = stack_forward(ep, params[:n_enc], x)
-    out, head_caches = stack_forward(hp, params[n_enc:], z)
-    return z, out, enc_caches, head_caches
 
 
 def softmax_cross_entropy(logits, labels):
@@ -184,6 +174,13 @@ def mse_loss(out, ref):
     diff = out - ref
     loss = np.mean(diff**2, axis=(-2, -1))
     return loss, 2.0 * diff / (diff.shape[-2] * diff.shape[-1])
+
+
+def task_loss(spec, out, x, y):
+    """The head's loss on out and its gradient: cross-entropy on labels y, or MSE against x."""
+    if isinstance(spec.head, ClassifierHead):
+        return softmax_cross_entropy(out, y)
+    return mse_loss(out, x)
 
 
 class Adam:

@@ -102,7 +102,7 @@ _SCHEMA = {
     "embed_dim": (_parse_int, "model_spec", "embed_dim"),
     "encoder": (_parse_layers, "model_spec", "encoder_layers"),
     "sweep.kinds": (_parse_list(_parse_kind), "run", "sweep_kinds"),
-    "sweep.seeds": (_parse_list(int), "run", "sweep_seeds"),
+    "sweep.seeds": (_parse_list(_parse_int), "run", "sweep_seeds"),
     "blobs.num_classes": (_parse_int, "blobs", "num_classes"),
     "blobs.samples_per_class": (_parse_int, "blobs", "samples_per_class"),
     "blobs.input_dim": (_parse_int, "blobs", "input_dim"),

@@ -21,16 +21,15 @@ from .moments import batch_moments, check_regime
 from .network import (
     ClassifierHead,
     encoder_plan,
+    full_plan,
     head_plan,
     init_model,
     make_optimizer,
-    model_forward,
-    mse_loss,
-    softmax_cross_entropy,
     split_runs,
     stack_backward,
     stack_forward,
     stack_runs,
+    task_loss,
 )
 from .rng import STREAM_SOURCE_BATCH, STREAM_TARGET_BATCH, stream
 
@@ -116,18 +115,12 @@ class TrainReport:
 
 def evaluate(params, spec, dataset):
     """Accuracy for classifier heads, reconstruction MSE for decoder heads."""
-    _, out, _, _ = model_forward(spec, params, dataset.x)
+    out, _ = stack_forward(full_plan(spec), params, dataset.x)
     if isinstance(spec.head, ClassifierHead):
         return float(np.mean(out.argmax(axis=1) == dataset.y))
     ref = dataset.ref if dataset.ref is not None else dataset.x
     diff = np.subtract(out, ref, out=out)  # out is this pass's own array: no temporaries
     return float(np.mean(np.square(diff, out=diff)))
-
-
-def _task_loss(spec, out, xb, yb):
-    if isinstance(spec.head, ClassifierHead):
-        return softmax_cross_entropy(out, yb)
-    return mse_loss(out, xb)
 
 
 def _per_run(result):
@@ -220,7 +213,6 @@ def train(config, spec, source, target, eval_source, eval_target, batches=None):
     xt = _rows([t.x for t in targets])
     run = 0 if R == 1 else slice(None)  # a single run's batch has no run axis
 
-    latch = [False] * R
     gate_open_epoch = [-1] * R
     cols = {
         k: np.zeros((R, cfg.epochs))
@@ -248,8 +240,9 @@ def train(config, spec, source, target, eval_source, eval_target, batches=None):
             xb = xs[rows_s]
             yb = ys[rows_s] if classifier else None
 
-            z_s, out, enc_caches, head_caches = model_forward(spec, params, xb)
-            loss_task, dout = _task_loss(spec, out, xb, yb)
+            z_s, enc_caches = stack_forward(ep, params[:n_enc], xb)
+            out, head_caches = stack_forward(hp, params[n_enc:], z_s)
+            loss_task, dout = task_loss(spec, out, xb, yb)
             task_sum = task_sum + loss_task
             for r, value in enumerate(loss_task.reshape(R).tolist()):
                 if not math.isfinite(value):
@@ -261,10 +254,9 @@ def train(config, spec, source, target, eval_source, eval_target, batches=None):
             gate = schur_gate(ms, cfg.eta)
             det_sum += gate.det
             for r, is_open in enumerate(_per_run(gate.open)):
-                if is_open and not latch[r]:
-                    latch[r] = True
+                if is_open and gate_open_epoch[r] < 0:
                     gate_open_epoch[r] = epoch + 1
-            adapting = [r for r in range(R) if latch[r]] if cfg.beta > 0 else []
+            adapting = [r for r in range(R) if gate_open_epoch[r] > 0] if cfg.beta > 0 else []
 
             if adapting:
                 sub = slice(None) if len(adapting) == R else adapting  # the adapting runs
@@ -297,7 +289,7 @@ def train(config, spec, source, target, eval_source, eval_target, batches=None):
         cols["loss_task"][:, epoch] = task_sum / steps_per_epoch
         cols["det_ps"][:, epoch] = det_sum / steps_per_epoch
         np.divide(dist_sum, dist_steps, out=cols["loss_dist"][:, epoch], where=dist_steps > 0)
-        gate_on[:, epoch] = latch
+        gate_on[:, epoch] = [e > 0 for e in gate_open_epoch]
         for r, p in enumerate(run_params):
             cols["source_metric"][r, epoch] = evaluate(p, spec, eval_sources[r])
             cols["target_metric"][r, epoch] = evaluate(p, spec, eval_targets[r])

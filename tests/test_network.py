@@ -8,11 +8,13 @@ from geomoment.network import (
     DecoderHead,
     ModelSpec,
     encoder_plan,
+    full_plan,
+    head_plan,
     init_model,
-    model_forward,
     mse_loss,
     softmax_cross_entropy,
     stack_forward,
+    task_loss,
 )
 from geomoment.rng import stream
 
@@ -49,6 +51,30 @@ def test_encoder_output_shape():
     ep = encoder_plan(spec)
     z, _ = stack_forward(ep, params[: len(ep)], x)
     assert z.shape == (17, 2)
+
+
+def test_plans_chain_fan_in_through_encoder_and_head():
+    decoder = ModelSpec(
+        input_dim=6,
+        encoder_layers=((8, "tanh"), (2, "identity")),
+        embed_dim=2,
+        head=DecoderHead(output_dim=6, layers=((5, "relu"),)),
+    )
+    assert full_plan(decoder) == [(6, 8, "tanh"), (8, 2, "identity"), (2, 5, "relu"),
+                                  (5, 6, "identity")]
+    assert head_plan(small_classifier(embed_dim=2, classes=3)) == [(2, 3, "identity")]
+
+
+def test_task_loss_follows_the_head():
+    x = stream(2, 999).standard_normal((5, 3))
+    y = np.array([0, 1, 2, 0, 1])
+    classifier = small_classifier(input_dim=3, embed_dim=2, classes=3)
+    decoder = ModelSpec(input_dim=3, encoder_layers=((2, "identity"),), embed_dim=2,
+                        head=DecoderHead(output_dim=3))
+    for spec, want in ((classifier, softmax_cross_entropy(x, y)), (decoder, mse_loss(x, x))):
+        loss, grad = task_loss(spec, x, x, y)
+        assert loss == want[0]
+        assert np.array_equal(grad, want[1])
 
 
 def test_spec_rejects_mismatched_embed_width():
@@ -99,7 +125,7 @@ def test_untrained_classifier_near_chance():
         params = init_model(spec, seed)
         x = rng.standard_normal((400, 6))
         y = np.repeat(np.arange(K), 100)
-        _, out, _, _ = model_forward(spec, params, x)
+        out, _ = stack_forward(full_plan(spec), params, x)
         accs.append(np.mean(out.argmax(axis=1) == y))
     assert abs(np.mean(accs) - 1.0 / K) <= 0.08
 

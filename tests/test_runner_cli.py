@@ -101,6 +101,40 @@ def test_bad_value_diagnostics():
         parse_config_text(bad)
 
 
+def _line_of(text, start):
+    """The 1-based number of text's first line that starts with start."""
+    return next(i for i, line in enumerate(text.splitlines(), 1) if line.startswith(start))
+
+
+ADDED = len(BLOBS_CFG.splitlines()) + 1  # the number of a line appended to BLOBS_CFG
+ENCODER = _line_of(BLOBS_CFG, "encoder =")
+
+
+@pytest.mark.parametrize("text, prefix, message", [
+    (BLOBS_CFG + "epochs 4\n", f"bad.cfg:{ADDED}: ", "expected 'key = value'"),
+    (BLOBS_CFG + "beta = 0.2\n", f"bad.cfg:{ADDED}: ", "duplicate key 'beta'"),
+    (BLOBS_CFG.replace("task = blobs", "task = images"), "bad.cfg: ",
+     "key 'task' must be blobs or denoise, got 'images'"),
+    (BLOBS_CFG + "sweep.kinds = airm,wasserstein\n", f"bad.cfg:{ADDED}: ",
+     "unknown kind 'wasserstein'"),
+    (BLOBS_CFG.replace("16:relu", "16:gelu"), f"bad.cfg:{ENCODER}: ", "unknown activation 'gelu'"),
+    (BLOBS_CFG.replace("encoder = 16:relu,2:identity", "encoder = ,"), f"bad.cfg:{ENCODER}: ",
+     "empty layer list"),
+])
+def test_parser_diagnostics_name_file_and_line(text, prefix, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config_text(text, path="bad.cfg")
+    assert str(info.value).startswith(prefix)
+    assert message in str(info.value)
+
+
+def test_seed_and_sweep_seeds_parse_integers_alike():
+    text = BLOBS_CFG.replace("seed = 0", "seed = 0x10") + "sweep.seeds = 0x10,17\n"
+    parsed = parse_config_text(text)
+    assert parsed["seed"] == 16
+    assert parsed["sweep.seeds"] == (16, 17)
+
+
 def strict_json(path):
     """Load a JSON file, failing on the NaN and Infinity constants strict JSON lacks."""
 

@@ -129,9 +129,9 @@ def test_evaluate_perfect_and_chance():
     assert acc > 0.75  # source task is learnable
     # degenerate eval set where every row carries the predicted label
     x = d.source_eval.x[:10]
-    from geomoment.network import model_forward
+    from geomoment.network import full_plan, stack_forward
 
-    _, out, _, _ = model_forward(SPEC, rep.params, x)
+    out, _ = stack_forward(full_plan(SPEC), rep.params, x)
     y = out.argmax(axis=1)
     assert evaluate(rep.params, SPEC, EvalSet(x=x, y=y)) == 1.0
 
