@@ -21,7 +21,11 @@ trainer's one-run path. That writes each run's ``report.csv`` and
 ``sweep_summary.json``, and each single run's ``metrics.csv``. Each tree
 also writes ``dataset_hashes.json``: the sha256 (with dtype and shape) of
 every array that its ``gen_blobs`` or ``gen_denoise`` returns for each
-sweep's config and seed, so a dataset change shows up array by array, and
+sweep's config and seed, so a dataset change shows up array by array,
+``dist_loss_hashes.json``: the sha256 of the value and gradient bytes of
+``dist_loss`` for each kind at widths 2, 8, 32 and 128, on batches drawn
+from Philox streams (single calls, a 3-run stack, and both with
+``source_moments``), which reaches the widths the sweeps never train at, and
 ``gradcheck.txt``: the stdout of ``geomoment gradcheck --seed 0``, the
 finite-difference audits of the distance-loss and network gradients. A
 ``summary.json`` is compared without its ``wall_time_s`` and with its
@@ -58,7 +62,8 @@ SWEEPS = (
 SEEDS = "0,1,2"
 BETAS = ("0.1", "0")
 COMPARED = ("report.csv", "summary.json", "sweep.csv", "metrics.csv", "sweep_summary.json",
-            "dataset_hashes.json", "gradcheck.txt")
+            "dataset_hashes.json", "dist_loss_hashes.json", "gradcheck.txt")
+HASH_WIDTHS = (2, 8, 32, 128)  # dist_loss_hashes.json's feature widths
 
 
 def with_keys(text, keys):
@@ -92,8 +97,10 @@ def run_set(tree, out_root):
     audit = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
     with open(os.path.join(out_root, "gradcheck.txt"), "w") as fh:
         fh.write(audit.stdout)
-    out = os.path.join(out_root, "dataset_hashes.json")
-    cmd = [sys.executable, "-c", f"import identity_set; identity_set.hash_datasets({out!r})"]
+    datasets = os.path.join(out_root, "dataset_hashes.json")
+    losses = os.path.join(out_root, "dist_loss_hashes.json")
+    cmd = [sys.executable, "-c", "import identity_set; "
+           f"identity_set.hash_datasets({datasets!r}); identity_set.hash_dist_losses({losses!r})"]
     env["PYTHONPATH"] = os.pathsep.join(["src", SCRIPTS])
     subprocess.run(cmd, cwd=tree, env=env, check=True, capture_output=True)
 
@@ -125,6 +132,37 @@ def hash_datasets(out_path):
             hashes[f"{name}.s{seed}"] = {
                 path: f"{hashlib.sha256(a.tobytes()).hexdigest()} {a.dtype} {a.shape}"
                 for path, a in arrays("", data)}
+    with open(out_path, "w") as fh:
+        json.dump(hashes, fh, indent=2, sort_keys=True)
+
+
+def hash_dist_losses(out_path):
+    """Write {kind.n<width>.<call>: sha256 of the value and gradient bytes} of dist_loss calls.
+
+    Runs inside a tree, like hash_datasets. Each width draws one 3-run stack
+    of source and target batches from its own Philox stream; the calls are
+    its first run alone, the whole stack, and both again with source_moments.
+    """
+    import numpy as np
+    from geomoment.losses import DIST_KINDS, dist_loss
+    from geomoment.moments import batch_moments
+    from geomoment.rng import stream
+
+    hashes = {}
+    for n in HASH_WIDTHS:
+        rng = stream(n, 0)
+        b = 4 * n + 12
+        zs = rng.standard_normal((3, b, n)) + 0.5 * rng.standard_normal(n)
+        zt = 1.3 * rng.standard_normal((3, b, n)) + rng.standard_normal(n)
+        calls = {"single": (zs[0], zt[0]), "stack3": (zs, zt)}
+        for kind in DIST_KINDS:
+            for call, (s, t) in calls.items():
+                for given, moments in (("", None), (".source_moments", batch_moments(s))):
+                    le = dist_loss(s, t, kind, source_moments=moments)
+                    digest = hashlib.sha256()
+                    for a in (le.value, le.grad_source, le.grad_target):
+                        digest.update(np.asarray(a, dtype=float).tobytes())
+                    hashes[f"{kind}.n{n}.{call}{given}"] = digest.hexdigest()
     with open(out_path, "w") as fh:
         json.dump(hashes, fh, indent=2, sort_keys=True)
 

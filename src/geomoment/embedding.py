@@ -200,7 +200,8 @@ def siegel_pencil_eigh(ms, mt, params=EmbeddingParams()):
     V = F_s^{-T} Y, so V^T embed(ms) V = I and embed(mt) V = lam embed(ms) V.
     Each covariance passes spd_factor's rule through its factor m.chol
     first (NotPositiveDefinite otherwise); neither (n+1) x (n+1) matrix
-    is built or factored.
+    is built or factored. K K^T is exactly symmetric as built (one
+    symmetric rank-k update), so it goes to the eigensolver as it is.
     """
     _, Ls_inv = spd_factor(ms.cov, ms.chol)
     Lt, _ = spd_factor(mt.cov, mt.chol)

@@ -20,7 +20,7 @@ from .errors import (
     NonPositiveSpectrum,
     NotPositiveDefinite,
 )
-from .moments import batch_moments
+from .moments import _centered_moments
 from .spd import SPECTRAL_KINDS, pencil_grads, spd_eigh, sym
 
 DIST_KINDS = (*SPECTRAL_KINDS, "mean_euclid", "coral_frob", "log_euclid")
@@ -40,30 +40,27 @@ class LossEval:
 
 
 def grad_embed(m, upstream, params=EmbeddingParams()):
-    """Chain an upstream gradient on the embedded matrix back to (mean, cov)."""
-    G = sym(upstream)
+    """Chain an exactly symmetric upstream gradient (pencil_grads') back to (mean, cov)."""
     a = params.a
     n = m.dim
-    Gtl = G[..., :n, :n]
-    dmean = (a * (Gtl + Gtl.mT) @ m.mean[..., None])[..., 0] + 2.0 * a * G[..., :n, n]
+    Gtl = upstream[..., :n, :n]
+    dmean = (2.0 * a * Gtl @ m.mean[..., None])[..., 0] + 2.0 * a * upstream[..., :n, n]
     return dmean, Gtl
 
 
-def grad_moments(batch, mean, dmean, dcov):
+def grad_moments(centered, dmean, dcov):
     """Chain gradients on (mean, cov) back to every feature row.
 
-    mean is the batch's row mean (batch_moments(batch).mean). Row i
-    receives dmean/b + (2/(b-1)) dcov (z_i - mean); the mean's
-    dependence inside the covariance estimator cancels because the
-    centered rows sum to zero.
+    centered holds the batch's rows z_i less their mean, as the loss
+    centered them for its moments; dcov must be exactly symmetric, as
+    every _COV_KINDS entry gives it. Row i receives
+    dmean/b + (2/(b-1)) dcov (z_i - mean); the mean's dependence inside
+    the covariance estimator cancels because the centered rows sum to zero.
     """
-    data = np.asarray(batch, dtype=float)
-    b = data.shape[-2]
-    row_dmean = np.asarray(dmean, dtype=float)[..., None, :] / b
-    D = sym(dcov)
-    if not D.any():
-        return np.broadcast_to(row_dmean, data.shape).copy()
-    return (data - mean[..., None, :]) @ (D * (2.0 / (b - 1))) + row_dmean
+    b = centered.shape[-2]
+    rows = centered @ (dcov * (2.0 / (b - 1)))
+    rows += dmean[..., None, :] / b
+    return rows
 
 
 def _log_derivative_coeffs(lam):
@@ -161,24 +158,26 @@ def _loss(zs_data, zt_data, kind, params, source_moments):
                   else source_moments.mean)  # numpy's means, without its wrapper
         mean_t = zt_data.sum(axis=-2) / zt_data.shape[-2]
         diff = mean_s - mean_t
-        zero = np.zeros(diff.shape + diff.shape[-1:])
         value, zero_reason = np.vecdot(diff, diff), ""
-        sides = (2.0 * diff, zero), (-2.0 * diff, zero)
-    else:
-        ms = batch_moments(zs_data) if source_moments is None else source_moments
-        mt = batch_moments(zt_data)
-        mean_s, mean_t = ms.mean, mt.mean
+        # every row gets the same share of the mean's gradient
+        gs, gt = (np.broadcast_to(dmean[..., None, :] / z.shape[-2], z.shape).copy()
+                  for dmean, z in ((2.0 * diff, zs_data), (-2.0 * diff, zt_data)))
+    else:  # each side is centered once, for its covariance and its row gradient
+        cs, ms = (_centered_moments(zs_data) if source_moments is None
+                  else (zs_data - source_moments.mean[..., None, :], source_moments))
+        ct, mt = _centered_moments(zt_data)
         try:
             value, sides, zero_reason = _COV_KINDS[kind](ms, mt, params)
         except NotPositiveDefinite as exc:  # the gate closes: a NaN value
             # a NonPositiveSpectrum is the pencil's, once both covariances passed the SPD rule
-            value = np.full(mean_s.shape[:-1], np.nan)
+            value = np.full(mt.mean.shape[:-1], np.nan)
             zero_reason = ("pencil_unresolved" if isinstance(exc, NonPositiveSpectrum)
                            else "covariance_not_spd")
-    if zero_reason:
-        gs, gt = np.zeros_like(zs_data), np.zeros_like(zt_data)
-    else:
-        (dmean_s, dcov_s), (dmean_t, dcov_t) = sides
-        gs = grad_moments(zs_data, mean_s, dmean_s, dcov_s)
-        gt = grad_moments(zt_data, mean_t, dmean_t, dcov_t)
+        if zero_reason:
+            gs, gt = np.zeros_like(zs_data), np.zeros_like(zt_data)
+        else:
+            (dmean_s, dcov_s), (dmean_t, dcov_t) = sides
+            gs = grad_moments(cs, dmean_s, dcov_s)
+            del cs  # freed before the target's rows are made
+            gt = grad_moments(ct, dmean_t, dcov_t)
     return LossEval(value if value.ndim else float(value), gs, gt, zero_reason)

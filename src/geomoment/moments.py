@@ -26,7 +26,11 @@ def batch_moments(batch):
     R x n means and R x n x n covariances, each run's bit for bit as
     its batch alone.
     """
-    data = np.asarray(batch, dtype=float)
+    return _centered_moments(np.asarray(batch, dtype=float))[1]
+
+
+def _centered_moments(data):
+    """(centered rows, batch_moments) of a float batch or stack, centering it once."""
     if data.ndim < 2:
         raise ValueError(f"expected a b x n batch, got shape {data.shape}")
     b = data.shape[-2]
@@ -34,7 +38,7 @@ def batch_moments(batch):
         raise BatchTooSmall(f"need at least 2 rows, got {b}")
     mean = data.sum(axis=-2) / b  # numpy's mean, bit for bit, without its wrapper
     centered = data - mean[..., None, :]
-    return GaussianMoments.trusted(mean, centered.mT @ centered / (b - 1))
+    return centered, GaussianMoments.trusted(mean, centered.mT @ centered / (b - 1))
 
 
 def check_regime(b, n):

@@ -65,7 +65,7 @@ def _parse_layer(part):
     act = act or "identity"
     if act not in ACTIVATIONS:
         raise ValueError(f"unknown activation {act!r} in layer spec {part!r}")
-    return int(width), act
+    return _parse_int(width), act
 
 
 def _parse_layers(v):

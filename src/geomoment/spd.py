@@ -80,18 +80,18 @@ def eigvals_sym(M):
     its internal iteration cap; non-convergence surfaces as
     ConvergenceFailure.
     """
-    M = sym(M)
-    try:
-        return np.linalg.eigvalsh(M)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
+    return _symmetric_solve(np.linalg.eigvalsh, sym(M))
 
 
 def eigh_sym(M):
     """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric matrix."""
-    M = sym(M)
+    return _symmetric_solve(np.linalg.eigh, sym(M))
+
+
+def _symmetric_solve(solve, M):
+    """solve (eigvalsh or eigh) of an exactly symmetric M; non-convergence is ConvergenceFailure."""
     try:
-        return np.linalg.eigh(M)
+        return solve(M)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
 
@@ -113,11 +113,13 @@ def cholesky(M):
     The package's one factorization: a NaN in M may pass through into
     the factor without raising, which spd_factor then rejects. A stack
     (..., n, n) gives its slices' factors as one array, from one batched call,
-    or from one call per slice when any slice fails.
+    or from one call per slice when any slice fails. A non-square M raises ValueError.
     """
     try:
         return np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
+        if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
+            raise ValueError(f"expected a square matrix or a stack of them, got shape {M.shape}")
         return np.full(M.shape, np.nan) if M.ndim == 2 else np.stack([cholesky(m) for m in M])
 
 
@@ -154,8 +156,8 @@ def spd_factor(M, L):
 
 
 def spd_eigh(M):
-    """eigh_sym(M) of a symmetric M, with spd_factor's rule decided on its eigenvalues."""
-    lam, Q = eigh_sym(M)
+    """eigh_sym(M) of an exactly symmetric M, with spd_factor's rule decided on its eigenvalues."""
+    lam, Q = _symmetric_solve(np.linalg.eigh, M)
     for lam_min, m in zip(lam[..., 0].ravel().tolist(), M.reshape(-1, *M.shape[-2:])):
         _spd_rule(lam_min, spd_tol(m))  # slice by slice
     return lam, Q
@@ -168,17 +170,17 @@ def _spd_rule(lam_min, tol):
 
 
 def _pencil_form(P1, P2):
-    """L^{-1} of P1 = L L^T and the symmetric pencil form L^{-1} P2 L^{-T}."""
+    """L^{-1} of P1 = L L^T and the pencil form L^{-1} P2 L^{-T}, exactly symmetrized."""
     L = cholesky(np.asarray(P1, dtype=float))
     if np.isnan(L[0, 0]):  # a NaN pencil would give NaN eigenpairs or ConvergenceFailure
         raise NotPositiveDefinite("Cholesky of the pencil's first matrix failed")
     Linv = lower_inverse(L)
-    return Linv, Linv @ np.asarray(P2, dtype=float) @ Linv.T
+    return Linv, sym(Linv @ np.asarray(P2, dtype=float) @ Linv.T)
 
 
 def pencil_eigvals(P1, P2):
     """Eigenvalues of P1^{-1} P2 from the symmetric pencil form, ascending."""
-    return eigvals_sym(_pencil_form(P1, P2)[1])
+    return _symmetric_solve(np.linalg.eigvalsh, _pencil_form(P1, P2)[1])
 
 
 def pencil_eigh(P1, P2):
@@ -187,12 +189,12 @@ def pencil_eigh(P1, P2):
 
 
 def congruent_eigh(Finv, M):
-    """Pencil eigenpairs from its symmetric form M = F^{-1} P2 F^{-T}, P1 = F F^T.
+    """Pencil eigenpairs from its exactly symmetric form M = F^{-1} P2 F^{-T}, P1 = F F^T.
 
     Returns the ascending eigenvalues of M and V = F^{-T} Y for its
     eigenvectors Y, so that V^T P1 V = I and P2 V = P1 V diag(lam).
     """
-    lam, Y = eigh_sym(M)
+    lam, Y = _symmetric_solve(np.linalg.eigh, M)
     return lam, Finv.mT @ Y
 
 

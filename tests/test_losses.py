@@ -2,14 +2,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from geomoment import embedding, spd
 from geomoment.embedding import EmbeddingParams, GaussianMoments, embed
-from geomoment.errors import BatchTooSmall, DegenerateSpectrum, NearZeroDistance
+from geomoment.errors import (
+    BatchTooSmall,
+    DegenerateSpectrum,
+    NearZeroDistance,
+    NonPositiveSpectrum,
+)
 from geomoment.gradcheck import FD_BOUND, audit_dist_loss, central_diff, rel_err
 from geomoment.losses import (
+    _COV_KINDS,
     DIST_KINDS,
     GATE_CLOSED_REASONS,
     dist_loss,
@@ -18,7 +24,7 @@ from geomoment.losses import (
 )
 from geomoment.moments import batch_moments
 from geomoment.rng import stream
-from geomoment.spd import dist_airm, dist_hilbert
+from geomoment.spd import congruent_eigh, dist_airm, dist_hilbert
 from helpers import rand_invertible, rand_orthogonal, rand_spd, rng_for, sym_grad_pairs
 
 
@@ -203,8 +209,8 @@ def test_siegel_factor_loss_equals_the_embedded_matrix_path(n, a, seed, scale, s
     rtol = max(1e-12, 8 * np.finfo(float).eps * lam[-1] / lam[0])
     for kind in ("airm", "hilbert"):
         value, dPs, dPt = pencil_value_grads(Ps, Pt, kind)
-        gs = grad_moments(zs, ms.mean, *grad_embed(ms, dPs, params))
-        gt = grad_moments(zt, mt.mean, *grad_embed(mt, dPt, params))
+        gs = grad_moments(zs - ms.mean, *grad_embed(ms, dPs, params))
+        gt = grad_moments(zt - mt.mean, *grad_embed(mt, dPt, params))
         le = dist_loss(zs, zt, kind, params)
         assert le.value == pytest.approx(value, rel=rtol)
         for got, want in ((le.grad_source, gs), (le.grad_target, gt)):
@@ -325,8 +331,8 @@ def test_mean_euclid_matches_moment_formula_bitwise():
         # the formula written over full batch moments, covariances included
         ms, mt = batch_moments(zs), batch_moments(zt)
         diff = ms.mean - mt.mean
-        gs = grad_moments(zs, ms.mean, 2.0 * diff, np.zeros_like(ms.cov))
-        gt = grad_moments(zt, mt.mean, -2.0 * diff, np.zeros_like(mt.cov))
+        gs = grad_moments(zs - ms.mean, 2.0 * diff, np.zeros_like(ms.cov))
+        gt = grad_moments(zt - mt.mean, -2.0 * diff, np.zeros_like(mt.cov))
         le = dist_loss(zs, zt, "mean_euclid")
         assert le.value == float(diff @ diff)
         assert np.array_equal(le.grad_source, gs)
@@ -420,6 +426,45 @@ def test_hilbert_euler_identity():
         assert abs(total) <= 1e-10
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 32),
+    runs=st.sampled_from([(), (3,)]),
+    seed=st.integers(0, 2**31 - 1),
+    log_cond=st.floats(0.0, 8.0),
+    log_mean=st.floats(0.0, 6.0),
+)
+@example(n=128, runs=(), seed=0, log_cond=8.0, log_mean=6.0)
+def test_gradients_handed_on_unsymmetrized_are_exactly_symmetric(n, runs, seed, log_cond, log_mean):
+    # grad_moments takes every _COV_KINDS entry's dcov as it is, and the Siegel
+    # pencil's eigensolve takes K K^T as it is: both must be symmetric to the bit
+    rng = stream(seed, 3)
+    zs, zt = (np.stack([
+        _batch_with_spectrum(rng, 4 * n + 12, rand_orthogonal(rng, n),
+                             np.geomspace(1.0, 10.0**-log_cond, n))
+        + 10.0**log_mean * rng.standard_normal(n) for _ in range(math.prod(runs))
+    ]).reshape(*runs, 4 * n + 12, n) for _ in "st")
+    ms, mt = batch_moments(zs), batch_moments(zt)
+    forms = []
+
+    def recorded(Finv, M):
+        forms.append(M)
+        return congruent_eigh(Finv, M)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(embedding, "congruent_eigh", recorded)
+        for kind, entry in _COV_KINDS.items():
+            try:
+                _, sides, _ = entry(ms, mt, EmbeddingParams())
+            except NonPositiveSpectrum:  # a pencil spread beyond double precision
+                continue
+            for _, dcov in sides or ():
+                assert np.array_equal(dcov, dcov.mT), kind
+    assert len(forms) == len(spd.SPECTRAL_KINDS)
+    for M in forms:
+        assert np.array_equal(M, M.mT)
+
+
 # --------------------------------------------------------------- grad_embed
 
 
@@ -469,7 +514,7 @@ def test_grad_moments_mean_only():
     rng = rng_for("gmom-mean")
     z = rng.standard_normal((10, 3))
     dmean = np.array([1.0, -2.0, 0.5])
-    rows = grad_moments(z, batch_moments(z).mean, dmean, np.zeros((3, 3)))
+    rows = grad_moments(z - batch_moments(z).mean, dmean, np.zeros((3, 3)))
     assert np.allclose(rows, np.tile(dmean / 10.0, (10, 1)))
 
 
@@ -477,7 +522,7 @@ def test_grad_moments_rows_sum_to_zero_without_mean_term():
     rng = rng_for("gmom-sum")
     z = rng.standard_normal((12, 2))
     D = np.array([[1.0, 0.3], [0.3, -0.7]])
-    rows = grad_moments(z, batch_moments(z).mean, np.zeros(2), D)
+    rows = grad_moments(z - batch_moments(z).mean, np.zeros(2), D)
     assert np.max(np.abs(rows.sum(axis=0))) <= 1e-12
 
 
@@ -487,7 +532,7 @@ def test_grad_moments_fd():
     dmean = rng.standard_normal(3)
     D = rng.standard_normal((3, 3))
     D = 0.5 * (D + D.T)
-    rows = grad_moments(z, batch_moments(z).mean, dmean, D)
+    rows = grad_moments(z - batch_moments(z).mean, dmean, D)
 
     def f(zz):
         m = batch_moments(zz)

@@ -120,6 +120,8 @@ ENCODER = _line_of(BLOBS_CFG, "encoder =")
     (BLOBS_CFG.replace("16:relu", "16:gelu"), f"bad.cfg:{ENCODER}: ", "unknown activation 'gelu'"),
     (BLOBS_CFG.replace("encoder = 16:relu,2:identity", "encoder = ,"), f"bad.cfg:{ENCODER}: ",
      "empty layer list"),
+    (BLOBS_CFG.replace("16:relu", "1x6:relu"), f"bad.cfg:{ENCODER}: ",
+     "bad value for 'encoder'"),
 ])
 def test_parser_diagnostics_name_file_and_line(text, prefix, message):
     with pytest.raises(ConfigError) as info:
@@ -133,6 +135,13 @@ def test_seed_and_sweep_seeds_parse_integers_alike():
     parsed = parse_config_text(text)
     assert parsed["seed"] == 16
     assert parsed["sweep.seeds"] == (16, 17)
+
+
+def test_layer_widths_parse_integers_like_seed():
+    encoder = BLOBS_CFG.replace("encoder = 16:relu", "encoder = 0x10:relu")
+    assert parse_config_text(encoder)["encoder"] == ((16, "relu"), (2, "identity"))
+    decoder = DENOISE_CFG.replace("decoder = 12:tanh", "decoder = 0x18:tanh")
+    assert parse_config_text(decoder)["decoder"] == ((24, "tanh"),)
 
 
 def strict_json(path):

@@ -8,6 +8,7 @@ from geomoment.errors import NotPositiveDefinite, NotSymmetric
 from geomoment.gradcheck import central_diff
 from geomoment.spd import (
     SPECTRAL_KINDS,
+    cholesky,
     dist_airm,
     dist_hilbert,
     dist_logeuclid,
@@ -101,6 +102,16 @@ def test_pencil_of_a_first_matrix_with_no_factor_raises(n):
     for fn in (dist_airm, dist_hilbert, pencil_eigh):
         with pytest.raises(NotPositiveDefinite, match="Cholesky of the pencil's first matrix"):
             fn(-np.eye(n), np.eye(n))
+
+
+@pytest.mark.parametrize("shape", [(2,), (2, 3), (4, 2, 3)])
+def test_cholesky_of_a_non_square_input_names_its_shape(shape):
+    # a shape error is not a failed factorization
+    with pytest.raises(ValueError, match=rf"got shape \({shape[0]},"):
+        cholesky(np.ones(shape))
+    for fn in (dist_airm, dist_hilbert, pencil_eigh):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            fn(np.ones(shape), np.ones(shape))
 
 
 def test_eigvals_diagonal():

@@ -155,16 +155,18 @@ def _count_calls(monkeypatch, module, name, calls):
 
 
 def test_batch_moments_once_per_side_per_step(monkeypatch):
+    # the gate's source moments come from batch_moments, the loss's target ones from the
+    # centering helper, which also gives the rows its gradient reuses
     calls = []
-    for module in (trainer, losses):
-        _count_calls(monkeypatch, module, "batch_moments", calls)
+    _count_calls(monkeypatch, trainer, "batch_moments", calls)
+    _count_calls(monkeypatch, losses, "_centered_moments", calls)
     _count_calls(monkeypatch, trainer, "dist_loss", calls)
     steps = 3 * (BLOBS.num_classes * BLOBS.samples_per_class // 40)
     for beta, adapting in ((0.1, steps), (0.0, 0)):
         calls.clear()
         run(config(epochs=3, beta=beta))
         assert calls.count("dist_loss") == adapting
-        assert calls.count("batch_moments") == steps + adapting
+        assert calls.count("batch_moments") + calls.count("_centered_moments") == steps + adapting
 
 
 def test_one_covariance_cholesky_per_side_per_step(monkeypatch):
