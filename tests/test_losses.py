@@ -439,11 +439,15 @@ def test_gradients_handed_on_unsymmetrized_are_exactly_symmetric(n, runs, seed, 
     # grad_moments takes every _COV_KINDS entry's dcov as it is, and the Siegel
     # pencil's eigensolve takes K K^T as it is: both must be symmetric to the bit
     rng = stream(seed, 3)
-    zs, zt = (np.stack([
-        _batch_with_spectrum(rng, 4 * n + 12, rand_orthogonal(rng, n),
-                             np.geomspace(1.0, 10.0**-log_cond, n))
-        + 10.0**log_mean * rng.standard_normal(n) for _ in range(math.prod(runs))
-    ]).reshape(*runs, 4 * n + 12, n) for _ in "st")
+    b = 4 * n + 12
+
+    def side():
+        batches = [_batch_with_spectrum(rng, b, rand_orthogonal(rng, n),
+                                        np.geomspace(1.0, 10.0**-log_cond, n))
+                   + 10.0**log_mean * rng.standard_normal(n) for _ in range(math.prod(runs))]
+        return np.reshape(batches, (*runs, b, n))
+
+    zs, zt = side(), side()
     ms, mt = batch_moments(zs), batch_moments(zt)
     forms = []
 
