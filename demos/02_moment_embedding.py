@@ -1,16 +1,16 @@
 """Packing a (mean, covariance) pair into one SPD matrix.
 
-The block matrix [[Sigma + a mu mu', a mu], [a mu', a]] is SPD exactly
-when Sigma is, so first and second moments travel together as a single
-point on the SPD manifold and any SPD distance compares both at once.
-The corner entry stores a, making the map invertible on its image, and
-the determinant of the embedded matrix equals a * det(Sigma), which is
-what the training gate monitors.
+The block matrix [[Sigma + mu mu', mu], [mu', 1]] is SPD exactly when
+Sigma is, so first and second moments travel together as a single point
+on the SPD manifold and any SPD distance compares both at once. The
+corner entry is 1, making the map invertible on its image, and the
+determinant of the embedded matrix equals det(Sigma), which is what the
+training gate monitors.
 """
 
 import numpy as np
 
-from geomoment import EmbeddingParams, GaussianMoments, batch_moments, embed, schur_gate, unembed
+from geomoment import batch_moments, embed, schur_gate, unembed
 
 rng = np.random.default_rng(1)
 
@@ -21,15 +21,11 @@ print("batch covariance:\n", np.round(m.cov, 3))
 
 P = embed(m)
 print("\nembedded 4x4 SPD matrix:\n", np.round(P, 3))
-print("corner entry stores a:", P[3, 3])
+print("corner entry:", P[3, 3])
 
 back = unembed(P)
 print("\nround trip max error:",
       max(np.abs(back.mean - m.mean).max(), np.abs(back.cov - m.cov).max()))
-
-print("\nscaling the mean contribution with a = 4:")
-P4 = embed(m, EmbeddingParams(a=4.0))
-print(np.round(P4, 3))
 
 print("\ndeterminant gate:")
 print("  healthy batch:", schur_gate(m, eta=1e-8))

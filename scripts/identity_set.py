@@ -25,7 +25,10 @@ sweep's config and seed, so a dataset change shows up array by array,
 ``dist_loss_hashes.json``: the sha256 of the value and gradient bytes of
 ``dist_loss`` for each kind at widths 2, 8, 32 and 128, on batches drawn
 from Philox streams (single calls, a 3-run stack, and both with
-``source_moments``), which reaches the widths the sweeps never train at, and
+``source_moments``), which reaches the widths the sweeps never train at,
+``api_hashes.json``: the sha256 of the outputs of ``embed``, ``unembed``,
+``dist_airm``, ``dist_hilbert``, ``dist_logeuclid`` and ``schur_gate`` on
+moment pairs drawn from Philox streams at the same widths, and
 ``gradcheck.txt``: the stdout of ``geomoment gradcheck --seed 0``, the
 finite-difference audits of the distance-loss and network gradients. A
 ``summary.json`` is compared without its ``wall_time_s`` and with its
@@ -62,8 +65,8 @@ SWEEPS = (
 SEEDS = "0,1,2"
 BETAS = ("0.1", "0")
 COMPARED = ("report.csv", "summary.json", "sweep.csv", "metrics.csv", "sweep_summary.json",
-            "dataset_hashes.json", "dist_loss_hashes.json", "gradcheck.txt")
-HASH_WIDTHS = (2, 8, 32, 128)  # dist_loss_hashes.json's feature widths
+            "dataset_hashes.json", "dist_loss_hashes.json", "api_hashes.json", "gradcheck.txt")
+HASH_WIDTHS = (2, 8, 32, 128)  # the feature widths of dist_loss_hashes.json and api_hashes.json
 
 
 def with_keys(text, keys):
@@ -99,8 +102,10 @@ def run_set(tree, out_root):
         fh.write(audit.stdout)
     datasets = os.path.join(out_root, "dataset_hashes.json")
     losses = os.path.join(out_root, "dist_loss_hashes.json")
+    api = os.path.join(out_root, "api_hashes.json")
     cmd = [sys.executable, "-c", "import identity_set; "
-           f"identity_set.hash_datasets({datasets!r}); identity_set.hash_dist_losses({losses!r})"]
+           f"identity_set.hash_datasets({datasets!r}); identity_set.hash_dist_losses({losses!r}); "
+           f"identity_set.hash_api({api!r})"]
     env["PYTHONPATH"] = os.pathsep.join(["src", SCRIPTS])
     subprocess.run(cmd, cwd=tree, env=env, check=True, capture_output=True)
 
@@ -163,6 +168,42 @@ def hash_dist_losses(out_path):
                     for a in (le.value, le.grad_source, le.grad_target):
                         digest.update(np.asarray(a, dtype=float).tobytes())
                     hashes[f"{kind}.n{n}.{call}{given}"] = digest.hexdigest()
+    with open(out_path, "w") as fh:
+        json.dump(hashes, fh, indent=2, sort_keys=True)
+
+
+def hash_api(out_path):
+    """Write {function.n<width>: sha256 of its output bytes} of the embedding and distance API.
+
+    Runs inside a tree, like hash_datasets. Each width draws a source and a
+    target batch from its own Philox stream; their moments go through
+    embed, unembed, each spd distance (both orders) and schur_gate, called
+    only as embed(m), unembed(P), dist_*(P1, P2) and schur_gate(m, eta).
+    """
+    import numpy as np
+    from geomoment.embedding import embed, schur_gate, unembed
+    from geomoment.moments import batch_moments
+    from geomoment.rng import stream
+    from geomoment.spd import dist_airm, dist_hilbert, dist_logeuclid
+
+    hashes = {}
+    for n in HASH_WIDTHS:
+        rng = stream(n, 1)
+        b = 4 * n + 12
+        ms = batch_moments(rng.standard_normal((b, n)) + 0.5 * rng.standard_normal(n))
+        mt = batch_moments(1.3 * rng.standard_normal((b, n)) + rng.standard_normal(n))
+        Ps, Pt = embed(ms), embed(mt)
+        back = unembed(Pt)
+        outputs = {"embed": (Ps, Pt), "unembed": (back.mean, back.cov)}
+        for dist in (dist_airm, dist_hilbert, dist_logeuclid):
+            outputs[dist.__name__] = (dist(Ps, Pt), dist(Pt, Ps))
+        outputs["schur_gate"] = [(g.open, g.det, g.logdet) for m in (ms, mt)
+                                 for g in (schur_gate(m, 1e-8), schur_gate(m, 1.0))]
+        for name, arrays in outputs.items():
+            digest = hashlib.sha256()
+            for a in arrays:
+                digest.update(np.asarray(a, dtype=float).tobytes())
+            hashes[f"{name}.n{n}"] = digest.hexdigest()
     with open(out_path, "w") as fh:
         json.dump(hashes, fh, indent=2, sort_keys=True)
 

@@ -11,7 +11,7 @@ imported from its module (``geomoment.spd``, ``geomoment.losses``, ...).
 
 from .bounds import DiscreteDist, check_target_bound, fisher_rao_univariate
 from .datasets import BlobsConfig, DenoiseConfig, gen_blobs, gen_denoise
-from .embedding import EmbeddingParams, GaussianMoments, embed, schur_gate, unembed
+from .embedding import GaussianMoments, embed, schur_gate, unembed
 from .errors import GeomomentError
 from .losses import DIST_KINDS, dist_loss
 from .moments import batch_moments
@@ -29,7 +29,6 @@ __all__ = [
     "DecoderHead",
     "DenoiseConfig",
     "DiscreteDist",
-    "EmbeddingParams",
     "GaussianMoments",
     "GeomomentError",
     "ModelSpec",

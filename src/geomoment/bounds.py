@@ -31,9 +31,9 @@ class DiscreteDist:
         p = np.asarray(self.probs, dtype=float).reshape(-1)
         if p.size == 0:
             raise ValueError("empty support")
-        if np.any(p <= 0):
+        if not np.all(p > 0):  # a NaN entry fails too
             raise NonInteriorPoint(f"probabilities must be > 0, min is {p.min():.3e}")
-        if abs(p.sum() - 1.0) > 1e-12:
+        if not abs(p.sum() - 1.0) <= 1e-12:
             raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
         object.__setattr__(self, "probs", p)
 

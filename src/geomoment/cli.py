@@ -7,7 +7,7 @@ import numpy as np
 
 from .blas import pin_blas_threads
 from .bounds import DiscreteDist, check_target_bound, fisher_rao_univariate, hilbert_discrete, tv_discrete
-from .embedding import EmbeddingParams, embed
+from .embedding import embed
 from .errors import ConfigError, GeomomentError, NonFiniteLoss
 from .gradcheck import FD_BOUND, audit_dist_loss, audit_network
 from .losses import DIST_KINDS
@@ -19,7 +19,7 @@ from .spd import dist_airm, dist_hilbert, dist_logeuclid, validate_spd
 
 def _cmd_embed(args):
     m = read_moments(args.moments)
-    P = embed(m, EmbeddingParams(a=args.a))
+    P = embed(m)
     if args.out:
         write_matrix(args.out, P)
     else:
@@ -104,7 +104,6 @@ def build_parser():
 
     p = sub.add_parser("embed", help="moments file -> SPD matrix file")
     p.add_argument("moments")
-    p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_embed)
 

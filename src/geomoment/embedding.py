@@ -1,10 +1,10 @@
 """Packing (mean, covariance) pairs into SPD matrices one dimension up.
 
 A moment pair (mu, Sigma) in R^n x P(n) maps to the (n+1) x (n+1) block
-matrix [[Sigma + a mu mu^T, a mu], [a mu^T, a]], which is SPD exactly
-when Sigma is. The corner entry pins the scale parameter a, so the map
-is invertible on its image. The block matrix factors as F F^T with
-F = [[L, sqrt(a) mu], [0, sqrt(a)]] and L L^T = Sigma, so one Cholesky
+matrix [[Sigma + mu mu^T, mu], [mu^T, 1]] (Calvo and Oller's Siegel
+embedding), which is SPD exactly when Sigma is. The corner entry is 1,
+so the map is invertible on its image. The block matrix factors as
+F F^T with F = [[L, mu], [0, 1]] and L L^T = Sigma, so one Cholesky
 factor of the covariance serves the gate, the SPD rule and the pencil.
 """
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotInImage, NotPositiveDefinite, NotSymmetric
-from .spd import cholesky, congruent_eigh, spd_factor, sym, validate_spd
+from .spd import check_symmetric, cholesky, congruent_eigh, spd_factor, sym, validate_spd
 
 CORNER_TOL = 1e-9
 
@@ -22,7 +22,8 @@ CORNER_TOL = 1e-9
 class GaussianMoments:
     """Mean vector and symmetric covariance of a feature batch.
 
-    The covariance may be singular; detecting that is the job of
+    The covariance must be symmetric to within spd.SYM_RTOL (NotSymmetric
+    otherwise) and is kept exactly symmetrized. It may be singular; detecting that is the job of
     schur_gate, so positive-definiteness is not enforced here.
     """
 
@@ -31,9 +32,10 @@ class GaussianMoments:
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float).reshape(-1)
-        cov = sym(np.asarray(self.cov, dtype=float))
+        cov = np.asarray(self.cov, dtype=float)
         if cov.shape != (mean.size, mean.size):
             raise ValueError(f"cov shape {cov.shape} does not match mean size {mean.size}")
+        cov = sym(check_symmetric(cov))
         if not np.all(np.isfinite(mean)) or not np.all(np.isfinite(cov)):
             raise ValueError("moments must be finite")
         object.__setattr__(self, "mean", mean)
@@ -94,24 +96,13 @@ def _factored(mean, cov, chol):
 
 
 @dataclass(frozen=True)
-class EmbeddingParams:
-    """Scale a > 0 weighting the mean block; a = 1 is the canonical choice."""
-
-    a: float = 1.0
-
-    def __post_init__(self):
-        if not self.a > 0:
-            raise ValueError(f"embedding scale must be positive, got {self.a}")
-
-
-@dataclass(frozen=True)
 class GateResult:
     open: bool
     det: float
     logdet: float
 
 
-def embed(m, params=EmbeddingParams()):
+def embed(m):
     """Embed a moment pair as the SPD ndarray of size dim+1.
 
     Raises NotPositiveDefinite when the covariance itself is not SPD;
@@ -120,27 +111,29 @@ def embed(m, params=EmbeddingParams()):
     exactly symmetric as built, since the covariance is.
     """
     validate_spd(m.cov)
-    a = params.a
     n = m.dim
     P = np.empty((n + 1, n + 1))
-    P[:n, :n] = m.cov + a * np.outer(m.mean, m.mean)
-    P[:n, n] = a * m.mean
-    P[n, :n] = a * m.mean
-    P[n, n] = a
+    P[:n, :n] = m.cov + np.outer(m.mean, m.mean)
+    P[:n, n] = m.mean
+    P[n, :n] = m.mean
+    P[n, n] = 1.0
     return P
 
 
-def unembed(P, params=EmbeddingParams()):
+def unembed(P):
     """Invert embed. Raises NotInImage when P is not an embedded pair."""
     P = np.asarray(P, dtype=float)
-    a = params.a
     n = P.shape[0] - 1
     if n < 1:
         raise NotInImage(f"matrix of size {P.shape[0]} is too small to unembed")
-    if abs(P[n, n] - a) > CORNER_TOL:
-        raise NotInImage(f"corner entry {P[n, n]!r} does not match a={a!r}")
-    mean = P[:n, n] / a
-    cov = P[:n, :n] - a * np.outer(mean, mean)
+    try:
+        check_symmetric(P)
+    except NotSymmetric as exc:
+        raise NotInImage(f"matrix is not symmetric: {exc}") from exc
+    if not abs(P[n, n] - 1.0) <= CORNER_TOL:  # a NaN corner fails too
+        raise NotInImage(f"corner entry {P[n, n]!r} is not 1")
+    mean = P[:n, n].copy()  # not a view of the caller's P
+    cov = P[:n, :n] - np.outer(mean, mean)
     try:
         validate_spd(cov)
     except (NotSymmetric, NotPositiveDefinite) as exc:
@@ -151,7 +144,7 @@ def unembed(P, params=EmbeddingParams()):
 def schur_gate(m, eta):
     """Log-determinant gate for the embedded source matrix.
 
-    det(embed(m, a=1)) equals det(cov) by the Schur complement of the
+    det(embed(m)) equals det(cov) by the Schur complement of the
     corner block, so the gate reads the covariance's Cholesky factor
     (m.chol): it opens when log det = 2 sum log diag L exceeds
     log eta, which neither overflows nor underflows at width (an eta
@@ -190,12 +183,12 @@ def _gate(cov, L, eta):
     return bool(is_open), det, logdet
 
 
-def siegel_pencil_eigh(ms, mt, params=EmbeddingParams()):
+def siegel_pencil_eigh(ms, mt):
     """pencil_eigh(embed(ms), embed(mt)) from the covariances' Cholesky factors.
 
-    embed(m) = F F^T with F = [[L, r mu], [0, r]], r = sqrt(a) and
-    L L^T = cov, and F^{-1} = [[L^{-1}, -L^{-1} mu], [0, 1/r]] is explicit.
-    With K = F_s^{-1} F_t = [[L_s^{-1} L_t, r L_s^{-1} (mu_t - mu_s)], [0, 1]],
+    embed(m) = F F^T with F = [[L, mu], [0, 1]] and L L^T = cov, and
+    F^{-1} = [[L^{-1}, -L^{-1} mu], [0, 1]] is explicit.
+    With K = F_s^{-1} F_t = [[L_s^{-1} L_t, L_s^{-1} (mu_t - mu_s)], [0, 1]],
     the pencil's spectrum is that of K K^T, and its eigenvectors Y give
     V = F_s^{-T} Y, so V^T embed(ms) V = I and embed(mt) V = lam embed(ms) V.
     Each covariance passes spd_factor's rule through its factor m.chol
@@ -206,13 +199,12 @@ def siegel_pencil_eigh(ms, mt, params=EmbeddingParams()):
     _, Ls_inv = spd_factor(ms.cov, ms.chol)
     Lt, _ = spd_factor(mt.cov, mt.chol)
     n = ms.dim
-    r = math.sqrt(params.a)
     K = np.zeros((*ms.cov.shape[:-2], n + 1, n + 1))  # stacked moments: a stack of pencils
     K[..., :n, :n] = Ls_inv @ Lt
-    K[..., :n, n:] = r * (Ls_inv @ (mt.mean - ms.mean)[..., None])
+    K[..., :n, n:] = Ls_inv @ (mt.mean - ms.mean)[..., None]
     K[..., n, n] = 1.0
     Fs_inv = np.zeros(K.shape)
     Fs_inv[..., :n, :n] = Ls_inv
     Fs_inv[..., :n, n:] = -(Ls_inv @ ms.mean[..., None])
-    Fs_inv[..., n, n] = 1.0 / r
+    Fs_inv[..., n, n] = 1.0
     return congruent_eigh(Fs_inv, K @ K.mT)

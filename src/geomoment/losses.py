@@ -12,7 +12,7 @@ from functools import partial
 
 import numpy as np
 
-from .embedding import EmbeddingParams, siegel_pencil_eigh
+from .embedding import siegel_pencil_eigh
 from .errors import (
     BatchTooSmall,
     DegenerateSpectrum,
@@ -39,12 +39,11 @@ class LossEval:
     zero_grad_reason: str = ""  # "", or a ZERO_GRAD_REASONS or GATE_CLOSED_REASONS name; per run
 
 
-def grad_embed(m, upstream, params=EmbeddingParams()):
+def grad_embed(m, upstream):
     """Chain an exactly symmetric upstream gradient (pencil_grads') back to (mean, cov)."""
-    a = params.a
     n = m.dim
     Gtl = upstream[..., :n, :n]
-    dmean = (2.0 * a * Gtl @ m.mean[..., None])[..., 0] + 2.0 * a * upstream[..., :n, n]
+    dmean = ((2.0 * Gtl) @ m.mean[..., None])[..., 0] + 2.0 * upstream[..., :n, n]
     return dmean, Gtl
 
 
@@ -73,13 +72,13 @@ def _log_derivative_coeffs(lam):
     return np.where(close, 2.0 / (li + lj), (np.log(li) - np.log(lj)) / safe)
 
 
-def _coral_frob(ms, mt, _params):
+def _coral_frob(ms, mt):
     diff = ms.cov - mt.cov
     zero = np.zeros(ms.mean.shape)
     return (diff * diff).sum(axis=(-2, -1)), ((zero, 2.0 * diff), (zero, -2.0 * diff)), ""
 
 
-def _log_euclid(ms, mt, _params):
+def _log_euclid(ms, mt):
     """Squared Frobenius distance of the covariances' matrix logs."""
     lam_s, Qs = spd_eigh(ms.cov)
     lam_t, Qt = spd_eigh(mt.cov)
@@ -94,19 +93,19 @@ def _log_euclid(ms, mt, _params):
     return (diff * diff).sum(axis=(-2, -1)), ((zero, dcov_s), (zero, dcov_t)), ""
 
 
-def _spectral(spectral_kind, ms, mt, params):
+def _spectral(spectral_kind, ms, mt):
     """A SPECTRAL_KINDS entry from one eigensolve of the embedded pencil."""
     value_of, slope_of = spectral_kind
-    lam, V = siegel_pencil_eigh(ms, mt, params)
+    lam, V = siegel_pencil_eigh(ms, mt)
     value = value_of(lam)
     try:
         dPs, dPt = pencil_grads(lam, V, slope_of(lam, value))
     except _ZEROING as exc:
         return value, None, type(exc).__name__
-    return value, (grad_embed(ms, dPs, params), grad_embed(mt, dPt, params)), ""
+    return value, (grad_embed(ms, dPs), grad_embed(mt, dPt)), ""
 
 
-# kind -> (moments_s, moments_t, params) -> (value, per-side (dmean, dcov), zero_grad_reason)
+# kind -> (moments_s, moments_t) -> (value, per-side (dmean, dcov), zero_grad_reason)
 _COV_KINDS = {
     **{kind: partial(_spectral, entry) for kind, entry in SPECTRAL_KINDS.items()},
     "coral_frob": _coral_frob,
@@ -114,7 +113,7 @@ _COV_KINDS = {
 }
 
 
-def dist_loss(zs, zt, kind, params=EmbeddingParams(), source_moments=None):
+def dist_loss(zs, zt, kind, *, source_moments=None):
     """Distance loss between two b x n feature batches with per-row gradients.
 
     Each kind gives its value and, per side, the gradient on (mean, cov),
@@ -137,19 +136,19 @@ def dist_loss(zs, zt, kind, params=EmbeddingParams(), source_moments=None):
             or zs_data.shape[-1] != zt_data.shape[-1]):
         raise ValueError(f"expected b x n batches of one width: {zs_data.shape}, {zt_data.shape}")
     runs = zs_data.shape[:-2]
-    le = _loss(zs_data, zt_data, kind, params, source_moments)  # a stack: all runs at once
+    le = _loss(zs_data, zt_data, kind, source_moments)  # a stack: all runs at once
     if not runs:
         return le
     if not le.zero_grad_reason:
         return replace(le, zero_grad_reason=np.full(runs, ""))
     # some run's gate is closed or its gradients are zeroed: each run alone
-    alone = [_loss(zs_data[i], zt_data[i], kind, params, None) for i in np.ndindex(runs)]
+    alone = [_loss(zs_data[i], zt_data[i], kind, None) for i in np.ndindex(runs)]
     return LossEval(*(np.reshape([getattr(le, f) for le in alone], shape) for f, shape in (
         ("value", runs), ("grad_source", zs_data.shape), ("grad_target", zt_data.shape),
         ("zero_grad_reason", runs))))
 
 
-def _loss(zs_data, zt_data, kind, params, source_moments):
+def _loss(zs_data, zt_data, kind, source_moments):
     if kind == "mean_euclid":  # the two means only, not the covariances
         b = min(zs_data.shape[-2], zt_data.shape[-2])
         if b < 2:
@@ -167,7 +166,7 @@ def _loss(zs_data, zt_data, kind, params, source_moments):
                   else (zs_data - source_moments.mean[..., None, :], source_moments))
         ct, mt = _centered_moments(zt_data)
         try:
-            value, sides, zero_reason = _COV_KINDS[kind](ms, mt, params)
+            value, sides, zero_reason = _COV_KINDS[kind](ms, mt)
         except NotPositiveDefinite as exc:  # the gate closes: a NaN value
             # a NonPositiveSpectrum is the pencil's, once both covariances passed the SPD rule
             value = np.full(mt.mean.shape[:-1], np.nan)

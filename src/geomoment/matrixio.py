@@ -10,7 +10,6 @@ round-trip exactly; the CSV writers print floats the same way.
 import numpy as np
 
 from .embedding import GaussianMoments
-from .spd import check_symmetric
 
 
 def fmt(x):
@@ -67,4 +66,4 @@ def read_moments(path):
     cov = np.array([[float(v) for v in ln.split()] for ln in body[1 : 1 + n]], dtype=float)
     if mean.size != n or cov.shape != (n, n):
         raise ValueError(f"{path}: inconsistent moments file for dim={n}")
-    return GaussianMoments(mean=mean, cov=check_symmetric(cov))
+    return GaussianMoments(mean=mean, cov=cov)

@@ -170,8 +170,11 @@ def _spd_rule(lam_min, tol):
 
 
 def _pencil_form(P1, P2):
-    """L^{-1} of P1 = L L^T and the pencil form L^{-1} P2 L^{-T}, exactly symmetrized."""
-    L = cholesky(np.asarray(P1, dtype=float))
+    """L^{-1} of sym(P1) = L L^T and the pencil form L^{-1} P2 L^{-T}, exactly symmetrized."""
+    P1 = np.asarray(P1, dtype=float)
+    if P1.ndim != 2 or P1.shape[0] != P1.shape[1]:  # before sym, which cannot take it
+        raise ValueError(f"expected a square matrix, got shape {P1.shape}")
+    L = cholesky(sym(P1))
     if np.isnan(L[0, 0]):  # a NaN pencil would give NaN eigenpairs or ConvergenceFailure
         raise NotPositiveDefinite("Cholesky of the pencil's first matrix failed")
     Linv = lower_inverse(L)

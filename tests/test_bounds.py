@@ -100,6 +100,12 @@ def test_hilbert_rejects_boundary():
         DiscreteDist([0.0, 1.0])
 
 
+def test_discrete_dist_rejects_nan():
+    for probs in ([math.nan, 1.0], [0.5, math.nan, 0.5]):
+        with pytest.raises(NonInteriorPoint):
+            DiscreteDist(probs)
+
+
 def test_bound_worked_pair():
     res = check_target_bound([0.5, 0.5], [0.25, 0.75])
     assert res.lhs == pytest.approx(0.5)

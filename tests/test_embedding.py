@@ -7,14 +7,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from geomoment.embedding import (
-    EmbeddingParams,
     GaussianMoments,
     embed,
     schur_gate,
     siegel_pencil_eigh,
     unembed,
 )
-from geomoment.errors import NotInImage, NotPositiveDefinite
+from geomoment.errors import NotInImage, NotPositiveDefinite, NotSymmetric
 from geomoment.moments import batch_moments
 from geomoment.spd import pencil_eigh, validate_spd
 from geomoment.rng import stream
@@ -35,9 +34,6 @@ def test_embed_zero_mean_identity_cov():
 def test_embed_scalar_hand_values():
     m = GaussianMoments(mean=[1.0], cov=[[1.0]])
     assert np.array_equal(embed(m), [[2.0, 1.0], [1.0, 1.0]])
-    assert np.array_equal(
-        embed(m, EmbeddingParams(a=2.0)), [[3.0, 2.0], [2.0, 2.0]]
-    )
 
 
 def test_embed_rejects_invalid_cov():
@@ -59,30 +55,61 @@ def test_unembed_corner_mismatch():
     P = np.eye(3)
     P[2, 2] = 2.0
     with pytest.raises(NotInImage):
-        unembed(P, EmbeddingParams(a=1.0))
+        unembed(P)
+
+
+def test_unembed_rejects_an_asymmetric_matrix():
+    # a mean read from the last column alone would be 0.5, with covariance 0.75
+    with pytest.raises(NotInImage, match="not symmetric"):
+        unembed([[1.0, 0.5], [0.0, 1.0]])
+
+
+def test_unembed_rejects_a_nan_corner():
+    P = np.eye(3)
+    P[2, 2] = math.nan
+    with pytest.raises(NotInImage):
+        unembed(P)
+
+
+def test_unembed_returns_moments_that_do_not_alias_its_input():
+    P = embed(GaussianMoments(mean=[1.0, -2.0], cov=np.eye(2)))
+    m = unembed(P)
+    P[:] = 0.0
+    assert np.array_equal(m.mean, [1.0, -2.0])
+    assert np.array_equal(m.cov, np.eye(2))
+
+
+def test_moments_reject_an_asymmetric_covariance():
+    with pytest.raises(NotSymmetric, match="asymmetry"):
+        GaussianMoments([0.0, 0.0], [[2.0, 0.5], [0.0, 2.0]])
+    # float noise within spd.SYM_RTOL is symmetrized away
+    m = GaussianMoments([0.0, 0.0], [[2.0, 0.5], [0.5 + 1e-16, 2.0]])
+    assert np.array_equal(m.cov, m.cov.T)
+    # a shape mismatch is a ValueError, not an asymmetry
+    for cov in (np.eye(3), np.ones((2, 3))):
+        with pytest.raises(ValueError, match="does not match"):
+            GaussianMoments([0.0, 0.0], cov)
 
 
 def test_roundtrip():
     rng = rng_for("embed-roundtrip")
     for _ in range(50):
         n = int(rng.integers(1, 6))
-        a = float(np.exp(rng.uniform(-1, 1)))
         m = rand_moments(rng, n)
-        P = embed(m, EmbeddingParams(a=a))
-        back = unembed(P, EmbeddingParams(a=a))
+        P = embed(m)
+        back = unembed(P)
         assert np.allclose(back.mean, m.mean, atol=1e-10)
         assert np.allclose(back.cov, m.cov, atol=1e-10)
-        again = embed(back, EmbeddingParams(a=a))
+        again = embed(back)
         assert np.max(np.abs(again - P)) <= 1e-10
 
 
 def test_corner_invariant_exact():
     rng = rng_for("embed-corner")
     for _ in range(20):
-        a = float(np.exp(rng.uniform(-1, 1)))
         m = rand_moments(rng, 3)
-        P = embed(m, EmbeddingParams(a=a))
-        assert P[3, 3] == a
+        P = embed(m)
+        assert P[3, 3] == 1.0
 
 
 def test_spd_preservation():
@@ -229,10 +256,9 @@ def test_siegel_pencil_normalizes_and_solves_the_embedded_pencil():
     rng = rng_for("siegel-pencil")
     for _ in range(30):
         n = int(rng.integers(1, 6))
-        params = EmbeddingParams(a=float(np.exp(rng.uniform(-1.0, 1.0))))
         ms, mt = rand_moments(rng, n), rand_moments(rng, n)
-        Ps, Pt = embed(ms, params), embed(mt, params)
-        lam, V = siegel_pencil_eigh(ms, mt, params)
+        Ps, Pt = embed(ms), embed(mt)
+        lam, V = siegel_pencil_eigh(ms, mt)
         _assert_solves_pencil(Ps, Pt, lam, V)
         # the same pencil, factored as the embedded matrices themselves
         lam2, V2 = pencil_eigh(Ps, Pt)

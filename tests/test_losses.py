@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from geomoment import embedding, spd
-from geomoment.embedding import EmbeddingParams, GaussianMoments, embed
+from geomoment.embedding import GaussianMoments, embed
 from geomoment.errors import (
     BatchTooSmall,
     DegenerateSpectrum,
@@ -187,14 +187,13 @@ def test_geometric_loss_value_is_the_embedded_distance(n, seed, scale, shift):
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.sampled_from([1, 2, 3, 5]),
-    a=st.sampled_from([0.5, 1.0, 3.0]),
     seed=st.integers(0, 2**31 - 1),
     scale=st.floats(0.25, 4.0),
     shift=st.floats(-1.0, 1.0),
 )
-def test_siegel_factor_loss_equals_the_embedded_matrix_path(n, a, seed, scale, shift):
+def test_siegel_factor_loss_equals_the_embedded_matrix_path(n, seed, scale, shift):
     # the embedded path's own rounding grows with cond(embed(m)), about
-    # (a |mean|^2)^2, so the means stay moderate here (large means are
+    # |mean|^4, so the means stay moderate here (large means are
     # covered by test_geometric_loss_is_translation_invariant); either
     # eigensolve resolves lambda_min only to about eps * lambda_max, which
     # sets the tolerance where the pencil spectrum spreads past 1e3
@@ -202,16 +201,15 @@ def test_siegel_factor_loss_equals_the_embedded_matrix_path(n, a, seed, scale, s
     b = 12 + 4 * n
     zs = rng.standard_normal((b, n)) + shift * rng.standard_normal(n)
     zt = scale * rng.standard_normal((b, n)) - shift * rng.standard_normal(n)
-    params = EmbeddingParams(a=a)
     ms, mt = batch_moments(zs), batch_moments(zt)
-    Ps, Pt = embed(ms, params), embed(mt, params)
+    Ps, Pt = embed(ms), embed(mt)
     lam = spd.pencil_eigvals(Ps, Pt)
     rtol = max(1e-12, 8 * np.finfo(float).eps * lam[-1] / lam[0])
     for kind in ("airm", "hilbert"):
         value, dPs, dPt = pencil_value_grads(Ps, Pt, kind)
-        gs = grad_moments(zs - ms.mean, *grad_embed(ms, dPs, params))
-        gt = grad_moments(zt - mt.mean, *grad_embed(mt, dPt, params))
-        le = dist_loss(zs, zt, kind, params)
+        gs = grad_moments(zs - ms.mean, *grad_embed(ms, dPs))
+        gt = grad_moments(zt - mt.mean, *grad_embed(mt, dPt))
+        le = dist_loss(zs, zt, kind)
         assert le.value == pytest.approx(value, rel=rtol)
         for got, want in ((le.grad_source, gs), (le.grad_target, gt)):
             assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
@@ -225,12 +223,10 @@ def test_geometric_loss_is_translation_invariant():
         n = int(rng.integers(1, 6))
         zs, zt = rand_batches(rng, 12 + 4 * n, n)
         c = 10.0 ** rng.uniform(0.0, 3.0) * rng.standard_normal(n)
-        for a in (0.5, 1.0, 3.0):
-            params = EmbeddingParams(a=a)
-            for kind in ("airm", "hilbert"):
-                ref = dist_loss(zs, zt, kind, params).value
-                moved = dist_loss(zs + c, zt + c, kind, params).value
-                assert moved == pytest.approx(ref, rel=1e-11)
+        for kind in ("airm", "hilbert"):
+            ref = dist_loss(zs, zt, kind).value
+            moved = dist_loss(zs + c, zt + c, kind).value
+            assert moved == pytest.approx(ref, rel=1e-11)
 
 
 def _batch_with_spectrum(rng, b, Q, lam):
@@ -459,7 +455,7 @@ def test_gradients_handed_on_unsymmetrized_are_exactly_symmetric(n, runs, seed, 
         mp.setattr(embedding, "congruent_eigh", recorded)
         for kind, entry in _COV_KINDS.items():
             try:
-                _, sides, _ = entry(ms, mt, EmbeddingParams())
+                _, sides, _ = entry(ms, mt)
             except NonPositiveSpectrum:  # a pencil spread beyond double precision
                 continue
             for _, dcov in sides or ():
@@ -493,15 +489,13 @@ def test_grad_embed_fd():
     rng = rng_for("gembed-fd")
     for _ in range(10):
         n = int(rng.integers(1, 4))
-        a = float(np.exp(rng.uniform(-0.5, 0.5)))
-        params = EmbeddingParams(a=a)
         m = GaussianMoments(mean=rng.standard_normal(n), cov=rand_spd(rng, n))
         G = np.random.default_rng(1).standard_normal((n + 1, n + 1))
         G = 0.5 * (G + G.T)
-        dmean, dcov = grad_embed(m, G, params)
+        dmean, dcov = grad_embed(m, G)
 
         def f(mean, cov):
-            return float(np.sum(G * embed(GaussianMoments(mean, cov), params)))
+            return float(np.sum(G * embed(GaussianMoments(mean, cov))))
 
         mean, cov = m.mean.copy(), m.cov.copy()
         for i in range(n):

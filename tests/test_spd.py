@@ -15,6 +15,7 @@ from geomoment.spd import (
     eigvals_sym,
     matrix_log,
     pencil_eigh,
+    sym,
     validate_spd,
 )
 from helpers import rand_invertible, rand_orthogonal, rand_spd, rand_sym, rng_for
@@ -215,6 +216,19 @@ def test_hilbert_symmetry():
         P = rand_spd(rng, 5)
         Q = rand_spd(rng, 5)
         assert dist_hilbert(P, Q) == pytest.approx(dist_hilbert(Q, P), abs=1e-10)
+
+
+def test_pencil_distances_read_an_asymmetric_matrix_as_its_symmetric_part():
+    # on either side of the pencil, not only the lower triangle of the first matrix
+    rng = rng_for("pencil-asym")
+    pairs = [(np.array([[2.0, 1.0], [0.0, 2.0]]), np.eye(2))]
+    for n in (2, 3, 5):
+        G = rng.standard_normal((n, n))
+        pairs.append((rand_spd(rng, n) + (G - G.T), rand_spd(rng, n)))
+    for dist in (dist_airm, dist_hilbert):
+        for A, B in pairs:
+            assert dist(A, B) == pytest.approx(dist(B, A), rel=1e-10)
+            assert dist(A, B) == dist(sym(A), B)
 
 
 def test_logeuclid_zero_and_hand_value():
