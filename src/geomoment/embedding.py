@@ -22,9 +22,8 @@ CORNER_TOL = 1e-9
 class GaussianMoments:
     """Mean vector and symmetric covariance of a feature batch.
 
-    The covariance must be symmetric to within spd.SYM_RTOL (NotSymmetric
-    otherwise) and is kept exactly symmetrized. It may be singular; detecting that is the job of
-    schur_gate, so positive-definiteness is not enforced here.
+    The covariance must be symmetric to within spd.SYM_RTOL and is kept
+    exactly symmetrized. It may be singular: detecting that is schur_gate's job.
     """
 
     mean: np.ndarray
@@ -114,8 +113,7 @@ def embed(m):
     n = m.dim
     P = np.empty((n + 1, n + 1))
     P[:n, :n] = m.cov + np.outer(m.mean, m.mean)
-    P[:n, n] = m.mean
-    P[n, :n] = m.mean
+    P[:n, n] = P[n, :n] = m.mean
     P[n, n] = 1.0
     return P
 
