@@ -35,7 +35,6 @@ BLOBS = BlobsConfig(
 SPEC = ModelSpec(
     input_dim=4,
     encoder_layers=((32, "relu"), (2, "identity")),
-    embed_dim=2,
     head=ClassifierHead(num_classes=3),
 )
 BASE = TrainConfig(

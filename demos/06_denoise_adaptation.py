@@ -20,8 +20,7 @@ DENOISE = DenoiseConfig(length=64, samples=1200)
 SPEC = ModelSpec(
     input_dim=64,
     encoder_layers=((24, "tanh"), (2, "identity")),
-    embed_dim=2,
-    head=DecoderHead(output_dim=64, layers=((24, "tanh"),)),
+    head=DecoderHead(layers=((24, "tanh"),)),
 )
 BASE = TrainConfig(
     dist_kind="airm", beta=0.1, eta=1e-8, epochs=40,

@@ -24,7 +24,6 @@ epochs = 40
 batch_source = 128
 batch_target = 128
 learn_rate = 1e-3
-embed_dim = 2
 encoder = 32:relu,2:identity
 blobs.num_classes = 3
 blobs.samples_per_class = 300

@@ -13,8 +13,10 @@ The file holds the environment line of the first run, per workload and
 side the median and quartiles of every end-to-end metric that
 ``BENCHMARK.json`` declares, whether every run was correct, the failed
 operations, and for each metric how many pairs the change won. It also
-holds the per-layer metrics of one traced run per workload and side
-(TRACE_SECONDS long), one Tier-1 suite wall time per tree, and each
+holds, per workload and side, the median and quartiles of every
+per-layer metric over TRACE_RUNS traced runs (TRACE_SECONDS long, seeds
+``SEED0``, ``SEED0 + 1``, ..., alternated as the pairs are), one Tier-1
+suite wall time per tree, and each
 tree's ``src_lines``, the line count of ``src/geomoment/*.py`` (as
 ``cat src/geomoment/*.py | wc -l``). Runs are serial, and each pins BLAS
 to one thread itself.
@@ -31,6 +33,7 @@ import time
 
 SEED0 = 701  # seed of the first pair
 TRACE_SECONDS = 10
+TRACE_RUNS = 3  # one traced run per side reads the same code up to 1.4x apart
 
 def parse_args(argv):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -87,12 +90,29 @@ def src_lines(tree):
     return total
 
 
+def sides(i):
+    """The order in which pair i runs the two trees."""
+    return ("parent", "change") if i % 2 == 0 else ("change", "parent")
+
+
 def spread(values):
     if len(values) == 1:  # quantiles needs two points
         q1 = med = q3 = values[0]
     else:
         q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": med, "q1": q1, "q3": q3, "runs": values}
+
+
+def traced(trees, workload):
+    """Per side and per-layer metric, the spread over TRACE_RUNS alternated traced runs."""
+    runs = {"parent": [], "change": []}
+    for i in range(TRACE_RUNS):
+        for side in sides(i):
+            _, result = bench(trees[side], workload, SEED0 + i, TRACE_SECONDS, 1)
+            runs[side].append(result["metrics"])
+    return {side: {name: spread([r[name]["value"] for r in res if name in r])
+                   for name in sorted(set().union(*res))}
+            for side, res in runs.items()}
 
 
 def summarize(runs, metrics):
@@ -134,18 +154,14 @@ def main(argv=None):
         for workload in (w["name"] for w in spec["workloads"]):
             runs = {"parent": [], "change": []}
             for i, seed in enumerate(record["seeds"]):
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                for side in order:
+                for side in sides(i):
                     env, result = bench(trees[side], workload, seed, seconds, 0)
                     record.setdefault("environment", env)
                     runs[side].append(result)
                     print(f"{workload} seed {seed} {side}: ops_per_s "
                           f"{result['metrics']['ops_per_s']['value']:.1f}", flush=True)
             record["workloads"][workload] = summarize(runs, metrics)
-            record["workloads"][workload]["traced"] = {
-                side: bench(trees[side], workload, SEED0, TRACE_SECONDS, 1)[1]["metrics"]
-                for side in ("parent", "change")
-            }
+            record["workloads"][workload]["traced"] = traced(trees, workload)
         record["tier1"] = {side: tier1_wall_s(trees[side]) for side in ("parent", "change")}
         record["src_lines"] = {side: src_lines(trees[side]) for side in ("parent", "change")}
     with open(args.out, "w") as fh:

@@ -90,7 +90,7 @@ def fisher_rao_univariate(mu1, sigma1, mu2, sigma2):
     i.e. a rescaled hyperbolic half-plane. Cross-validated against
     numerical geodesic integration in the test suite.
     """
-    if sigma1 <= 0 or sigma2 <= 0:
+    if not (sigma1 > 0 and sigma2 > 0):  # a NaN sigma fails too
         raise DomainError(f"standard deviations must be positive, got {sigma1}, {sigma2}")
     arg = 1.0 + ((mu1 - mu2) ** 2 / 2.0 + (sigma1 - sigma2) ** 2) / (2.0 * sigma1 * sigma2)
     return math.sqrt(2.0) * math.acosh(max(arg, 1.0))

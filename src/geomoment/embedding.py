@@ -121,9 +121,9 @@ def embed(m):
 def unembed(P):
     """Invert embed. Raises NotInImage when P is not an embedded pair."""
     P = np.asarray(P, dtype=float)
+    if P.ndim == 0 or P.shape[0] < 2:  # a 0-d input has no shape[0]
+        raise NotInImage(f"matrix of shape {P.shape} is too small to unembed")
     n = P.shape[0] - 1
-    if n < 1:
-        raise NotInImage(f"matrix of size {P.shape[0]} is too small to unembed")
     try:
         check_symmetric(P)
     except NotSymmetric as exc:

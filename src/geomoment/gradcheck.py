@@ -85,14 +85,12 @@ def audit_network(seed=0):
         ModelSpec(
             input_dim=5,
             encoder_layers=((7, "relu"), (3, "identity")),
-            embed_dim=3,
             head=ClassifierHead(num_classes=4),
         ),
         ModelSpec(
             input_dim=6,
             encoder_layers=((8, "tanh"), (2, "identity")),
-            embed_dim=2,
-            head=DecoderHead(output_dim=6, layers=((5, "relu"),)),
+            head=DecoderHead(layers=((5, "relu"),)),
         ),
     ]
     worst = 0.0

@@ -23,33 +23,27 @@ class ClassifierHead:
 
 @dataclass(frozen=True)
 class DecoderHead:
-    output_dim: int
-    layers: tuple = ()  # hidden (width, activation) pairs before the linear output
+    layers: tuple = ()  # hidden (width, activation) pairs before the linear output to input_dim
 
 
 @dataclass(frozen=True)
 class ModelSpec:
     input_dim: int
     encoder_layers: tuple  # (width, activation) pairs; last width is the embedding
-    embed_dim: int
     head: object
 
     def __post_init__(self):
-        if self.embed_dim < 1:
-            raise ValueError("embed_dim must be >= 1")
         if not self.encoder_layers:
             raise ValueError("encoder needs at least one layer")
-        decoder = self.head.layers if isinstance(self.head, DecoderHead) else ()
-        for width, act in (*self.encoder_layers, *decoder):
+        for fan_in, fan_out, act in full_plan(self):
             if act not in ACTIVATIONS:
                 raise ValueError(f"unknown activation {act!r}")
-            if width < 1:
+            if fan_in < 1 or fan_out < 1:
                 raise ValueError("layer widths must be positive")
-        if self.encoder_layers[-1][0] != self.embed_dim:
-            raise ValueError(
-                f"final encoder width {self.encoder_layers[-1][0]} "
-                f"must equal embed_dim {self.embed_dim}"
-            )
+
+    @property
+    def embed_dim(self):
+        return self.encoder_layers[-1][0]
 
 
 def _plan(fan_in, layers):
@@ -69,7 +63,7 @@ def head_plan(spec):
     head = spec.head
     if isinstance(head, ClassifierHead):
         return _plan(spec.embed_dim, ((head.num_classes, "identity"),))
-    return _plan(spec.embed_dim, (*head.layers, (head.output_dim, "identity")))
+    return _plan(spec.embed_dim, (*head.layers, (spec.input_dim, "identity")))
 
 
 def full_plan(spec):

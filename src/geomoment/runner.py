@@ -99,7 +99,6 @@ _SCHEMA = {
     "batch_source": (_parse_int, "train_cfg", "batch_source"),
     "batch_target": (_parse_int, "train_cfg", "batch_target"),
     "learn_rate": (float, "train_cfg", "learn_rate"),
-    "embed_dim": (_parse_int, "model_spec", "embed_dim"),
     "encoder": (_parse_layers, "model_spec", "encoder_layers"),
     "sweep.kinds": (_parse_list(_parse_kind), "run", "sweep_kinds"),
     "sweep.seeds": (_parse_list(_parse_int), "run", "sweep_seeds"),
@@ -189,7 +188,7 @@ def build_run_config(parsed, seed=None, out_dir=None):
             input_dim, head = blobs.input_dim, ClassifierHead(blobs.num_classes)
         else:
             denoise = DenoiseConfig(seed=train_cfg.seed, **fields["denoise"])
-            input_dim, head = denoise.length, DecoderHead(denoise.length, **fields["decoder"])
+            input_dim, head = denoise.length, DecoderHead(**fields["decoder"])
         model_spec = ModelSpec(input_dim=input_dim, head=head, **fields["model_spec"])
     except ValueError as exc:
         raise ConfigError(f"bad model/dataset field: {exc}") from exc
@@ -295,7 +294,7 @@ def _with_dim(cfg, dim, kind, seed):
     """Derive a run config with a new embedding width, kind and seed."""
     enc = list(cfg.model_spec.encoder_layers)
     enc[-1] = (dim, enc[-1][1])
-    spec = dataclasses.replace(cfg.model_spec, encoder_layers=tuple(enc), embed_dim=dim)
+    spec = dataclasses.replace(cfg.model_spec, encoder_layers=tuple(enc))
     tc = dataclasses.replace(cfg.train_cfg, dist_kind=kind, seed=seed)
     blobs = dataclasses.replace(cfg.blobs, seed=seed) if cfg.blobs else None
     denoise = dataclasses.replace(cfg.denoise, seed=seed) if cfg.denoise else None

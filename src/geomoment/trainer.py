@@ -91,7 +91,6 @@ class TrainReport:
     loss_task: np.ndarray
     loss_dist: np.ndarray
     det_ps: np.ndarray
-    gate_on: np.ndarray
     source_metric: np.ndarray
     target_metric: np.ndarray
     skipped_steps: np.ndarray
@@ -103,6 +102,12 @@ class TrainReport:
     @property
     def epochs(self):
         return self.loss_task.size
+
+    @property
+    def gate_on(self):
+        """Per epoch, whether the gate had opened by its end (it latches: gate_open_epoch)."""
+        g = self.gate_open_epoch
+        return (g > 0) & (np.arange(1, self.epochs + 1) >= g)
 
     def to_csv_text(self):
         cols = (np.arange(1, self.epochs + 1), self.loss_task, self.loss_dist, self.det_ps,
@@ -218,7 +223,6 @@ def train(config, spec, source, target, eval_source, eval_target, batches=None):
         k: np.zeros((R, cfg.epochs))
         for k in ("loss_task", "loss_dist", "det_ps", "source_metric", "target_metric")
     }
-    gate_on = np.zeros((R, cfg.epochs), dtype=bool)
     skipped = np.zeros((R, cfg.epochs), dtype=int)
     skipped_by_reason = [dict.fromkeys(GATE_CLOSED_REASONS, 0) for _ in configs]
     zeroed = [dict.fromkeys(ZERO_GRAD_REASONS, 0) for _ in configs]
@@ -289,7 +293,6 @@ def train(config, spec, source, target, eval_source, eval_target, batches=None):
         cols["loss_task"][:, epoch] = task_sum / steps_per_epoch
         cols["det_ps"][:, epoch] = det_sum / steps_per_epoch
         np.divide(dist_sum, dist_steps, out=cols["loss_dist"][:, epoch], where=dist_steps > 0)
-        gate_on[:, epoch] = [e > 0 for e in gate_open_epoch]
         for r, p in enumerate(run_params):
             cols["source_metric"][r, epoch] = evaluate(p, spec, eval_sources[r])
             cols["target_metric"][r, epoch] = evaluate(p, spec, eval_targets[r])
@@ -297,7 +300,6 @@ def train(config, spec, source, target, eval_source, eval_target, batches=None):
     return [
         TrainReport(
             **{k: v[r] for k, v in cols.items()},
-            gate_on=gate_on[r],
             skipped_steps=skipped[r],
             skipped_steps_by_reason=skipped_by_reason[r],
             gate_open_epoch=gate_open_epoch[r],

@@ -39,7 +39,6 @@ BLOBS = BlobsConfig(
 BLOBS_SPEC = ModelSpec(
     input_dim=4,
     encoder_layers=((32, "relu"), (2, "identity")),
-    embed_dim=2,
     head=ClassifierHead(num_classes=3),
 )
 BLOBS_TRAIN = TrainConfig(
@@ -57,8 +56,7 @@ DENOISE = DenoiseConfig(length=64, samples=1200, seed=0)
 DENOISE_SPEC = ModelSpec(
     input_dim=64,
     encoder_layers=((24, "tanh"), (2, "identity")),
-    embed_dim=2,
-    head=DecoderHead(output_dim=64, layers=((24, "tanh"),)),
+    head=DecoderHead(layers=((24, "tanh"),)),
 )
 DENOISE_TRAIN = TrainConfig(
     dist_kind="airm",

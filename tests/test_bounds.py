@@ -157,6 +157,8 @@ def test_fr_univariate_rejects_bad_sigma():
         fisher_rao_univariate(0.0, 0.0, 1.0, 1.0)
     with pytest.raises(DomainError):
         fisher_rao_univariate(0.0, 1.0, 1.0, -2.0)
+    with pytest.raises(DomainError):
+        fisher_rao_univariate(0.0, math.nan, 0.0, 1.0)
 
 
 def test_fr_closed_form_against_quadrature():

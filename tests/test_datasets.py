@@ -91,7 +91,7 @@ def test_blobs_pi_rotation_confuses_source_only():
     d = gen_blobs(cfg)
     spec = ModelSpec(
         input_dim=3, encoder_layers=((16, "relu"), (2, "identity")),
-        embed_dim=2, head=ClassifierHead(num_classes=3),
+        head=ClassifierHead(num_classes=3),
     )
     tc = TrainConfig(
         dist_kind="airm", beta=0.0, eta=1e-8, epochs=30, batch_source=64,

@@ -57,6 +57,9 @@ def test_unembed_corner_mismatch():
         P[2, 2] = corner
         with pytest.raises(NotInImage):
             unembed(P)
+    for P in (5.0, [[1.0]]):  # no room for a mean beside the corner
+        with pytest.raises(NotInImage, match="too small"):
+            unembed(P)
 
 
 def test_unembed_rejects_an_asymmetric_matrix():

@@ -23,7 +23,6 @@ def small_classifier(input_dim=64, embed_dim=2, classes=3):
     return ModelSpec(
         input_dim=input_dim,
         encoder_layers=((8, "relu"), (embed_dim, "identity")),
-        embed_dim=embed_dim,
         head=ClassifierHead(num_classes=classes),
     )
 
@@ -57,8 +56,7 @@ def test_plans_chain_fan_in_through_encoder_and_head():
     decoder = ModelSpec(
         input_dim=6,
         encoder_layers=((8, "tanh"), (2, "identity")),
-        embed_dim=2,
-        head=DecoderHead(output_dim=6, layers=((5, "relu"),)),
+        head=DecoderHead(layers=((5, "relu"),)),
     )
     assert full_plan(decoder) == [(6, 8, "tanh"), (8, 2, "identity"), (2, 5, "relu"),
                                   (5, 6, "identity")]
@@ -69,32 +67,23 @@ def test_task_loss_follows_the_head():
     x = stream(2, 999).standard_normal((5, 3))
     y = np.array([0, 1, 2, 0, 1])
     classifier = small_classifier(input_dim=3, embed_dim=2, classes=3)
-    decoder = ModelSpec(input_dim=3, encoder_layers=((2, "identity"),), embed_dim=2,
-                        head=DecoderHead(output_dim=3))
+    decoder = ModelSpec(input_dim=3, encoder_layers=((2, "identity"),), head=DecoderHead())
     for spec, want in ((classifier, softmax_cross_entropy(x, y)), (decoder, mse_loss(x, x))):
         loss, grad = task_loss(spec, x, x, y)
         assert loss == want[0]
         assert np.array_equal(grad, want[1])
 
 
-def test_spec_rejects_mismatched_embed_width():
-    with pytest.raises(ValueError):
-        ModelSpec(
-            input_dim=4,
-            encoder_layers=((8, "relu"), (3, "identity")),
-            embed_dim=2,
-            head=ClassifierHead(num_classes=2),
-        )
-
-
 def test_spec_rejects_zero_decoder_width():
-    with pytest.raises(ValueError, match="layer widths must be positive"):
-        ModelSpec(
-            input_dim=4,
-            encoder_layers=((8, "relu"), (2, "identity")),
-            embed_dim=2,
-            head=DecoderHead(output_dim=4, layers=((0, "tanh"),)),
-        )
+    encoder = ((8, "relu"), (2, "identity"))
+    for input_dim, head in (
+        (4, DecoderHead(layers=((0, "tanh"),))),
+        (4, ClassifierHead(0)),
+        (4, ClassifierHead(-2)),
+        (0, ClassifierHead(2)),
+    ):
+        with pytest.raises(ValueError, match="layer widths must be positive"):
+            ModelSpec(input_dim=input_dim, encoder_layers=encoder, head=head)
 
 
 def test_layer_gradients_match_fd():
@@ -168,8 +157,7 @@ def test_flat_adam_matches_per_array_reference_bitwise():
     spec = ModelSpec(
         input_dim=5,
         encoder_layers=((7, "relu"), (3, "tanh"), (2, "identity")),
-        embed_dim=2,
-        head=DecoderHead(output_dim=5, layers=((4, "tanh"),)),
+        head=DecoderHead(layers=((4, "tanh"),)),
     )
     ref = init_model(spec, seed=4)
     params = [[W.copy(), b.copy()] for W, b in ref]

@@ -33,7 +33,6 @@ epochs = 4
 batch_source = 64
 batch_target = 64
 learn_rate = 1e-3
-embed_dim = 2
 encoder = 16:relu,2:identity
 blobs.num_classes = 3
 blobs.samples_per_class = 80
@@ -54,7 +53,6 @@ epochs = 3
 batch_source = 64
 batch_target = 64
 learn_rate = 2e-3
-embed_dim = 2
 encoder = 12:tanh,2:identity
 decoder = 12:tanh
 denoise.length = 32
@@ -113,6 +111,7 @@ ENCODER = _line_of(BLOBS_CFG, "encoder =")
 @pytest.mark.parametrize("text, prefix, message", [
     (BLOBS_CFG + "epochs 4\n", f"bad.cfg:{ADDED}: ", "expected 'key = value'"),
     (BLOBS_CFG + "beta = 0.2\n", f"bad.cfg:{ADDED}: ", "duplicate key 'beta'"),
+    (BLOBS_CFG + "embed_dim = 2\n", f"bad.cfg:{ADDED}: ", "unknown key 'embed_dim'"),
     (BLOBS_CFG.replace("task = blobs", "task = images"), "bad.cfg: ",
      "key 'task' must be blobs or denoise, got 'images'"),
     (BLOBS_CFG + "sweep.kinds = airm,wasserstein\n", f"bad.cfg:{ADDED}: ",
@@ -177,7 +176,7 @@ def test_dataset_fields_default_to_the_dataset_configs():
     required = (
         "seed = 5\ndist_kind = airm\nbeta = 0.1\neta = 0.02\nepochs = 1\n"
         "batch_source = 16\nbatch_target = 16\nlearn_rate = 1e-3\n"
-        "embed_dim = 2\nencoder = 2:identity\n"
+        "encoder = 2:identity\n"
     )
     blobs = build_run_config(parse_config_text("task = blobs\n" + required), out_dir="unused")
     assert blobs.blobs == BlobsConfig(seed=5)
@@ -281,7 +280,7 @@ def test_sweep_dim_cardinality_and_flags(tmp_path):
             config = strict_json(run_dir / "summary.json")["config"]
             assert config["dist_kind"] == r["kind"]
             assert config["seed"] == r["seed"]
-            assert config["embed_dim"] == config["encoder"][-1][0] == r["dim"]
+            assert config["encoder"][-1][0] == r["dim"]
             assert config["out_dir"] == str(run_dir)
     assert sorted(os.listdir(tmp_path)) == ["run.cfg", "sweep"]
 

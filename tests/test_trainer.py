@@ -37,7 +37,6 @@ BLOBS = BlobsConfig(
 SPEC = ModelSpec(
     input_dim=4,
     encoder_layers=((16, "relu"), (2, "identity")),
-    embed_dim=2,
     head=ClassifierHead(num_classes=3),
 )
 
@@ -268,7 +267,7 @@ def _sweep_cell(dim, kind, seeds, **keys):
     """A sweep-dim cell of configs/blobs_airm.cfg with keys set: (configs, spec, run datasets)."""
     with open(BLOBS_AIRM_CFG) as fh:
         parsed = parse_config_text(fh.read())
-    parsed.update({"embed_dim": dim, "encoder": ((32, "relu"), (dim, "identity")),
+    parsed.update({"encoder": ((32, "relu"), (dim, "identity")),
                    "dist_kind": kind, **keys})
     runs = [build_run_config(parsed, seed=s) for s in seeds]
     return [r.train_cfg for r in runs], runs[0].model_spec, [gen_blobs(r.blobs) for r in runs]
