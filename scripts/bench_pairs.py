@@ -19,12 +19,14 @@ per-layer metric over TRACE_RUNS traced runs (TRACE_SECONDS long, seeds
 suite wall time per tree, and each
 tree's ``src_lines``, the line count of ``src/geomoment/*.py`` (as
 ``cat src/geomoment/*.py | wc -l``). Runs are serial, and each pins BLAS
-to one thread itself.
+to one thread itself. SIGTERM or SIGINT stops the running child and
+deletes the temporary trees before the script exits.
 """
 
 import argparse
 import json
 import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -133,8 +135,15 @@ def summarize(runs, metrics):
     return out
 
 
+def stop(signum, frame):
+    """Raise, so subprocess.run kills its child and the temporary directory is deleted."""
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None):
     args = parse_args(argv)
+    for sig in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(sig, stop)
     with open("BENCHMARK.json") as fh:
         spec = json.load(fh)
     metrics = spec["end_to_end"]

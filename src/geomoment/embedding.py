@@ -156,9 +156,23 @@ def schur_gate(m, eta):
     """
     if m.cov.ndim == 2:
         return GateResult(*_gate(m.cov, m.chol, eta))
-    n = m.dim  # each run as alone, from its slice of the one factor
-    runs = [_gate(c, f, eta) for c, f in zip(m.cov.reshape(-1, n, n), m.chol.reshape(-1, n, n))]
-    return GateResult(*(np.array(v).reshape(m.cov.shape[:-2]) for v in zip(*runs)))
+    n = m.dim  # every factored run in one pass, each decided as alone
+    covs, factors = m.cov.reshape(-1, n, n), m.chol.reshape(-1, n, n)
+    d = np.diagonal(factors, axis1=-2, axis2=-1)
+    logdet = 2.0 * np.log(d).sum(axis=-1)
+    det = np.array([_det(row) for row in d.tolist()])
+    is_open = logdet > math.log(eta) if eta > 0 else det > eta
+    for r in np.flatnonzero(np.isnan(factors[:, 0, 0])).tolist():  # no factor: eigvalsh
+        is_open[r], det[r], logdet[r] = _gate(covs[r], factors[r], eta)
+    return GateResult(*(v.reshape(m.cov.shape[:-2]) for v in (is_open, det, logdet)))
+
+
+def _det(diag):
+    """prod(diag)**2 in Python floats (numpy's square differs in some last bits), inf on overflow."""
+    try:
+        return math.prod(diag) ** 2
+    except OverflowError:
+        return math.inf
 
 
 def _gate(cov, L, eta):
@@ -166,10 +180,7 @@ def _gate(cov, L, eta):
     if not math.isnan(L[0, 0]):
         d = L.diagonal()
         logdet = 2.0 * float(np.log(d).sum())
-        try:  # in Python floats: numpy's bits, and inf without a RuntimeWarning
-            det = math.prod(d.tolist()) ** 2
-        except OverflowError:
-            det = math.inf
+        det = _det(d.tolist())
     else:
         try:
             lam = np.linalg.eigvalsh(cov)

@@ -138,7 +138,8 @@ def stack_backward(plan, params, caches, dout):
         W, _ = params[i]
         hin, post = caches[i]
         dpre = _act_grad(act, post, dh)  # dh itself for identity: written nowhere
-        grads[i] = [hin.mT @ dpre, dpre.sum(axis=-2)]
+        # einsum: sum(axis=-2)'s bits at width > 1, in fewer numpy dispatches
+        grads[i] = [hin.mT @ dpre, np.einsum("...ij->...j", dpre)]
         dh = dpre @ W.mT
     return dh, grads
 
@@ -149,10 +150,18 @@ def softmax_cross_entropy(logits, labels):
     logits (..., b, k) and integer labels (..., b): one mean per batch
     of the stack, a numpy scalar for a single batch.
     """
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    logp = shifted - logz
     b, k = logits.shape[-2:]
+    # the class-axis max and sum as folds over the columns, each a few elementwise ops
+    # against numpy's slow short-axis reductions; below 8 classes numpy sums in this order
+    top = logits[..., 0]
+    for j in range(1, k):
+        top = np.maximum(top, logits[..., j])
+    shifted = logits - top[..., None]
+    e = np.exp(shifted)
+    z = e[..., 0]
+    for j in range(1, k):
+        z = z + e[..., j]
+    logp = shifted - np.log(z)[..., None]
     at = np.arange(labels.size).reshape(labels.shape) * k + labels  # flat index of each label
     loss = -logp.reshape(-1)[at].mean(axis=-1)
     dlogits = np.exp(logp)

@@ -15,6 +15,7 @@ Conventions used throughout:
   spectrum; pencil_grads is the one chain rule from slope to matrices.
 """
 
+import math
 from collections import namedtuple
 
 import numpy as np
@@ -45,8 +46,8 @@ def sym(M):
 def check_symmetric(M):
     """Return M as ndarray, raising NotSymmetric beyond SYM_RTOL."""
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise NotSymmetric(f"expected a square matrix, got shape {M.shape}")
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.size == 0:
+        raise NotSymmetric(f"expected a non-empty square matrix, got shape {M.shape}")
     scale = np.max(np.abs(M))
     asym = np.max(np.abs(M - M.T))
     if asym > SYM_RTOL * max(scale, np.finfo(float).tiny):
@@ -57,6 +58,8 @@ def check_symmetric(M):
 def spd_tol(M):
     """validate_spd's threshold on lambda_min: 1e-10 * trace(M)/dim (1e-10 when not positive)."""
     scale = float(M.trace()) / M.shape[0]
+    if math.isinf(scale):  # the trace overflowed: sum(diag/dim) need not
+        scale = float((M.diagonal() / M.shape[0]).sum())
     return 1e-10 * (scale if scale > 0 else 1.0)
 
 
@@ -64,12 +67,18 @@ def validate_spd(M):
     """Check that M is SPD and return it exactly symmetrized.
 
     M must be symmetric to within SYM_RTOL; it is then symmetrized
-    exactly, (M + M^T)/2, and spd_factor decides the rule
-    lambda_min(M) > spd_tol(M) from its Cholesky factor. A non-finite M
-    is rejected.
+    exactly, and spd_factor decides the rule lambda_min(M) > spd_tol(M)
+    from its Cholesky factor. Entries that already equal their mirror
+    are kept, and the others become M/2 + M^T/2: sym's bits, except for
+    subnormal entries, with no overflow near the float maximum. A
+    non-finite M, and a 0 x 0 one, which has no lambda_min, are rejected.
     """
-    M = sym(check_symmetric(M))
-    spd_factor(M, cholesky(M))
+    if np.shape(M) == (0, 0):
+        raise NotPositiveDefinite("a 0 x 0 matrix has no smallest eigenvalue")
+    M = check_symmetric(M)
+    M = np.where(M == M.mT, M, 0.5 * M + 0.5 * M.mT)
+    with np.errstate(over="ignore"):  # an overflowing trace: spd_tol falls back
+        spd_factor(M, cholesky(M))
     return M
 
 

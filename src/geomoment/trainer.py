@@ -122,7 +122,7 @@ def evaluate(params, spec, dataset):
     """Accuracy for classifier heads, reconstruction MSE for decoder heads."""
     out, _ = stack_forward(full_plan(spec), params, dataset.x)
     if isinstance(spec.head, ClassifierHead):
-        return float(np.mean(out.argmax(axis=1) == dataset.y))
+        return np.count_nonzero(out.argmax(axis=1) == dataset.y) / dataset.y.size  # np.mean's float
     ref = dataset.ref if dataset.ref is not None else dataset.x
     diff = np.subtract(out, ref, out=out)  # out is this pass's own array: no temporaries
     return float(np.mean(np.square(diff, out=diff)))

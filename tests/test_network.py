@@ -13,7 +13,9 @@ from geomoment.network import (
     init_model,
     mse_loss,
     softmax_cross_entropy,
+    stack_backward,
     stack_forward,
+    stack_runs,
     task_loss,
 )
 from geomoment.rng import stream
@@ -96,6 +98,59 @@ def test_cross_entropy_uniform_logits():
     loss, dlogits = softmax_cross_entropy(logits, labels)
     assert loss == pytest.approx(np.log(4.0))
     assert dlogits.sum() == pytest.approx(0.0, abs=1e-12)
+
+
+def _max_sum_cross_entropy(logits, labels):
+    """softmax_cross_entropy as numpy's class-axis max and sum reductions write it."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    b, k = logits.shape[-2:]
+    at = np.arange(labels.size).reshape(labels.shape) * k + labels
+    dlogits = np.exp(logp)
+    dlogits.reshape(-1)[at] -= 1.0
+    return -logp.reshape(-1)[at].mean(axis=-1), dlogits / b
+
+
+def _cross_entropy_batches(rng, lead, k):
+    b = int(rng.integers(1, 150))
+    logits = rng.standard_normal((*lead, b, k)) * 10.0 ** rng.uniform(-2.0, 2.0)
+    return logits, rng.integers(0, k, size=(*lead, b))
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_cross_entropy_folds_match_the_max_sum_formula_bitwise(k):
+    rng = stream(k, 999)
+    for lead in ((), (5,), (2, 3)) * 10:
+        logits, labels = _cross_entropy_batches(rng, lead, k)
+        got, want = softmax_cross_entropy(logits, labels), _max_sum_cross_entropy(logits, labels)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("k", range(2, 10))
+def test_cross_entropy_of_a_stack_equals_each_batch_alone(k):
+    logits, labels = _cross_entropy_batches(stream(k, 998), (5,), k)
+    loss, dlogits = softmax_cross_entropy(logits, labels)
+    for r in range(5):
+        alone, dalone = softmax_cross_entropy(logits[r], labels[r])
+        assert loss[r].tobytes() == alone.tobytes() and dlogits[r].tobytes() == dalone.tobytes()
+
+
+@pytest.mark.parametrize("runs", [2, 3, 5])
+def test_stacked_backward_equals_each_run_alone(runs):
+    spec = ModelSpec(input_dim=6, encoder_layers=((8, "relu"), (1, "tanh")),  # a width-1 layer
+                     head=ClassifierHead(num_classes=3))
+    plan, rng = full_plan(spec), stream(runs, 997)
+    run_params = [init_model(spec, seed) for seed in range(runs)]
+    x, dout = rng.standard_normal((runs, 40, 6)), rng.standard_normal((runs, 40, 3))
+    _, caches = stack_forward(plan, stack_runs(run_params), x)
+    dx, grads = stack_backward(plan, stack_runs(run_params), caches, dout)
+    for r, params in enumerate(run_params):
+        _, alone = stack_forward(plan, params, x[r])
+        dx_r, grads_r = stack_backward(plan, params, alone, dout[r])
+        assert dx[r].tobytes() == dx_r.tobytes()
+        for (dW, db), (dW_r, db_r) in zip(grads, grads_r):
+            assert dW[r].tobytes() == dW_r.tobytes() and db[r].tobytes() == db_r.tobytes()
 
 
 def test_mse_perfect_reconstruction():

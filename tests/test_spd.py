@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -8,6 +10,7 @@ from geomoment.errors import NotPositiveDefinite, NotSymmetric
 from geomoment.gradcheck import central_diff
 from geomoment.spd import (
     SPECTRAL_KINDS,
+    check_symmetric,
     cholesky,
     dist_airm,
     dist_hilbert,
@@ -89,6 +92,27 @@ def test_validate_spd_accepts_exactly_above_the_trace_tolerance(n, seed, log_sca
         with pytest.raises(NotPositiveDefinite) as exc:
             validate_spd(M)
         assert exc.value.lambda_min == eig[0]
+
+
+def test_empty_matrix_raises_package_errors():
+    with pytest.raises(NotSymmetric, match="non-empty"):
+        check_symmetric(np.zeros((0, 0)))
+    with pytest.raises(NotPositiveDefinite, match="0 x 0"):
+        validate_spd(np.zeros((0, 0)))
+
+
+def test_validate_spd_symmetrizes_near_the_float_maximum_and_keeps_subnormals():
+    M = np.array([[1e308, 1e300], [1e300, 1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow in the symmetrization or the trace
+        assert np.array_equal(validate_spd(M), M)
+        assert np.array_equal(validate_spd(np.diag([1e308, 1e308])), np.diag([1e308, 1e308]))
+        A = M.copy()
+        A[0, 1] = np.nextafter(A[0, 1], np.inf)  # within SYM_RTOL of its mirror
+        out = validate_spd(A)
+        assert np.array_equal(out, out.T) and out[0, 1] == 0.5 * A[0, 1] + 0.5 * A[1, 0]
+    S = np.array([[7.85e-321]])  # an exactly symmetric subnormal matrix comes back as it is
+    assert np.array_equal(validate_spd(S), S)
 
 
 def test_validate_rejects_non_finite():
