@@ -23,19 +23,23 @@ also writes ``dataset_hashes.json``: the sha256 (with dtype and shape) of
 every array that its ``gen_blobs`` or ``gen_denoise`` returns for each
 sweep's config and seed, so a dataset change shows up array by array,
 ``dist_loss_hashes.json``: the sha256 of the value and gradient bytes of
-``dist_loss`` for each kind at widths 2, 8, 32 and 128, on batches drawn
+``dist_loss``, beside the value and the Frobenius norms of the gradients
+(the ``summary`` of each array), for each kind at widths 2, 8, 32 and 128, on batches drawn
 from Philox streams (single calls, a 3-run stack, and both with
 ``source_moments``), which reaches the widths the sweeps never train at,
 ``api_hashes.json``: the sha256 of the outputs of ``embed``, ``unembed``,
-``dist_airm``, ``dist_hilbert``, ``dist_logeuclid`` and ``schur_gate`` on
-moment pairs drawn from Philox streams at the same widths, and
+``dist_airm``, ``dist_hilbert``, ``dist_logeuclid`` and ``schur_gate``,
+beside the summary of each, on moment pairs drawn from Philox streams at the same widths, and
 ``gradcheck.txt``: the stdout of ``geomoment gradcheck --seed 0``, the
 finite-difference audits of the distance-loss and network gradients. A
 ``summary.json`` is compared without its ``wall_time_s`` and with its
 ``config.out_dir`` taken relative to its side's output root. For every
 file the script prints "identical", or the largest relative difference
-per column (JSON leaf, or ``name: value`` line of ``gradcheck.txt``)
-that differs; it exits 1 when a file is missing on one side.
+per column (JSON leaf or list entry, or ``name: value`` line of
+``gradcheck.txt``) that differs and then the largest over the numeric
+columns, so a changed hash reads beside the size of its change; it exits
+1 when a file is missing on one side. SIGTERM or SIGINT stops the running
+child and deletes the temporary trees before the script exits.
 """
 
 import argparse
@@ -46,11 +50,12 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
 
-from bench_pairs import export, git
+from bench_pairs import export, git, stop
 
 SCRIPTS = os.path.dirname(os.path.abspath(__file__))
 
@@ -141,14 +146,26 @@ def hash_datasets(out_path):
         json.dump(hashes, fh, indent=2, sort_keys=True)
 
 
+def record(arrays):
+    """{"sha256": of the arrays' float64 bytes, "summary": each one's value or Frobenius norm}."""
+    import numpy as np
+
+    digest = hashlib.sha256()
+    summary = []
+    for a in arrays:
+        a = np.asarray(a, dtype=float)
+        digest.update(a.tobytes())
+        summary.append(float(a) if a.size == 1 else float(np.linalg.norm(a)))
+    return {"sha256": digest.hexdigest(), "summary": summary}
+
+
 def hash_dist_losses(out_path):
-    """Write {kind.n<width>.<call>: sha256 of the value and gradient bytes} of dist_loss calls.
+    """Write {kind.n<width>.<call>: record of the value and gradients} of dist_loss calls.
 
     Runs inside a tree, like hash_datasets. Each width draws one 3-run stack
     of source and target batches from its own Philox stream; the calls are
     its first run alone, the whole stack, and both again with source_moments.
     """
-    import numpy as np
     from geomoment.losses import DIST_KINDS, dist_loss
     from geomoment.moments import batch_moments
     from geomoment.rng import stream
@@ -164,23 +181,20 @@ def hash_dist_losses(out_path):
             for call, (s, t) in calls.items():
                 for given, moments in (("", None), (".source_moments", batch_moments(s))):
                     le = dist_loss(s, t, kind, source_moments=moments)
-                    digest = hashlib.sha256()
-                    for a in (le.value, le.grad_source, le.grad_target):
-                        digest.update(np.asarray(a, dtype=float).tobytes())
-                    hashes[f"{kind}.n{n}.{call}{given}"] = digest.hexdigest()
+                    hashes[f"{kind}.n{n}.{call}{given}"] = record(
+                        (le.value, le.grad_source, le.grad_target))
     with open(out_path, "w") as fh:
         json.dump(hashes, fh, indent=2, sort_keys=True)
 
 
 def hash_api(out_path):
-    """Write {function.n<width>: sha256 of its output bytes} of the embedding and distance API.
+    """Write {function.n<width>: record of its outputs} of the embedding and distance API.
 
     Runs inside a tree, like hash_datasets. Each width draws a source and a
     target batch from its own Philox stream; their moments go through
     embed, unembed, each spd distance (both orders) and schur_gate, called
     only as embed(m), unembed(P), dist_*(P1, P2) and schur_gate(m, eta).
     """
-    import numpy as np
     from geomoment.embedding import embed, schur_gate, unembed
     from geomoment.moments import batch_moments
     from geomoment.rng import stream
@@ -200,10 +214,7 @@ def hash_api(out_path):
         outputs["schur_gate"] = [(g.open, g.det, g.logdet) for m in (ms, mt)
                                  for g in (schur_gate(m, 1e-8), schur_gate(m, 1.0))]
         for name, arrays in outputs.items():
-            digest = hashlib.sha256()
-            for a in arrays:
-                digest.update(np.asarray(a, dtype=float).tobytes())
-            hashes[f"{name}.n{n}"] = digest.hexdigest()
+            hashes[f"{name}.n{n}"] = record(arrays)
     with open(out_path, "w") as fh:
         json.dump(hashes, fh, indent=2, sort_keys=True)
 
@@ -237,6 +248,9 @@ def columns(path, text):
             if isinstance(v, dict):
                 for k, w in v.items():
                     walk(f"{prefix}.{k}" if prefix else k, w)
+            elif isinstance(v, list):
+                for i, w in enumerate(v):
+                    walk(f"{prefix}.{i}", w)
             else:
                 flat[prefix] = [str(v)]
 
@@ -260,11 +274,13 @@ def rel_diff(a, b):
 
 
 def compare(path, parent_text, change_text):
-    """'identical', or 'column max-rel-diff' for every column that differs."""
+    """'identical', or 'column max-rel-diff' for every column that differs, then the largest
+    numeric one."""
     if parent_text == change_text:
         return "identical"
     ours, theirs = columns(path, parent_text), columns(path, change_text)
     diffs = []
+    largest = 0.0
     for col in sorted(set(ours) | set(theirs)):
         a, b = ours.get(col), theirs.get(col)
         if a is None or b is None or len(a) != len(b):
@@ -273,13 +289,17 @@ def compare(path, parent_text, change_text):
         worst = max((rel_diff(x, y) for x, y in zip(a, b)), default=0.0)
         if worst:
             diffs.append(f"{col} {worst:.2e}")
-    return "differs: " + ", ".join(diffs)
+        if not math.isinf(worst):
+            largest = max(largest, worst)
+    return "differs: " + ", ".join(diffs) + f"; largest numeric relative difference {largest:.2e}"
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", default="HEAD~1", help="git revision of the baseline")
     args = ap.parse_args(argv)
+    for sig in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(sig, stop)
     print(f"parent {git('rev-parse', args.parent)}, change {git('rev-parse', 'HEAD')}")
     with tempfile.TemporaryDirectory(prefix="identity_set_") as tmp:
         outs = {}

@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import NotInImage, NotPositiveDefinite, NotSymmetric
-from .spd import check_symmetric, cholesky, congruent_eigh, spd_factor, sym, validate_spd
+from .errors import ConvergenceFailure, NotInImage, NotPositiveDefinite, NotSymmetric
+from .spd import check_symmetric, cholesky, congruent_eigh, spd_factor, sym, syevd, validate_spd
 
 CORNER_TOL = 1e-9
 
@@ -76,8 +76,8 @@ class GaussianMoments:
 
         For the readers of chol within one step (the trainer's gate and
         distance loss); moments kept longer, such as prepared ones, stay
-        unfactored, so no factor outlives its step. A stack takes one batched
-        Cholesky.
+        unfactored, so no factor outlives its step. A stack is factored
+        slice by slice, each run as alone.
         """
         return _factored(self.mean, self.cov, cholesky(self.cov))
 
@@ -162,7 +162,7 @@ def schur_gate(m, eta):
     logdet = 2.0 * np.log(d).sum(axis=-1)
     det = np.array([_det(row) for row in d.tolist()])
     is_open = logdet > math.log(eta) if eta > 0 else det > eta
-    for r in np.flatnonzero(np.isnan(factors[:, 0, 0])).tolist():  # no factor: eigvalsh
+    for r in np.flatnonzero(np.isnan(factors[:, 0, 0])).tolist():  # no factor: an eigensolve
         is_open[r], det[r], logdet[r] = _gate(covs[r], factors[r], eta)
     return GateResult(*(v.reshape(m.cov.shape[:-2]) for v in (is_open, det, logdet)))
 
@@ -183,8 +183,8 @@ def _gate(cov, L, eta):
         det = _det(d.tolist())
     else:
         try:
-            lam = np.linalg.eigvalsh(cov)
-        except np.linalg.LinAlgError:
+            lam = syevd(cov, vectors=False)
+        except ConvergenceFailure:
             return False, float("nan"), float("nan")
         det = math.prod(lam.tolist())
         logdet = float(np.log(lam).sum()) if lam[0] > 0 else -math.inf

@@ -11,12 +11,17 @@ Conventions used throughout:
 * this module is the package's one factor layer: its Cholesky helper,
   its SPD rule (spd_factor, or spd_eigh on eigenvalues) and its pencil
   forms are the only ones;
+* it is also the package's one LAPACK binding: every Cholesky factor is
+  scipy's potrf and every symmetric eigensolve scipy's syevd, both on the
+  lower triangle and called on each slice of a stack as on the slice alone,
+  so a stacked result is each slice's, bit for bit;
 * SPECTRAL_KINDS holds each pencil distance as (value, slope) of the
   spectrum; pencil_grads is the one chain rule from slope to matrices.
 """
 
 import math
 from collections import namedtuple
+from functools import cache
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -33,8 +38,12 @@ from .errors import (
 SYM_RTOL = 1e-12  # relative asymmetry allowed before a matrix is rejected
 DIST_EPS = 1e-8  # below this the airm gradient is undefined
 DEGEN_RTOL = 1e-9  # relative gap deciding eigenvalue degeneracy
+# pencil_grads gathers the extreme columns above this width: at 17 the gather still
+# cost more than the products it saved, at 33 it saved a fifth (one BLAS thread)
+GATHER_ABOVE = 24
 
-_TRTRI = get_lapack_funcs("trtri", dtype=np.float64)
+_POTRF, _TRTRI, _SYEVD, _SYEVD_LWORK = get_lapack_funcs(
+    ("potrf", "trtri", "syevd", "syevd_lwork"), dtype=np.float64)
 
 
 def sym(M):
@@ -89,20 +98,50 @@ def eigvals_sym(M):
     its internal iteration cap; non-convergence surfaces as
     ConvergenceFailure.
     """
-    return _symmetric_solve(np.linalg.eigvalsh, sym(M))
+    return syevd(sym(M), vectors=False)
 
 
 def eigh_sym(M):
     """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric matrix."""
-    return _symmetric_solve(np.linalg.eigh, sym(M))
+    return syevd(sym(M))
 
 
-def _symmetric_solve(solve, M):
-    """solve (eigvalsh or eigh) of an exactly symmetric M; non-convergence is ConvergenceFailure."""
-    try:
-        return solve(M)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
+@cache
+def _syevd_workspace(n, vectors):
+    # the optimal sizes: with syevd's minimal default, dsytrd takes its unblocked path
+    lwork, liwork, _ = _SYEVD_LWORK(n, compute_v=vectors, lower=1)
+    return int(lwork), liwork
+
+
+def _syevd(M, vectors, lwork, liwork):
+    lam, Q, info = _SYEVD(M, vectors, 1, lwork, liwork)  # compute_v, lower, lwork, liwork
+    if info:
+        raise ConvergenceFailure(f"syevd failed with info {info}")
+    return lam, Q
+
+
+def syevd(M, vectors=True):
+    """Ascending eigenvalues, and with vectors the eigenvectors, of an exactly symmetric M.
+
+    LAPACK's syevd on M's lower triangle, with the optimal workspace; a
+    stack (..., n, n) is solved slice by slice, each slice as alone.
+    Eigenvectors come C-ordered, as numpy's eigh gives them, since the
+    bits of a product with them depend on their order. Non-convergence
+    raises ConvergenceFailure.
+    """
+    n = M.shape[-1]
+    work = _syevd_workspace(n, vectors)
+    if M.ndim == 2:
+        lam, Q = _syevd(M, vectors, *work)
+        return (lam, np.ascontiguousarray(Q)) if vectors else lam
+    stack = M.reshape(-1, n, n)
+    lam, Q = np.empty((len(stack), n)), np.empty(stack.shape if vectors else 0)
+    for i, m in enumerate(stack):
+        lam[i], Q_i = _syevd(m, vectors, *work)
+        if vectors:
+            Q[i] = Q_i
+    lam = lam.reshape(M.shape[:-1])
+    return (lam, Q.reshape(M.shape)) if vectors else lam
 
 
 def matrix_log(P):
@@ -119,17 +158,22 @@ def matrix_log(P):
 def cholesky(M):
     """Lower Cholesky factor of M, all NaN where it does not exist.
 
-    The package's one factorization: a NaN in M may pass through into
-    the factor without raising, which spd_factor then rejects. A stack
-    (..., n, n) gives its slices' factors as one array, from one batched call,
-    or from one call per slice when any slice fails. A non-square M raises ValueError.
+    The package's one factorization, LAPACK's potrf on M's lower triangle:
+    a NaN in M may pass through into the factor without raising, which
+    spd_factor then rejects. A stack (..., n, n) is factored slice by
+    slice, each slice as alone. The factor is C-ordered, as numpy's
+    cholesky gives it. A non-square M raises ValueError.
     """
-    try:
-        return np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
-            raise ValueError(f"expected a square matrix or a stack of them, got shape {M.shape}")
-        return np.full(M.shape, np.nan) if M.ndim == 2 else np.stack([cholesky(m) for m in M])
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {M.shape}")
+    if M.ndim == 2:
+        L, info = _POTRF(M, 1)  # lower
+        return np.full(M.shape, np.nan) if info else np.ascontiguousarray(L)
+    L = np.empty(M.shape)
+    for m, f in zip(M.reshape(-1, *M.shape[-2:]), L.reshape(-1, *M.shape[-2:])):
+        factor, info = _POTRF(m, 1)
+        f[...] = np.nan if info else factor
+    return L
 
 
 def lower_inverse(L):
@@ -166,7 +210,7 @@ def spd_factor(M, L):
 
 def spd_eigh(M):
     """eigh_sym(M) of an exactly symmetric M, with spd_factor's rule decided on its eigenvalues."""
-    lam, Q = _symmetric_solve(np.linalg.eigh, M)
+    lam, Q = syevd(M)
     for lam_min, m in zip(lam[..., 0].ravel().tolist(), M.reshape(-1, *M.shape[-2:])):
         _spd_rule(lam_min, spd_tol(m))  # slice by slice
     return lam, Q
@@ -192,7 +236,7 @@ def _pencil_form(P1, P2):
 
 def pencil_eigvals(P1, P2):
     """Eigenvalues of P1^{-1} P2 from the symmetric pencil form, ascending."""
-    return _symmetric_solve(np.linalg.eigvalsh, _pencil_form(P1, P2)[1])
+    return syevd(_pencil_form(P1, P2)[1], vectors=False)
 
 
 def pencil_eigh(P1, P2):
@@ -206,7 +250,7 @@ def congruent_eigh(Finv, M):
     Returns the ascending eigenvalues of M and V = F^{-T} Y for its
     eigenvectors Y, so that V^T P1 V = I and P2 V = P1 V diag(lam).
     """
-    lam, Y = _symmetric_solve(np.linalg.eigh, M)
+    lam, Y = syevd(M)
     return lam, Finv.mT @ Y
 
 
@@ -261,7 +305,22 @@ def pencil_grads(lam, V, slope):
 
     (lam, V) are the eigenpairs of pencil_eigh, P2 v = lam P1 v with
     v^T P1 v = 1, for which d lam/dP2 = v v^T and d lam/dP1 = -lam v v^T.
+    Above GATHER_ABOVE eigenvalues, where a slope is zero off the two
+    extremes (Hilbert's, unless an extreme eigenvalue is degenerate), only
+    the two extreme columns enter the products; a stack whose slices
+    differ in that is taken slice by slice, so that each slice's gradients
+    are its own alone, bit for bit.
     """
+    k = slope.shape[-1]
+    if k > GATHER_ABOVE:
+        inner = slope[..., 1:-1]
+        moving = np.count_nonzero(inner)
+        if not moving:  # V's copy keeps the products on BLAS, as the full V does
+            lam, V, slope = lam[..., ::k - 1], V[..., ::k - 1].copy(), slope[..., ::k - 1]
+        elif moving < inner.size and slope.ndim > 1 and not inner.any(axis=-1).all():
+            grads = [pencil_grads(*s) for s in zip(lam.reshape(-1, k), V.reshape(-1, k, k),
+                                                   slope.reshape(-1, k))]
+            return tuple(np.reshape(g, V.shape) for g in zip(*grads))
     Vs = V * slope[..., None, :]
     return sym(-(Vs * lam[..., None, :]) @ V.mT), sym(Vs @ V.mT)
 

@@ -4,6 +4,7 @@ import zlib
 
 import numpy as np
 
+from geomoment import spd
 from geomoment.rng import stream
 
 
@@ -42,3 +43,18 @@ def rand_invertible(rng, n, cond=100.0):
 def sym_grad_pairs(G):
     """Map an analytic symmetric gradient to the convention of central_diff(mirror=True)."""
     return G + G.T - np.diag(np.diag(G))
+
+
+def count_lapack(monkeypatch, name, calls, label=None):
+    """Append the matrix shape (with label, if given) of each call of spd's binding name to calls.
+
+    name is "_POTRF" or "_SYEVD": every Cholesky factor and every symmetric
+    eigensolve of the package is one call there, one per slice of a stack.
+    """
+    real = getattr(spd, name)
+
+    def counted(M, *args, **kwargs):
+        calls.append(M.shape if label is None else (label, M.shape))
+        return real(M, *args, **kwargs)
+
+    monkeypatch.setattr(spd, name, counted)

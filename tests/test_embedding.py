@@ -17,7 +17,7 @@ from geomoment.errors import NotInImage, NotPositiveDefinite, NotSymmetric
 from geomoment.moments import batch_moments
 from geomoment.spd import pencil_eigh, validate_spd
 from geomoment.rng import stream
-from helpers import rand_orthogonal, rand_spd, rng_for
+from helpers import count_lapack, rand_orthogonal, rand_spd, rng_for
 
 
 def rand_moments(rng, n, cond=30.0):
@@ -223,13 +223,7 @@ def test_stacked_gate_equals_each_run_alone(eta, monkeypatch):
                                                      "det underflows")])
     stacked = batch_moments(z).factored()
     fallbacks = []
-    real = np.linalg.eigvalsh
-
-    def counted(M):
-        fallbacks.append(M.shape)
-        return real(M)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    count_lapack(monkeypatch, "_SYEVD", fallbacks)
     g = schur_gate(stacked, eta)
     assert fallbacks == [(3, 3)] * 2  # the singular and rank-one slices only
     assert g.open.shape == g.det.shape == g.logdet.shape == (len(z),)

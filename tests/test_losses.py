@@ -25,7 +25,8 @@ from geomoment.losses import (
 from geomoment.moments import batch_moments
 from geomoment.rng import stream
 from geomoment.spd import congruent_eigh, dist_airm, dist_hilbert
-from helpers import rand_invertible, rand_orthogonal, rand_spd, rng_for, sym_grad_pairs
+from helpers import (count_lapack, rand_invertible, rand_orthogonal, rand_spd, rng_for,
+                     sym_grad_pairs)
 
 
 def rand_batches(rng, b, n):
@@ -307,7 +308,7 @@ def test_geometric_loss_factors_once_and_validates_each_side_once(monkeypatch):
 
     monkeypatch.setattr(spd, "_pencil_form", counted("factor", spd._pencil_form))
     monkeypatch.setattr(embedding, "validate_spd", counted("validate", embedding.validate_spd))
-    monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
+    count_lapack(monkeypatch, "_POTRF", calls, label="cholesky")
     zs, zt = rand_batches(rng_for("loss-count"), 30, 3)
     for kind in ("airm", "hilbert"):
         calls.clear()

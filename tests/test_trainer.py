@@ -22,6 +22,7 @@ from geomoment.trainer import (
     evaluate,
     train,
 )
+from helpers import count_lapack
 
 BLOBS = BlobsConfig(
     num_classes=3,
@@ -171,13 +172,7 @@ def test_batch_moments_once_per_side_per_step(monkeypatch):
 def test_one_covariance_cholesky_per_side_per_step(monkeypatch):
     # the gate and the geometric loss share the source factor; the target's is the other
     calls = []
-    real = np.linalg.cholesky
-
-    def counted(M):
-        calls.append(M.shape)
-        return real(M)
-
-    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    count_lapack(monkeypatch, "_POTRF", calls)
     steps = 3 * (BLOBS.num_classes * BLOBS.samples_per_class // 40)
     for kind, beta, adapting in (("airm", 0.1, steps), ("hilbert", 0.1, steps),
                                  ("airm", 0.0, 0)):
