@@ -101,7 +101,7 @@ def audit_network(seed=0):
         y = rng.integers(0, 4, size=12) if isinstance(spec.head, ClassifierHead) else None
 
         loss, dout, plan, caches = _net_loss(spec, params, x, y)
-        _, grads = stack_backward(plan, params, caches, dout)
+        _, grads = stack_backward(plan, params, caches, dout, input_grad=False)
 
         for layer, layer_grads in zip(params, grads):
             for arr, garr in zip(layer, layer_grads):

@@ -129,8 +129,12 @@ def stack_forward(plan, params, x):
     return h, caches
 
 
-def stack_backward(plan, params, caches, dout):
-    """Returns (dx, grads) with grads aligned to params, each with the stack's leading axes."""
+def stack_backward(plan, params, caches, dout, input_grad=True):
+    """Returns (dx, grads) with grads aligned to params, each with the stack's leading axes.
+
+    Without input_grad, dx (the gradient w.r.t. the stack's input) is not
+    computed and is None: the encoder's callers have no use for it.
+    """
     grads = [None] * len(plan)
     dh = dout
     for i in range(len(plan) - 1, -1, -1):
@@ -140,7 +144,7 @@ def stack_backward(plan, params, caches, dout):
         dpre = _act_grad(act, post, dh)  # dh itself for identity: written nowhere
         # einsum: sum(axis=-2)'s bits at width > 1, in fewer numpy dispatches
         grads[i] = [hin.mT @ dpre, np.einsum("...ij->...j", dpre)]
-        dh = dpre @ W.mT
+        dh = dpre @ W.mT if i or input_grad else None
     return dh, grads
 
 

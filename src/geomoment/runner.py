@@ -20,7 +20,7 @@ from .losses import DIST_KINDS
 from .matrixio import csv_line
 from .moments import check_regime
 from .network import ACTIVATIONS, ClassifierHead, DecoderHead, ModelSpec
-from .trainer import TrainConfig, batch_rows, batch_sizes, train
+from .trainer import TrainConfig, Warmup, batch_rows, batch_sizes, train
 
 METRICS_HEADER = (
     "task,dist_kind,seed,embed_dim,beta,eta,epochs,"
@@ -229,19 +229,22 @@ def run_experiment(cfg, metrics_path=None):
     return run_stack([cfg], metrics_path)[0]
 
 
-def run_stack(cfgs, metrics_path=None, datasets=None, batches=None):
+def run_stack(cfgs, metrics_path=None, datasets=None, batches=None, warmup=None):
     """Train configurations that differ in seed alone as one stack (trainer.train).
 
     Each run then writes its files as run_experiment does, and the (metrics
     row, report) pairs are returned, in the given order. A run's wall_time_s
-    is the stack's training time divided by its number of runs.
-    datasets, batches: the runs' _datasets and train's batches, if made.
+    is the stack's training time divided by its number of runs; a stack
+    that resumes from a filled warmup (trainer.Warmup) counts only the
+    epochs it trained.
+    datasets, batches, warmup: the runs' _datasets and train's batches and
+    warmup, if made.
     """
     sources, targets, eval_sources, eval_targets = zip(*(datasets or map(_datasets, cfgs)))
     t0 = time.perf_counter()
     reports = train(
         [cfg.train_cfg for cfg in cfgs], cfgs[0].model_spec, sources, targets,
-        eval_source=eval_sources, eval_target=eval_targets, batches=batches,
+        eval_source=eval_sources, eval_target=eval_targets, batches=batches, warmup=warmup,
     )
     wall = (time.perf_counter() - t0) / len(cfgs)
     return [_write_run(cfg, report, wall, metrics_path) for cfg, report in zip(cfgs, reports)]
@@ -331,8 +334,11 @@ def sweep_dim(cfg, dims):
     Every output lands under cfg.out_dir: the sweep files at its root and
     each run's report in a d{dim}_{kind}_s{seed} subdirectory. The seeds
     of one (dim, kind) cell train as one stack (run_stack), on each seed's
-    datasets and batch rows (trainer.batch_rows), made once. Dims that
-    violate the 10x batch-size regime are flagged rows with NaN metrics, not run.
+    datasets and batch rows (trainer.batch_rows), made once. The kinds of
+    a dim share one trainer.Warmup: the first kind's stack records its
+    training up to its first latch, and every later kind resumes from
+    there. Dims that violate the 10x batch-size regime are flagged rows
+    with NaN metrics, not run.
     """
     out_dir = cfg.out_dir
     kinds = cfg.sweep_kinds or (cfg.train_cfg.dist_kind,)
@@ -342,6 +348,7 @@ def sweep_dim(cfg, dims):
     datasets = batches = None  # each seed's: they depend on the seed alone
     for dim in dims:
         regime = check_regime(cfg.train_cfg.batch_source, dim)
+        warmup = Warmup()  # the kinds' shared training before any latch opens
         for kind in kinds:
             reports = [None] * len(seeds)
             if regime.ok:
@@ -352,7 +359,7 @@ def sweep_dim(cfg, dims):
                         cfg.train_cfg, len(datasets[0][0].x), len(datasets[0][1].x)))
                     batches = [next(draws) for _ in range(cfg.train_cfg.epochs)]
                 runs = run_stack(cell, metrics_path=os.path.join(out_dir, "metrics.csv"),
-                                 datasets=datasets, batches=batches)
+                                 datasets=datasets, batches=batches, warmup=warmup)
                 reports = [report for _, report in runs]
             rows += [_sweep_row(dim, kind, seed, regime.ratio, report)
                      for seed, report in zip(seeds, reports)]

@@ -120,6 +120,11 @@ def _syevd(M, vectors, lwork, liwork):
     return lam, Q
 
 
+def _check_square(M):
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {M.shape}")
+
+
 def syevd(M, vectors=True):
     """Ascending eigenvalues, and with vectors the eigenvectors, of an exactly symmetric M.
 
@@ -127,8 +132,9 @@ def syevd(M, vectors=True):
     stack (..., n, n) is solved slice by slice, each slice as alone.
     Eigenvectors come C-ordered, as numpy's eigh gives them, since the
     bits of a product with them depend on their order. Non-convergence
-    raises ConvergenceFailure.
+    raises ConvergenceFailure, and a non-square M raises ValueError.
     """
+    _check_square(M)
     n = M.shape[-1]
     work = _syevd_workspace(n, vectors)
     if M.ndim == 2:
@@ -164,8 +170,7 @@ def cholesky(M):
     slice, each slice as alone. The factor is C-ordered, as numpy's
     cholesky gives it. A non-square M raises ValueError.
     """
-    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {M.shape}")
+    _check_square(M)
     if M.ndim == 2:
         L, info = _POTRF(M, 1)  # lower
         return np.full(M.shape, np.nan) if info else np.ascontiguousarray(L)

@@ -10,6 +10,7 @@ rest of the run. Target labels never enter the optimization path.
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -118,6 +119,48 @@ class TrainReport:
         return REPORT_HEADER + "\n" + "".join(csv_line(r, REPORT_HEADER) for r in rows)
 
 
+@dataclass
+class Warmup:
+    """A stack's training state up to its first adaptation, for stacks of other kinds to resume.
+
+    Until a run's latch opens, and at beta 0 throughout, its training never
+    reads dist_kind. The first stack that train hands an empty holder
+    fills it at the start of each epoch in which none of its runs has
+    adapted yet, so it ends with the state at the start of the epoch in
+    which the first latch opened (the last epoch, if none opened or beta
+    is 0). A later stack whose configs differ from the recording stack's
+    in dist_kind alone, on the same spec, data and batches, loads that
+    state and trains only the epochs from there on.
+    """
+
+    stack: tuple = None  # the recording stack's (configs of one kind, spec, data, batches)
+    epoch: int = 0  # the epoch the state is taken at the start of
+    adam: tuple = None  # Adam's flat, m, v and t
+    cols: dict = None  # the report columns of the epochs before it
+    gate_open_epoch: list = None
+
+    def record(self, epoch, opt, cols, gate_open_epoch):
+        self.epoch = epoch
+        self.adam = opt.flat.copy(), opt.m.copy(), opt.v.copy(), opt.t
+        self.cols = {k: v[:, :epoch].copy() for k, v in cols.items()}
+        self.gate_open_epoch = list(gate_open_epoch)
+
+    def resume(self, stack, opt, cols, gate_open_epoch):
+        """Load the recorded state into a stack's optimizer, columns and latches."""
+        configs, spec, data, batches = self.stack
+        if (stack[:2] != (configs, spec) or stack[3] is not batches
+                or any(a is not b for a, b in zip(stack[2], data))):
+            raise ValueError("a warm-up resumes only stacks that differ from the one that "
+                             "recorded it in dist_kind alone, on its spec, data and batches")
+        flat, m, v, opt.t = self.adam
+        opt.flat[...] = flat  # in place: the parameters are views of it
+        opt.m, opt.v = m.copy(), v.copy()
+        for k, col in self.cols.items():
+            cols[k][:, : self.epoch] = col
+        gate_open_epoch[:] = self.gate_open_epoch
+        return self.epoch
+
+
 def evaluate(params, spec, dataset):
     """Accuracy for classifier heads, reconstruction MSE for decoder heads."""
     out, _ = stack_forward(full_plan(spec), params, dataset.x)
@@ -161,7 +204,7 @@ def batch_rows(seeds, n_s, bs, n_t, bt, steps_per_epoch):
         yield blocks
 
 
-def train(config, spec, source, target, eval_source, eval_target, batches=None):
+def train(config, spec, source, target, eval_source, eval_target, batches=None, warmup=None):
     """Run the gated two-phase optimization and return the epoch report.
 
     source is a LabeledSet, target a FeatureSet (no labels, by type).
@@ -176,10 +219,17 @@ def train(config, spec, source, target, eval_source, eval_target, batches=None):
     report equals the one it gets alone, bit for bit. A single config is
     the one-run stack, kept without a run axis. Each epoch's steps read
     their rows from a batch_rows block: batches[epoch], or drawn lazily.
+
+    warmup, a Warmup holder, needs the batches made up front. An empty
+    holder records this stack's training up to its first adaptation; a
+    filled one lets this stack skip the epochs it recorded, which raises
+    ValueError unless the configs differ from the recording stack's in
+    dist_kind alone and spec, data and batches are its own. The report is
+    the same either way, bit for bit.
     """
     if isinstance(config, TrainConfig):
         return train((config,), spec, (source,), (target,), (eval_source,), (eval_target,),
-                     batches)[0]
+                     batches, warmup)[0]
     configs, sources, targets = tuple(config), tuple(source), tuple(target)
     eval_sources, eval_targets = tuple(eval_source), tuple(eval_target)
     R = len(configs)
@@ -211,6 +261,8 @@ def train(config, spec, source, target, eval_source, eval_target, batches=None):
     if batches is not None and (len(batches) != cfg.epochs or any((s.shape, t.shape) != (
             (steps_per_epoch, R, bs), (steps_per_epoch, R, bt)) for s, t in batches)):
         raise ValueError(f"batches needs {cfg.epochs} epochs of ({steps_per_epoch}, {R}, b) rows")
+    if warmup is not None and batches is None:
+        raise ValueError("a warm-up holder needs the batches made up front")
     batches = batches or batch_rows([c.seed for c in configs], *sizes)  # drawn epoch by epoch
     # every run's rows, stacked; a batch indexes them with its run's row offset
     xs = _rows([s.x for s in sources])
@@ -234,7 +286,18 @@ def train(config, spec, source, target, eval_source, eval_target, batches=None):
                     "seed": configs[r].seed, "dist_kind": cfg.dist_kind},
         )
 
-    for epoch, (epoch_s, epoch_t) in zip(range(cfg.epochs), batches):
+    start, recording = 0, False
+    if warmup is not None:
+        stack = (tuple(dataclasses.replace(c, dist_kind=DIST_KINDS[0]) for c in configs), spec,
+                 sources + targets + eval_sources + eval_targets, batches)
+        if warmup.stack is None:
+            warmup.stack, recording = stack, True
+        else:
+            start = warmup.resume(stack, opt, cols, gate_open_epoch)
+
+    for epoch, (epoch_s, epoch_t) in zip(range(start, cfg.epochs), islice(batches, start, None)):
+        if recording and (cfg.beta == 0 or max(gate_open_epoch) < 0):  # no run adapted yet
+            warmup.record(epoch, opt, cols, gate_open_epoch)
         task_sum = 0.0  # a float, or one per run of a stack
         dist_sum = np.zeros(R)
         dist_steps = np.zeros(R, dtype=int)
@@ -280,10 +343,11 @@ def train(config, spec, source, target, eval_source, eval_target, batches=None):
                     if reasons[k]:
                         zeroed[r][reasons[k]] += 1
                 # a closed or zeroed run's gradients are exact zeros
-                _, grads_t = stack_backward(ep, enc_t, t_caches, cfg.beta * le.grad_target)
+                _, grads_t = stack_backward(ep, enc_t, t_caches, cfg.beta * le.grad_target,
+                                            input_grad=False)
                 dz[sub] += cfg.beta * le.grad_source
 
-            _, enc_grads = stack_backward(ep, params[:n_enc], enc_caches, dz)
+            _, enc_grads = stack_backward(ep, params[:n_enc], enc_caches, dz, input_grad=False)
             if adapting:
                 for g, gt in zip(enc_grads, grads_t):
                     g[0][sub] += gt[0]

@@ -82,6 +82,14 @@ def test_stacked_factors_and_eigensolves_equal_each_slice_alone(n, runs, seed, i
         assert _close(Q.T @ Q, np.eye(n)) and _close(m @ Q, Q * lam)
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (4, 2, 3), (3,), ()])
+@pytest.mark.parametrize("call", [spd.cholesky, spd.syevd,
+                                  lambda M: spd.syevd(M, vectors=False)])
+def test_non_square_input_raises_value_error(call, shape):
+    with pytest.raises(ValueError, match="square matrix"):
+        call(np.ones(shape))
+
+
 def _all_columns(lam, V, slope):
     Vs = V * slope[..., None, :]
     return spd.sym(-(Vs * lam[..., None, :]) @ V.mT), spd.sym(Vs @ V.mT)

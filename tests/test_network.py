@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,11 @@ def test_stacked_backward_equals_each_run_alone(runs):
         assert dx[r].tobytes() == dx_r.tobytes()
         for (dW, db), (dW_r, db_r) in zip(grads, grads_r):
             assert dW[r].tobytes() == dW_r.tobytes() and db[r].tobytes() == db_r.tobytes()
+    # without the input gradient, the same parameter gradients
+    no_dx, same = stack_backward(plan, stack_runs(run_params), caches, dout, input_grad=False)
+    assert no_dx is None
+    for a, b in zip(itertools.chain(*grads), itertools.chain(*same), strict=True):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_mse_perfect_reconstruction():

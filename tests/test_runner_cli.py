@@ -304,6 +304,58 @@ def test_sweep_dim_draws_each_seeds_batch_rows_once(tmp_path, monkeypatch):
         assert calls == [(0, 1)], dims
 
 
+BLOBS_AIRM_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "blobs_airm.cfg")
+
+
+def _tree(root):
+    """{relative path: contents} under root; a summary.json without its wall_time_s or out_dir."""
+    files = {}
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            if name == "summary.json":
+                summary = strict_json(path)
+                del summary["wall_time_s"], summary["config"]["out_dir"]
+                files[os.path.relpath(path, root)] = summary
+            else:
+                files[os.path.relpath(path, root)] = open(path, "rb").read()
+    return files
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.0])
+def test_sweep_dim_with_a_shared_warmup_writes_what_each_cell_writes_alone(
+        tmp_path, monkeypatch, beta):
+    # At dim 4 the gates of seeds 0 and 159990 never open in these 20 epochs.
+    cfg = load_run_config(BLOBS_AIRM_CFG)
+    cfg = dataclasses.replace(cfg, sweep_seeds=(0, 159990, 2), train_cfg=dataclasses.replace(
+        cfg.train_cfg, epochs=20, beta=beta))
+    holders = []
+    real_run_stack = runner.run_stack
+
+    def run_stack(*args, warmup, **kwargs):
+        holders.append(warmup)
+        return real_run_stack(*args, warmup=warmup, **kwargs)
+
+    monkeypatch.setattr(runner, "run_stack", run_stack)
+    shared = dataclasses.replace(cfg, out_dir=str(tmp_path / "shared"))
+    rows, _ = sweep_dim(shared, [2, 4])
+    gates = {r["dim"]: [] for r in rows}
+    for r in rows:
+        gates[r["dim"]].append(r["gate_open_epoch"])
+    if beta:
+        assert gates[4].count(-1) == 2 * len(cfg.sweep_kinds) and min(gates[2]) > 1
+    assert len(holders) == 2 * len(cfg.sweep_kinds)  # one holder per dim, shared by its kinds
+    assert all(h is holders[0] for h in holders[:5]) and all(h is holders[5] for h in holders[5:])
+    assert holders[0] is not holders[5]
+    first_latch = [min(g for g in gates[d] if g > 0) for d in (2, 4)] if beta else [20, 20]
+    assert [h.epoch for h in (holders[0], holders[5])] == [g - 1 for g in first_latch]
+
+    monkeypatch.setattr(runner, "Warmup", lambda: None)  # each cell trained from epoch 0
+    sweep_dim(dataclasses.replace(cfg, out_dir=str(tmp_path / "alone")), [2, 4])
+    shared_files, alone_files = _tree(tmp_path / "shared"), _tree(tmp_path / "alone")
+    assert len(shared_files) == 3 + 2 * 5 * 3 * 2 and shared_files == alone_files
+
+
 # ----------------------------------------------------------------------- CLI
 
 

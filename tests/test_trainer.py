@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from geomoment import losses, trainer
+from geomoment import losses, network, trainer
 from geomoment.datasets import BlobsConfig, gen_blobs
 from geomoment.errors import NonFiniteLoss, RegimeViolation
 from geomoment.losses import LossEval
@@ -19,6 +19,7 @@ from geomoment.trainer import (
     LabeledSet,
     TrainConfig,
     TrainReport,
+    Warmup,
     evaluate,
     train,
 )
@@ -453,3 +454,96 @@ def test_lone_run_rejects_a_stacks_batches():
         d = datasets[0]
         train(configs[0], spec, d.source_train, d.target_train, d.source_eval, d.target_eval,
               batches=batches)
+
+
+@pytest.mark.parametrize("kind", losses.DIST_KINDS)
+def test_rows_before_the_latch_equal_the_beta_zero_runs(kind):
+    # the pre-latch training never reads dist_kind: the premise of Warmup
+    configs, spec, datasets = _sweep_cell(4, kind, (1, 159990, 2), epochs=30)
+    sets = [(d.source_train, d.target_train, d.source_eval, d.target_eval) for d in datasets]
+    adapting = train(configs, spec, *zip(*sets))
+    source_only = train([dataclasses.replace(c, beta=0.0) for c in configs], spec, *zip(*sets))
+    assert [r.gate_open_epoch for r in adapting] == [15, -1, 20]
+    for a, s in zip(adapting, source_only, strict=True):
+        assert a.gate_open_epoch == s.gate_open_epoch
+        latch = a.gate_open_epoch if a.gate_open_epoch > 0 else a.epochs + 1
+        before = a.to_csv_text().splitlines()[:latch]  # the header, then the rows
+        assert before == s.to_csv_text().splitlines()[:latch]
+        assert (a.to_csv_text() == s.to_csv_text()) == (a.gate_open_epoch < 0)
+
+
+def _warmup_cell(seeds=(0, 159990, 2), beta=0.1, dim=2):
+    """A 20-epoch airm sweep cell with its batches drawn up front, as train's arguments."""
+    configs, spec, datasets, batches = _drawn_once(
+        _sweep_cell(dim, "airm", seeds, epochs=20, beta=beta))
+    sets = [(d.source_train, d.target_train, d.source_eval, d.target_eval) for d in datasets]
+    return [configs, spec, *zip(*sets)], batches
+
+
+def _of_kind(args, kind):
+    return [[dataclasses.replace(c, dist_kind=kind) for c in args[0]], *args[1:]]
+
+
+def _same_reports(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.to_csv_text() == b.to_csv_text()
+        assert (a.skipped_steps_by_reason, a.zeroed_grad_steps, a.gate_open_epoch) == (
+            b.skipped_steps_by_reason, b.zeroed_grad_steps, b.gate_open_epoch)
+        for x, y in zip(itertools.chain(*a.params), itertools.chain(*b.params), strict=True):
+            assert x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.0])
+def test_later_kinds_train_only_from_the_recorded_epoch(monkeypatch, beta):
+    steps = []
+    real_step = network.Adam.step
+
+    def step(self, params, grads):
+        steps.append(1)
+        return real_step(self, params, grads)
+
+    monkeypatch.setattr(network.Adam, "step", step)
+    args, batches = _warmup_cell(beta=beta)
+    warmup = Warmup()
+    first = train(*args, batches=batches, warmup=warmup)
+    assert len(steps) == 20 * 7  # 900 source rows in batches of 128
+    # the state at the start of the epoch in which the first latch opened, or the last epoch
+    assert warmup.epoch == (min(r.gate_open_epoch for r in first) - 1 if beta else 19)
+    assert 0 < warmup.epoch < 19 or not beta
+    for kind in losses.DIST_KINDS[1:]:
+        steps.clear()
+        resumed = train(*_of_kind(args, kind), batches=batches, warmup=warmup)
+        assert len(steps) == (20 - warmup.epoch) * 7
+        _same_reports(resumed, train(*_of_kind(args, kind), batches=batches))
+
+
+# name -> the cell's train arguments and batches, changed from those that recorded the holder
+OTHER_STACKS = {
+    "other seeds": lambda args, batches: (_warmup_cell(seeds=(0, 1, 2))[0], batches),
+    "other beta": lambda args, batches: (
+        [[dataclasses.replace(c, beta=0.2) for c in args[0]], *args[1:]], batches),
+    "other eta": lambda args, batches: (
+        [[dataclasses.replace(c, eta=0.01) for c in args[0]], *args[1:]], batches),
+    "other batches": lambda args, batches: (args, list(batches)),
+    "other data": lambda args, batches: (
+        [*args[:2], tuple(dataclasses.replace(s) for s in args[2]), *args[3:]], batches),
+    "other spec": lambda args, batches: (
+        [args[0], dataclasses.replace(args[1], encoder_layers=((32, "tanh"), (2, "identity"))),
+         *args[2:]], batches),
+}
+
+
+@pytest.mark.parametrize("case", OTHER_STACKS)
+def test_a_filled_warmup_rejects_other_stacks(case):
+    args, batches = _warmup_cell()
+    warmup = Warmup()
+    train(*args, batches=batches, warmup=warmup)
+    other_args, other_batches = OTHER_STACKS[case](_of_kind(args, "hilbert"), batches)
+    with pytest.raises(ValueError, match="differ from the one that recorded it in dist_kind"):
+        train(*other_args, batches=other_batches, warmup=warmup)
+
+
+def test_a_warmup_needs_batches_made_up_front():
+    args, _ = _warmup_cell()
+    with pytest.raises(ValueError, match="needs the batches made up front"):
+        train(*args, warmup=Warmup())
