@@ -220,12 +220,9 @@ def train(config, spec, source, target, eval_source, eval_target, batches=None, 
     the one-run stack, kept without a run axis. Each epoch's steps read
     their rows from a batch_rows block: batches[epoch], or drawn lazily.
 
-    warmup, a Warmup holder, needs the batches made up front. An empty
-    holder records this stack's training up to its first adaptation; a
-    filled one lets this stack skip the epochs it recorded, which raises
-    ValueError unless the configs differ from the recording stack's in
-    dist_kind alone and spec, data and batches are its own. The report is
-    the same either way, bit for bit.
+    A Warmup holder (warmup) needs the batches made up front: an empty
+    one records this stack's training up to its first adaptation, and a
+    filled one lets it skip the recorded epochs, with the same reports.
     """
     if isinstance(config, TrainConfig):
         return train((config,), spec, (source,), (target,), (eval_source,), (eval_target,),
