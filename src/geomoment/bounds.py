@@ -7,9 +7,9 @@ bound under test is d_TV <= 2 tanh(d_H / 4); since the hypothesis-class
 discrepancy is itself below d_TV, verifying the chain at the TV level
 covers it.
 
-Also houses closed-form Fisher-Rao distances for univariate and
-fixed-mean Gaussian families, used as oracles for the lower-bound
-property of the embedded affine-invariant distance.
+Also houses the closed-form Fisher-Rao distance of univariate
+Gaussians, an oracle for the lower-bound property of the embedded
+affine-invariant distance.
 """
 
 import math
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonInteriorPoint, SupportMismatch
-from .spd import dist_airm
 
 
 @dataclass(frozen=True)
@@ -94,8 +93,3 @@ def fisher_rao_univariate(mu1, sigma1, mu2, sigma2):
         raise DomainError(f"standard deviations must be positive, got {sigma1}, {sigma2}")
     arg = 1.0 + ((mu1 - mu2) ** 2 / 2.0 + (sigma1 - sigma2) ** 2) / (2.0 * sigma1 * sigma2)
     return math.sqrt(2.0) * math.acosh(max(arg, 1.0))
-
-
-def fisher_rao_fixed_mean(S1, S2):
-    """Fisher-Rao distance between equal-mean Gaussians: sqrt(0.5 sum log^2 lambda_i)."""
-    return dist_airm(S1, S2)

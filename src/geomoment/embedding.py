@@ -145,15 +145,17 @@ def schur_gate(m, eta):
     det(embed(m)) equals det(cov) by the Schur complement of the
     corner block, so the gate reads the covariance's Cholesky factor
     (m.chol): it opens when log det = 2 sum log diag L exceeds
-    log eta, which neither overflows nor underflows at width (an eta
-    that has no log, <= 0 or NaN, is compared with det itself). det is
+    log eta, which neither overflows nor underflows at width. det is
     reported as prod(diag L)**2 (inf or 0 where that leaves the float
-    range). Never raises: any failure closes the gate, with a
+    range). An eta that is not > 0 (NaN included) raises ValueError; past
+    that the gate never raises: any failure closes it, with a
     symmetric-eigenvalue fallback keeping the reported determinant
     meaningful for singular or indefinite covariances (log det is -inf
     unless every eigenvalue is positive). Stacked moments give arrays
     over their runs, each run decided as alone.
     """
+    if not eta > 0:
+        raise ValueError(f"eta must be > 0 (inf allowed), got {eta!r}")
     if m.cov.ndim == 2:
         return GateResult(*_gate(m.cov, m.chol, eta))
     n = m.dim  # every factored run in one pass, each decided as alone
@@ -161,7 +163,7 @@ def schur_gate(m, eta):
     d = np.diagonal(factors, axis1=-2, axis2=-1)
     logdet = 2.0 * np.log(d).sum(axis=-1)
     det = np.array([_det(row) for row in d.tolist()])
-    is_open = logdet > math.log(eta) if eta > 0 else det > eta
+    is_open = logdet > math.log(eta)
     for r in np.flatnonzero(np.isnan(factors[:, 0, 0])).tolist():  # no factor: an eigensolve
         is_open[r], det[r], logdet[r] = _gate(covs[r], factors[r], eta)
     return GateResult(*(v.reshape(m.cov.shape[:-2]) for v in (is_open, det, logdet)))
@@ -188,12 +190,11 @@ def _gate(cov, L, eta):
             return False, float("nan"), float("nan")
         det = math.prod(lam.tolist())
         logdet = float(np.log(lam).sum()) if lam[0] > 0 else -math.inf
-    is_open = logdet > math.log(eta) if eta > 0 else det > eta
-    return bool(is_open), det, logdet
+    return logdet > math.log(eta), det, logdet
 
 
 def siegel_pencil_eigh(ms, mt):
-    """pencil_eigh(embed(ms), embed(mt)) from the covariances' Cholesky factors.
+    """Eigenpairs (lam ascending, V) of embed(mt) v = lam embed(ms) v, from m.chol of each side.
 
     embed(m) = F F^T with F = [[L, mu], [0, 1]] and L L^T = cov, and
     F^{-1} = [[L^{-1}, -L^{-1} mu], [0, 1]] is explicit.

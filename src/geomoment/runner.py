@@ -236,7 +236,7 @@ def run_stack(cfgs, metrics_path=None, datasets=None, batches=None, warmup=None)
     row, report) pairs are returned, in the given order. A run's wall_time_s
     is the stack's training time divided by its number of runs; a stack
     that resumes from a filled warmup (trainer.Warmup) counts only the
-    epochs it trained.
+    epochs it trained, none if no run of the recording stack adapted.
     datasets, batches, warmup: the runs' _datasets and train's batches and
     warmup, if made.
     """
@@ -336,9 +336,9 @@ def sweep_dim(cfg, dims):
     of one (dim, kind) cell train as one stack (run_stack), on each seed's
     datasets and batch rows (trainer.batch_rows), made once. The kinds of
     a dim share one trainer.Warmup: the first kind's stack records its
-    training up to its first latch, and every later kind resumes from
-    there. Dims that violate the 10x batch-size regime are flagged rows
-    with NaN metrics, not run.
+    training up to its first adaptation (all of it, if no run adapts), and
+    every later kind resumes from there. Dims that violate the 10x
+    batch-size regime are flagged rows with NaN metrics, not run.
     """
     out_dir = cfg.out_dir
     kinds = cfg.sweep_kinds or (cfg.train_cfg.dist_kind,)

@@ -91,21 +91,6 @@ def validate_spd(M):
     return M
 
 
-def eigvals_sym(M):
-    """All eigenvalues of a symmetric matrix, ascending.
-
-    LAPACK's symmetric solver (tridiagonalization plus implicit QR) with
-    its internal iteration cap; non-convergence surfaces as
-    ConvergenceFailure.
-    """
-    return syevd(sym(M), vectors=False)
-
-
-def eigh_sym(M):
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric matrix."""
-    return syevd(sym(M))
-
-
 @cache
 def _syevd_workspace(n, vectors):
     # the optimal sizes: with syevd's minimal default, dsytrd takes its unblocked path
@@ -151,8 +136,8 @@ def syevd(M, vectors=True):
 
 
 def matrix_log(P):
-    """Matrix logarithm of an SPD matrix via eigendecomposition."""
-    lam, Q = eigh_sym(P)
+    """Matrix logarithm of an SPD matrix via eigendecomposition of its symmetric part."""
+    lam, Q = syevd(sym(P))
     if not lam[0] > 0:  # a NaN eigenvalue fails too
         raise NotPositiveDefinite(
             f"matrix log needs positive eigenvalues, got {lam[0]:.6e}",
@@ -207,14 +192,14 @@ def spd_factor(M, L):
     tol = spd_tol(M)
     # in Python floats: 0 * inf (tol underflows for a subnormal M) is NaN without a warning
     if not tol * float(np.vdot(Linv, Linv)) < 0.5:
-        _spd_rule(float(eigvals_sym(M)[0]), tol)
+        _spd_rule(float(syevd(M, vectors=False)[0]), tol)
         if not np.isfinite(Linv).all():
             raise NotPositiveDefinite("no finite Cholesky factor")
     return L, Linv
 
 
 def spd_eigh(M):
-    """eigh_sym(M) of an exactly symmetric M, with spd_factor's rule decided on its eigenvalues."""
+    """syevd(M) of an exactly symmetric M, with spd_factor's rule decided on its eigenvalues."""
     lam, Q = syevd(M)
     for lam_min, m in zip(lam[..., 0].ravel().tolist(), M.reshape(-1, *M.shape[-2:])):
         _spd_rule(lam_min, spd_tol(m))  # slice by slice
@@ -227,26 +212,16 @@ def _spd_rule(lam_min, tol):
         raise NotPositiveDefinite(msg, lambda_min=lam_min)
 
 
-def _pencil_form(P1, P2):
-    """L^{-1} of sym(P1) = L L^T and the pencil form L^{-1} P2 L^{-T}, exactly symmetrized."""
+def pencil_eigvals(P1, P2):
+    """Eigenvalues of P1^{-1} P2, ascending, from L^{-1} P2 L^{-T} symmetrized, sym(P1) = L L^T."""
     P1 = np.asarray(P1, dtype=float)
     if P1.ndim != 2 or P1.shape[0] != P1.shape[1]:  # before sym, which cannot take it
         raise ValueError(f"expected a square matrix, got shape {P1.shape}")
     L = cholesky(sym(P1))
-    if np.isnan(L[0, 0]):  # a NaN pencil would give NaN eigenpairs or ConvergenceFailure
+    if np.isnan(L[0, 0]):  # a NaN pencil would give NaN eigenvalues or ConvergenceFailure
         raise NotPositiveDefinite("Cholesky of the pencil's first matrix failed")
     Linv = lower_inverse(L)
-    return Linv, sym(Linv @ np.asarray(P2, dtype=float) @ Linv.T)
-
-
-def pencil_eigvals(P1, P2):
-    """Eigenvalues of P1^{-1} P2 from the symmetric pencil form, ascending."""
-    return syevd(_pencil_form(P1, P2)[1], vectors=False)
-
-
-def pencil_eigh(P1, P2):
-    """Eigenpairs (lam ascending, V) of P2 v = lambda P1 v, with V^T P1 V = I."""
-    return congruent_eigh(*_pencil_form(P1, P2))
+    return syevd(sym(Linv @ np.asarray(P2, dtype=float) @ Linv.T), vectors=False)
 
 
 def congruent_eigh(Finv, M):
@@ -308,7 +283,7 @@ SPECTRAL_KINDS = {
 def pencil_grads(lam, V, slope):
     """(dP1, dP2) of a function of the pencil spectrum with d value / d lam = slope.
 
-    (lam, V) are the eigenpairs of pencil_eigh, P2 v = lam P1 v with
+    (lam, V) are the eigenpairs of congruent_eigh, P2 v = lam P1 v with
     v^T P1 v = 1, for which d lam/dP2 = v v^T and d lam/dP1 = -lam v v^T.
     Above GATHER_ABOVE eigenvalues, where a slope is zero off the two
     extremes (Hilbert's, unless an extreme eigenvalue is degenerate), only

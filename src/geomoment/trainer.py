@@ -125,17 +125,18 @@ class Warmup:
 
     Until a run's latch opens, and at beta 0 throughout, its training never
     reads dist_kind. The first stack that train hands an empty holder
-    fills it at the start of each epoch in which none of its runs has
-    adapted yet, so it ends with the state at the start of the epoch in
-    which the first latch opened (the last epoch, if none opened or beta
-    is 0). A later stack whose configs differ from the recording stack's
-    in dist_kind alone, on the same spec, data and batches, loads that
-    state and trains only the epochs from there on.
+    fills it at the end of each epoch in which none of its runs has
+    adapted, so it ends with the state at the start of the epoch in
+    which the first latch opened (after the last epoch, if none opened or
+    beta is 0; nothing, if one opened in the first epoch). A later stack
+    whose configs differ from the recording stack's in dist_kind alone, on
+    the same spec, data and batches, loads that state and trains only the
+    epochs from there on.
     """
 
     stack: tuple = None  # the recording stack's (configs of one kind, spec, data, batches)
     epoch: int = 0  # the epoch the state is taken at the start of
-    adam: tuple = None  # Adam's flat, m, v and t
+    adam: tuple = None  # Adam's flat, m, v and t; None while nothing is recorded
     cols: dict = None  # the report columns of the epochs before it
     gate_open_epoch: list = None
 
@@ -152,6 +153,8 @@ class Warmup:
                 or any(a is not b for a, b in zip(stack[2], data))):
             raise ValueError("a warm-up resumes only stacks that differ from the one that "
                              "recorded it in dist_kind alone, on its spec, data and batches")
+        if self.adam is None:  # a latch opened in the first epoch
+            return 0
         flat, m, v, opt.t = self.adam
         opt.flat[...] = flat  # in place: the parameters are views of it
         opt.m, opt.v = m.copy(), v.copy()
@@ -221,8 +224,9 @@ def train(config, spec, source, target, eval_source, eval_target, batches=None, 
     their rows from a batch_rows block: batches[epoch], or drawn lazily.
 
     A Warmup holder (warmup) needs the batches made up front: an empty
-    one records this stack's training up to its first adaptation, and a
-    filled one lets it skip the recorded epochs, with the same reports.
+    one records this stack's training up to its first adaptation (all of
+    it, if no run adapts), and a filled one lets it skip the recorded
+    epochs, with the same reports.
     """
     if isinstance(config, TrainConfig):
         return train((config,), spec, (source,), (target,), (eval_source,), (eval_target,),
@@ -293,8 +297,6 @@ def train(config, spec, source, target, eval_source, eval_target, batches=None, 
             start = warmup.resume(stack, opt, cols, gate_open_epoch)
 
     for epoch, (epoch_s, epoch_t) in zip(range(start, cfg.epochs), islice(batches, start, None)):
-        if recording and (cfg.beta == 0 or max(gate_open_epoch) < 0):  # no run adapted yet
-            warmup.record(epoch, opt, cols, gate_open_epoch)
         task_sum = 0.0  # a float, or one per run of a stack
         dist_sum = np.zeros(R)
         dist_steps = np.zeros(R, dtype=int)
@@ -357,6 +359,8 @@ def train(config, spec, source, target, eval_source, eval_target, batches=None, 
         for r, p in enumerate(run_params):
             cols["source_metric"][r, epoch] = evaluate(p, spec, eval_sources[r])
             cols["target_metric"][r, epoch] = evaluate(p, spec, eval_targets[r])
+        if recording and (cfg.beta == 0 or max(gate_open_epoch) < 0):  # no run adapted yet
+            warmup.record(epoch + 1, opt, cols, gate_open_epoch)
 
     return [
         TrainReport(

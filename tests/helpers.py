@@ -40,6 +40,16 @@ def rand_invertible(rng, n, cond=100.0):
     return (U * s) @ V.T
 
 
+def pencil_eigh(P1, P2):
+    """Eigenpairs (lam ascending, V) of P2 v = lambda P1 v, with V^T P1 V = I.
+
+    The reference for the package's pencils: the symmetric form
+    L^{-1} P2 L^{-T} of sym(P1) = L L^T, solved by congruent_eigh.
+    """
+    Linv = spd.lower_inverse(spd.cholesky(spd.sym(P1)))
+    return spd.congruent_eigh(Linv, spd.sym(Linv @ P2 @ Linv.T))
+
+
 def sym_grad_pairs(G):
     """Map an analytic symmetric gradient to the convention of central_diff(mirror=True)."""
     return G + G.T - np.diag(np.diag(G))

@@ -7,7 +7,6 @@ from scipy.integrate import quad
 from geomoment.bounds import (
     DiscreteDist,
     check_target_bound,
-    fisher_rao_fixed_mean,
     fisher_rao_univariate,
     hilbert_discrete,
     tv_discrete,
@@ -172,19 +171,10 @@ def test_fr_closed_form_against_quadrature():
 
 
 def test_fr_fixed_mean_values():
-    assert fisher_rao_fixed_mean(np.eye(3), np.eye(3)) == 0.0
-    d = fisher_rao_fixed_mean(np.array([[1.0]]), np.array([[np.e**2]]))
+    # between equal-mean Gaussians, Fisher-Rao is dist_airm of the covariances
+    assert dist_airm(np.eye(3), np.eye(3)) == 0.0
+    d = dist_airm(np.array([[1.0]]), np.array([[np.e**2]]))
     assert d == pytest.approx(math.sqrt(2.0), abs=1e-12)
-
-
-def test_fr_fixed_mean_matches_airm():
-    rng = rng_for("fr-fixed")
-    for _ in range(20):
-        S1 = rand_spd(rng, 3)
-        S2 = rand_spd(rng, 3)
-        assert fisher_rao_fixed_mean(S1, S2) == pytest.approx(
-            dist_airm(S1, S2), abs=1e-12
-        )
 
 
 # ----------------------------------------------- lower bound via the embedding
@@ -218,7 +208,7 @@ def test_equal_mean_equality_dims_1_to_4():
             mu0 = np.zeros(n)
             P1 = embed(GaussianMoments(mean=mu0, cov=S1))
             P2 = embed(GaussianMoments(mean=mu0, cov=S2))
-        assert abs(dist_airm(P1, P2) - fisher_rao_fixed_mean(S1, S2)) <= 1e-10
+        assert abs(dist_airm(P1, P2) - dist_airm(S1, S2)) <= 1e-10
 
 
 def test_strict_gap_off_the_zero_mean_slice():

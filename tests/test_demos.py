@@ -1,4 +1,5 @@
-"""The demos run, and import from the top level only what it exports."""
+"""The demos run and import from the top level only what it exports; every other public name
+of the package has a caller in the program."""
 
 import ast
 import os
@@ -11,6 +12,7 @@ import pytest
 import geomoment
 
 ROOT = Path(__file__).resolve().parents[1]
+PROGRAM = ("src", "demos", "scripts", "bench")  # the trees whose code counts as a caller
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 QUICK = [p for p in DEMOS if p.name[:2] in ("01", "02", "03", "04")]
 
@@ -40,3 +42,24 @@ def test_demo_top_level_imports_are_exported(demo):
         for alias in node.names
     }
     assert imported <= set(geomoment.__all__)
+
+
+def test_every_public_name_that_is_not_exported_has_a_caller():
+    # a caller is a Name or Attribute node in the program: tests, imports and strings do not count
+    referenced = set()
+    for path in (p for tree in PROGRAM for p in sorted((ROOT / tree).rglob("*.py"))):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    uncalled = [
+        f"{path.stem}.{node.name}"
+        for path in sorted((ROOT / "src" / "geomoment").glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in geomoment.__all__
+        and node.name not in referenced
+    ]
+    assert uncalled == []

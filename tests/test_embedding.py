@@ -15,9 +15,9 @@ from geomoment.embedding import (
 )
 from geomoment.errors import NotInImage, NotPositiveDefinite, NotSymmetric
 from geomoment.moments import batch_moments
-from geomoment.spd import pencil_eigh, validate_spd
+from geomoment.spd import validate_spd
 from geomoment.rng import stream
-from helpers import count_lapack, rand_orthogonal, rand_spd, rng_for
+from helpers import count_lapack, pencil_eigh, rand_orthogonal, rand_spd, rng_for
 
 
 def rand_moments(rng, n, cond=30.0):
@@ -191,10 +191,14 @@ def test_log_det_gate_at_width_has_no_overflow():
     assert schur_gate(GaussianMoments(np.zeros(n), 1e-4 * base), 0.02).det == 0.0
 
 
-def test_gate_threshold_without_a_log_compares_det():
-    m = GaussianMoments(mean=[0.0], cov=[[2.0]])
-    assert schur_gate(m, 0.0).open and schur_gate(m, -1.0).open
-    assert not schur_gate(m, float("nan")).open and not schur_gate(m, float("inf")).open
+@pytest.mark.parametrize("eta", [0.0, -1.0, math.nan])
+def test_gate_rejects_an_eta_that_is_not_positive(eta):
+    lone = GaussianMoments(mean=[0.0], cov=[[2.0]])
+    stacked = batch_moments(rng_for("gate-eta").standard_normal((2, 30, 3))).factored()
+    for m in (lone, stacked):
+        with pytest.raises(ValueError, match="eta must be > 0"):
+            schur_gate(m, eta)
+    assert not schur_gate(lone, math.inf).open
 
 
 def test_gate_fallback_on_singular_and_indefinite_covariances():
@@ -215,7 +219,7 @@ GATE_RUNS = {
 }
 
 
-@pytest.mark.parametrize("eta", [0.02, 1e-8, 0.0, math.inf, math.nan])
+@pytest.mark.parametrize("eta", [0.02, 1e-8, math.inf])
 def test_stacked_gate_equals_each_run_alone(eta, monkeypatch):
     rng = rng_for("gate-stack")
     z = np.stack([GATE_RUNS[name](rng) for name in ("normal", "singular", "rank one",

@@ -25,8 +25,8 @@ from geomoment.losses import (
 from geomoment.moments import batch_moments
 from geomoment.rng import stream
 from geomoment.spd import congruent_eigh, dist_airm, dist_hilbert
-from helpers import (count_lapack, rand_invertible, rand_orthogonal, rand_spd, rng_for,
-                     sym_grad_pairs)
+from helpers import (count_lapack, pencil_eigh, rand_invertible, rand_orthogonal, rand_spd,
+                     rng_for, sym_grad_pairs)
 
 
 def rand_batches(rng, b, n):
@@ -45,7 +45,7 @@ def assert_gate_closed(le, reason):
 def pencil_value_grads(P1, P2, kind):
     """(value, dP1, dP2) of a SPECTRAL_KINDS distance from one pencil eigensolve."""
     value_of, slope_of = spd.SPECTRAL_KINDS[kind]
-    lam, V = spd.pencil_eigh(P1, P2)
+    lam, V = pencil_eigh(P1, P2)
     value = value_of(lam)
     return (value, *spd.pencil_grads(lam, V, slope_of(lam, value)))
 
@@ -306,7 +306,7 @@ def test_geometric_loss_factors_once_and_validates_each_side_once(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(spd, "_pencil_form", counted("factor", spd._pencil_form))
+    monkeypatch.setattr(spd, "pencil_eigvals", counted("factor", spd.pencil_eigvals))
     monkeypatch.setattr(embedding, "validate_spd", counted("validate", embedding.validate_spd))
     count_lapack(monkeypatch, "_POTRF", calls, label="cholesky")
     zs, zt = rand_batches(rng_for("loss-count"), 30, 3)

@@ -507,14 +507,25 @@ def test_later_kinds_train_only_from_the_recorded_epoch(monkeypatch, beta):
     warmup = Warmup()
     first = train(*args, batches=batches, warmup=warmup)
     assert len(steps) == 20 * 7  # 900 source rows in batches of 128
-    # the state at the start of the epoch in which the first latch opened, or the last epoch
-    assert warmup.epoch == (min(r.gate_open_epoch for r in first) - 1 if beta else 19)
+    # the state at the start of the epoch in which the first latch opened, or after the last
+    assert warmup.epoch == (min(r.gate_open_epoch for r in first) - 1 if beta else 20)
     assert 0 < warmup.epoch < 19 or not beta
     for kind in losses.DIST_KINDS[1:]:
         steps.clear()
         resumed = train(*_of_kind(args, kind), batches=batches, warmup=warmup)
         assert len(steps) == (20 - warmup.epoch) * 7
         _same_reports(resumed, train(*_of_kind(args, kind), batches=batches))
+
+
+def test_a_latch_in_the_first_epoch_leaves_nothing_to_resume():
+    args, batches = _warmup_cell()
+    args[0] = [dataclasses.replace(c, eta=1e-300) for c in args[0]]
+    warmup = Warmup()
+    first = train(*args, batches=batches, warmup=warmup)
+    assert min(r.gate_open_epoch for r in first) == 1
+    assert warmup.epoch == 0 and warmup.adam is None
+    resumed = train(*_of_kind(args, "hilbert"), batches=batches, warmup=warmup)
+    _same_reports(resumed, train(*_of_kind(args, "hilbert"), batches=batches))
 
 
 # name -> the cell's train arguments and batches, changed from those that recorded the holder
