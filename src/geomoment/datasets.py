@@ -196,25 +196,26 @@ def _draw_signals(cfg, stream_id, count):
     order, one ``rng.integers(1, 4)`` (its part count) and then one
     ``rng.random((parts, 3))``, the unit draws of each part's
     (freq, phase, amp), mapped as ``low + (high - low) * u`` like
-    ``rng.uniform``. The parts are summed in order onto zeros, unused
-    slots adding a zero-amplitude wave.
+    ``rng.uniform``. The parts are summed in order onto zeros, each wave
+    built only for the signals that drew it.
     """
     rng = stream(cfg.seed, stream_id)
     parts = np.empty(count, dtype=np.int64)
-    u = np.zeros((count, 3, 3))
+    u = np.empty((count, 3, 3))  # slot k of a signal is read only if it drew part k
     for i in range(count):
         p = parts[i] = rng.integers(1, 4)
         rng.random(out=u[i, :p])  # the draw of rng.random((p, 3)), in place
     low, high = np.array([0.5, 0.0, 0.5]), np.array([4.0, 2.0 * math.pi, 1.0])
-    freq, phase, amp = np.moveaxis(low + (high - low) * u, 2, 0)[..., None]
-    amp[np.arange(3) >= parts[:, None]] = 0.0
     t = np.arange(cfg.length) / cfg.length
-    waves = amp * np.sin(2.0 * math.pi * freq * t + phase)  # (count, 3, length)
     s = np.zeros((count, cfg.length))
     for k in range(3):
-        s += waves[:, k]
-    lo, hi = s.min(axis=1, keepdims=True), s.max(axis=1, keepdims=True)
-    return (s - lo) / (hi - lo)
+        rows = np.flatnonzero(parts > k) if k else slice(None)
+        freq, phase, amp = (low + (high - low) * u[rows, k]).T[..., None]
+        s[rows] += amp * np.sin(2.0 * math.pi * freq * t + phase)
+    lo = s.min(axis=1, keepdims=True)
+    s -= lo
+    s /= s.max(axis=1, keepdims=True)
+    return s
 
 
 def gen_denoise(cfg):

@@ -112,7 +112,9 @@ def _act_grad(name, post, dh):
     if name == "relu":
         return dh * (post > 0)  # relu's output is > 0 exactly where its input is
     if name == "tanh":
-        return dh * (1.0 - post**2)
+        d = np.square(post)
+        np.subtract(1.0, d, out=d)
+        return np.multiply(dh, d, out=d)
     return dh
 
 
@@ -179,8 +181,11 @@ def mse_loss(out, ref):
     One mean per batch of a stack (..., b, m), a numpy scalar for a single batch.
     """
     diff = out - ref
-    loss = np.mean(diff**2, axis=(-2, -1))
-    return loss, 2.0 * diff / (diff.shape[-2] * diff.shape[-1])
+    count = diff.shape[-2] * diff.shape[-1]
+    loss = np.square(diff).sum(axis=(-2, -1)) / count  # np.mean's bits, without its wrapper
+    diff *= 2.0
+    diff /= count
+    return loss, diff
 
 
 def task_loss(spec, out, x, y):

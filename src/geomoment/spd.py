@@ -52,6 +52,16 @@ def sym(M):
     return 0.5 * (M + M.mT)
 
 
+def _symmetrized(M):
+    """M/2 + M^T/2: sym's bits, except for subnormal entries, and no overflow.
+
+    For a caller's matrix, whose entries may lie near the float maximum,
+    where sym's M + M^T overflows; the kernels' own products keep sym.
+    """
+    half = 0.5 * np.asarray(M, dtype=float)
+    return half + half.mT
+
+
 def check_symmetric(M):
     """Return M as ndarray, raising NotSymmetric beyond SYM_RTOL."""
     M = np.asarray(M, dtype=float)
@@ -78,14 +88,15 @@ def validate_spd(M):
     M must be symmetric to within SYM_RTOL; it is then symmetrized
     exactly, and spd_factor decides the rule lambda_min(M) > spd_tol(M)
     from its Cholesky factor. Entries that already equal their mirror
-    are kept, and the others become M/2 + M^T/2: sym's bits, except for
-    subnormal entries, with no overflow near the float maximum. A
-    non-finite M, and a 0 x 0 one, which has no lambda_min, are rejected.
+    are kept, subnormal ones included, and the others become
+    _symmetrized's M/2 + M^T/2, with no overflow near the float maximum.
+    A non-finite M, and a 0 x 0 one, which has no lambda_min, are
+    rejected.
     """
     if np.shape(M) == (0, 0):
         raise NotPositiveDefinite("a 0 x 0 matrix has no smallest eigenvalue")
     M = check_symmetric(M)
-    M = np.where(M == M.mT, M, 0.5 * M + 0.5 * M.mT)
+    M = np.where(M == M.mT, M, _symmetrized(M))
     with np.errstate(over="ignore"):  # an overflowing trace: spd_tol falls back
         spd_factor(M, cholesky(M))
     return M
@@ -136,14 +147,27 @@ def syevd(M, vectors=True):
 
 
 def matrix_log(P):
-    """Matrix logarithm of an SPD matrix via eigendecomposition of its symmetric part."""
-    lam, Q = syevd(sym(P))
+    """Matrix logarithm of an SPD matrix via eigendecomposition of its symmetric part.
+
+    An n x n matrix whose largest eigenvalue lies beyond the float
+    maximum (it can reach n times the largest entry) is solved as M / c,
+    with c the power of two at or above n, an exact scaling, and log c
+    is added back to the logs of its eigenvalues.
+    """
+    M = _symmetrized(P)
+    lam, Q = syevd(M)
+    c = 1.0
+    if lam[-1] == math.inf:
+        c = 2.0 ** math.ceil(math.log2(len(M)))
+        lam, Q = syevd(M / c)
     if not lam[0] > 0:  # a NaN eigenvalue fails too
+        lam_min = float(lam[0] * c)
         raise NotPositiveDefinite(
-            f"matrix log needs positive eigenvalues, got {lam[0]:.6e}",
-            lambda_min=float(lam[0]),
-        )
-    return sym((Q * np.log(lam)) @ Q.T)
+            f"matrix log needs positive eigenvalues, got {lam_min:.6e}", lambda_min=lam_min)
+    logs = np.log(lam)
+    if c > 1.0:
+        logs += math.log(c)
+    return sym((Q * logs) @ Q.T)
 
 
 def cholesky(M):
@@ -213,15 +237,19 @@ def _spd_rule(lam_min, tol):
 
 
 def pencil_eigvals(P1, P2):
-    """Eigenvalues of P1^{-1} P2, ascending, from L^{-1} P2 L^{-T} symmetrized, sym(P1) = L L^T."""
+    """Eigenvalues of P1^{-1} P2, ascending, from L^{-1} P2 L^{-T} symmetrized, P1 = L L^T.
+
+    Both P1 and L^{-1} P2 L^{-T} are symmetrized by _symmetrized, so
+    entries near the float maximum do not overflow.
+    """
     P1 = np.asarray(P1, dtype=float)
-    if P1.ndim != 2 or P1.shape[0] != P1.shape[1]:  # before sym, which cannot take it
+    if P1.ndim != 2 or P1.shape[0] != P1.shape[1]:  # before _symmetrized, which cannot take it
         raise ValueError(f"expected a square matrix, got shape {P1.shape}")
-    L = cholesky(sym(P1))
+    L = cholesky(_symmetrized(P1))
     if np.isnan(L[0, 0]):  # a NaN pencil would give NaN eigenvalues or ConvergenceFailure
         raise NotPositiveDefinite("Cholesky of the pencil's first matrix failed")
     Linv = lower_inverse(L)
-    return syevd(sym(Linv @ np.asarray(P2, dtype=float) @ Linv.T), vectors=False)
+    return syevd(_symmetrized(Linv @ np.asarray(P2, dtype=float) @ Linv.T), vectors=False)
 
 
 def congruent_eigh(Finv, M):

@@ -171,7 +171,7 @@ def evaluate(params, spec, dataset):
         return np.count_nonzero(out.argmax(axis=1) == dataset.y) / dataset.y.size  # np.mean's float
     ref = dataset.ref if dataset.ref is not None else dataset.x
     diff = np.subtract(out, ref, out=out)  # out is this pass's own array: no temporaries
-    return float(np.mean(np.square(diff, out=diff)))
+    return float(np.square(diff, out=diff).sum() / diff.size)  # np.mean's bits
 
 
 def _per_run(result):
@@ -303,8 +303,8 @@ def train(config, spec, source, target, eval_source, eval_target, batches=None, 
         det_sum = np.zeros(R)
         for step in range(steps_per_epoch):
             rows_s, rows_t = epoch_s[step, run], epoch_t[step, run]
-            xb = xs[rows_s]
-            yb = ys[rows_s] if classifier else None
+            xb = xs.take(rows_s, axis=0)  # take: fancy indexing's rows, in fewer dispatches
+            yb = ys.take(rows_s, axis=0) if classifier else None
 
             z_s, enc_caches = stack_forward(ep, params[:n_enc], xb)
             out, head_caches = stack_forward(hp, params[n_enc:], z_s)
@@ -327,7 +327,7 @@ def train(config, spec, source, target, eval_source, eval_target, batches=None, 
             if adapting:
                 sub = slice(None) if len(adapting) == R else adapting  # the adapting runs
                 enc_t = [[W[sub], b[sub]] for W, b in params[:n_enc]]
-                z_t, t_caches = stack_forward(ep, enc_t, xt[rows_t[sub]])
+                z_t, t_caches = stack_forward(ep, enc_t, xt.take(rows_t[sub], axis=0))
                 le = dist_loss(z_s[sub], z_t, cfg.dist_kind, source_moments=ms[sub])
                 values, reasons = _per_run(le.value), _per_run(le.zero_grad_reason)
                 for k, r in enumerate(adapting):

@@ -167,6 +167,23 @@ def test_mse_perfect_reconstruction():
     assert np.array_equal(grad, np.zeros_like(x))
 
 
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_mse_matches_the_np_mean_form_bitwise(lead):
+    # the mean is a sum over the count: np.mean's bits, which a dot product would not give
+    rng = stream(len(lead), 996)
+    for b, m in ((128, 64), (40, 3), (7, 5), (1, 1)):
+        out, ref = rng.standard_normal((2, *lead, b, m)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        loss, grad = mse_loss(out, ref)
+        diff = out - ref
+        want = np.mean(diff**2, axis=(-2, -1))
+        assert type(loss) is type(want) and np.shape(loss) == np.shape(want)
+        assert loss.tobytes() == want.tobytes()
+        assert grad.tobytes() == (2.0 * diff / (b * m)).tobytes()
+        for r in range(lead[0] if lead else 0):  # each run of a stack as alone
+            alone, galone = mse_loss(out[r], ref[r])
+            assert loss[r].tobytes() == alone.tobytes() and grad[r].tobytes() == galone.tobytes()
+
+
 def test_untrained_classifier_near_chance():
     rng = stream(42, 999)
     K = 4

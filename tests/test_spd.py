@@ -1,8 +1,9 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -271,6 +272,36 @@ def test_logeuclid_commuting_identity():
         got = dist_logeuclid(np.diag([a, b]), np.diag([c, d]))
         want = np.hypot(np.log(a / c), np.log(b / d))
         assert got == pytest.approx(want, abs=1e-10)
+
+
+def test_distances_of_entries_near_the_float_maximum_in_both_orders():
+    # sym's 0.5 * (M + M^T) overflows on these entries; a caller's matrix is symmetrized without it
+    A, B = np.eye(2), np.diag([1e308, 1e308])
+    log_top = math.log(1e308)  # 709.196...
+    want = ((dist_airm, log_top), (dist_hilbert, 0.0), (dist_logeuclid, math.sqrt(2.0) * log_top))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for dist, d in want:
+            assert dist(A, B) == pytest.approx(d, rel=1e-12)
+            assert dist(B, A) == pytest.approx(d, rel=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@example(n=2, seed=0, log_top=math.log10(1.7e308))
+@given(
+    n=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    log_top=st.floats(-300.0, math.log10(1.7e308)),
+)
+def test_distances_are_unchanged_when_both_sides_are_scaled(n, seed, log_top):
+    # the largest entry of the scaled pair is 10 ** log_top, in [1e-300, 1.7e308]
+    rng = np.random.default_rng(seed)
+    P1, P2 = rand_spd(rng, n), rand_spd(rng, n)
+    s = 10.0**log_top / max(np.abs(P1).max(), np.abs(P2).max())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for dist in (dist_airm, dist_hilbert, dist_logeuclid):
+            assert dist(s * P1, s * P2) == pytest.approx(dist(P1, P2), rel=1e-9, abs=1e-9)
 
 
 def test_commuting_case_closed_forms():

@@ -137,6 +137,18 @@ def test_evaluate_perfect_and_chance():
     assert evaluate(rep.params, SPEC, EvalSet(x=x, y=y)) == 1.0
 
 
+def test_evaluate_mse_matches_the_np_mean_form_bitwise():
+    spec = ModelSpec(input_dim=16, encoder_layers=((8, "tanh"), (2, "identity")),
+                     head=network.DecoderHead(((8, "tanh"),)))
+    params = network.init_model(spec, 3)
+    rng = stream(3, 995)
+    for rows in (1200, 37, 1):
+        x, ref = rng.standard_normal((2, rows, 16))
+        out, _ = network.stack_forward(network.full_plan(spec), params, x)
+        for eval_set, want in ((EvalSet(x=x, ref=ref), out - ref), (EvalSet(x=x), out - x)):
+            assert evaluate(params, spec, eval_set) == float(np.mean(want**2))
+
+
 def test_skipped_steps_counted_on_collapsed_target():
     d = gen_blobs(BLOBS)
     collapsed = dataclasses.replace(d, target_train=FeatureSet(x=np.tile([0.5, 1.0, -0.5, 2.0], (300, 1))))
