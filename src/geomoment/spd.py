@@ -237,11 +237,7 @@ def _spd_rule(lam_min, tol):
 
 
 def pencil_eigvals(P1, P2):
-    """Eigenvalues of P1^{-1} P2, ascending, from L^{-1} P2 L^{-T} symmetrized, P1 = L L^T.
-
-    Both P1 and L^{-1} P2 L^{-T} are symmetrized by _symmetrized, so
-    entries near the float maximum do not overflow.
-    """
+    """Eigenvalues of P1^{-1} P2, ascending, from L^{-1} P2 L^{-T} symmetrized, P1 = L L^T."""
     P1 = np.asarray(P1, dtype=float)
     if P1.ndim != 2 or P1.shape[0] != P1.shape[1]:  # before _symmetrized, which cannot take it
         raise ValueError(f"expected a square matrix, got shape {P1.shape}")
