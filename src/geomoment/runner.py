@@ -20,7 +20,7 @@ from .losses import DIST_KINDS
 from .matrixio import csv_line
 from .moments import check_regime
 from .network import ACTIVATIONS, ClassifierHead, DecoderHead, ModelSpec
-from .trainer import TrainConfig, Warmup, batch_rows, batch_sizes, train
+from .trainer import TrainConfig, batch_rows, batch_sizes, train
 
 METRICS_HEADER = (
     "task,dist_kind,seed,embed_dim,beta,eta,epochs,"
@@ -58,6 +58,13 @@ def _parse_kind(v):
     if v not in DIST_KINDS:
         raise ValueError(f"unknown kind {v!r}, expected one of {', '.join(DIST_KINDS)}")
     return v
+
+
+def _parse_kinds(v):
+    kinds = _parse_list(_parse_kind)(v)
+    if len(set(kinds)) < len(kinds):  # a sweep trains each kind once, as one block of runs
+        raise ValueError(f"a kind is listed twice in {v!r}")
+    return kinds
 
 
 def _parse_layer(part):
@@ -100,7 +107,7 @@ _SCHEMA = {
     "batch_target": (_parse_int, "train_cfg", "batch_target"),
     "learn_rate": (float, "train_cfg", "learn_rate"),
     "encoder": (_parse_layers, "model_spec", "encoder_layers"),
-    "sweep.kinds": (_parse_list(_parse_kind), "run", "sweep_kinds"),
+    "sweep.kinds": (_parse_kinds, "run", "sweep_kinds"),
     "sweep.seeds": (_parse_list(_parse_int), "run", "sweep_seeds"),
     "blobs.num_classes": (_parse_int, "blobs", "num_classes"),
     "blobs.samples_per_class": (_parse_int, "blobs", "samples_per_class"),
@@ -229,22 +236,21 @@ def run_experiment(cfg, metrics_path=None):
     return run_stack([cfg], metrics_path)[0]
 
 
-def run_stack(cfgs, metrics_path=None, datasets=None, batches=None, warmup=None):
-    """Train configurations that differ in seed alone as one stack (trainer.train).
+def run_stack(cfgs, metrics_path=None, datasets=None, batches=None):
+    """Train configurations as one stack (trainer.train) and write each run's files.
 
-    Each run then writes its files as run_experiment does, and the (metrics
-    row, report) pairs are returned, in the given order. A run's wall_time_s
-    is the stack's training time divided by its number of runs; a stack
-    that resumes from a filled warmup (trainer.Warmup) counts only the
-    epochs it trained, none if no run of the recording stack adapted.
-    datasets, batches, warmup: the runs' _datasets and train's batches and
-    warmup, if made.
+    The configurations differ in seed alone or, by blocks of the same
+    seeds on the same datasets, also in dist_kind. Each run writes its
+    files as run_experiment does, and the (metrics row, report) pairs
+    are returned, in the given order. A run's wall_time_s is the stack's
+    training time divided by its number of runs. datasets, batches: the
+    runs' _datasets and train's batches, if made.
     """
     sources, targets, eval_sources, eval_targets = zip(*(datasets or map(_datasets, cfgs)))
     t0 = time.perf_counter()
     reports = train(
         [cfg.train_cfg for cfg in cfgs], cfgs[0].model_spec, sources, targets,
-        eval_source=eval_sources, eval_target=eval_targets, batches=batches, warmup=warmup,
+        eval_source=eval_sources, eval_target=eval_targets, batches=batches,
     )
     wall = (time.perf_counter() - t0) / len(cfgs)
     return [_write_run(cfg, report, wall, metrics_path) for cfg, report in zip(cfgs, reports)]
@@ -332,37 +338,36 @@ def sweep_dim(cfg, dims):
     """Run the dimensionality sweep and write sweep.csv plus a best-dim summary.
 
     Every output lands under cfg.out_dir: the sweep files at its root and
-    each run's report in a d{dim}_{kind}_s{seed} subdirectory. The seeds
-    of one (dim, kind) cell train as one stack (run_stack), on each seed's
-    datasets and batch rows (trainer.batch_rows), made once. The kinds of
-    a dim share one trainer.Warmup: the first kind's stack records its
-    training up to its first adaptation (all of it, if no run adapts), and
-    every later kind resumes from there. Dims that violate the 10x
-    batch-size regime are flagged rows with NaN metrics, not run.
+    each run's report in a d{dim}_{kind}_s{seed} subdirectory. The runs
+    of one dim, every kind over every seed, train as one stack
+    (run_stack), kind by kind, on each seed's datasets and batch rows
+    (trainer.batch_rows), made once; the later kinds train only from the
+    epoch in which the first kind's first latch opened (trainer.train).
+    Dims that violate the 10x batch-size regime are flagged rows with NaN
+    metrics, not run.
     """
     out_dir = cfg.out_dir
     kinds = cfg.sweep_kinds or (cfg.train_cfg.dist_kind,)
     seeds = cfg.sweep_seeds or (cfg.train_cfg.seed,)
     os.makedirs(out_dir, exist_ok=True)
+    points = [(kind, seed) for kind in kinds for seed in seeds]  # a dim's runs, in order
     rows = []
     datasets = batches = None  # each seed's: they depend on the seed alone
     for dim in dims:
         regime = check_regime(cfg.train_cfg.batch_source, dim)
-        warmup = Warmup()  # the kinds' shared training before any latch opens
-        for kind in kinds:
-            reports = [None] * len(seeds)
-            if regime.ok:
-                cell = [_with_dim(cfg, dim, kind, seed) for seed in seeds]
-                if datasets is None:
-                    datasets = [_datasets(run_cfg) for run_cfg in cell]
-                    draws = batch_rows(seeds, *batch_sizes(
-                        cfg.train_cfg, len(datasets[0][0].x), len(datasets[0][1].x)))
-                    batches = [next(draws) for _ in range(cfg.train_cfg.epochs)]
-                runs = run_stack(cell, metrics_path=os.path.join(out_dir, "metrics.csv"),
-                                 datasets=datasets, batches=batches, warmup=warmup)
-                reports = [report for _, report in runs]
-            rows += [_sweep_row(dim, kind, seed, regime.ratio, report)
-                     for seed, report in zip(seeds, reports)]
+        reports = [None] * len(points)
+        if regime.ok:
+            cfgs = [_with_dim(cfg, dim, kind, seed) for kind, seed in points]
+            if datasets is None:
+                datasets = [_datasets(run_cfg) for run_cfg in cfgs[: len(seeds)]]
+                draws = batch_rows(seeds, *batch_sizes(
+                    cfg.train_cfg, len(datasets[0][0].x), len(datasets[0][1].x)))
+                batches = [next(draws) for _ in range(cfg.train_cfg.epochs)]
+            runs = run_stack(cfgs, metrics_path=os.path.join(out_dir, "metrics.csv"),
+                             datasets=datasets * len(kinds), batches=batches)
+            reports = [report for _, report in runs]
+        rows += [_sweep_row(dim, kind, seed, regime.ratio, report)
+                 for (kind, seed), report in zip(points, reports)]
 
     csv_path = os.path.join(out_dir, "sweep.csv")
     with open(csv_path, "w") as fh:

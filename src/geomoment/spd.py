@@ -47,16 +47,9 @@ _POTRF, _TRTRI, _SYEVD, _SYEVD_LWORK = get_lapack_funcs(
 
 
 def sym(M):
-    """Exactly symmetric part (M + M^T) / 2."""
-    M = np.asarray(M, dtype=float)
-    return 0.5 * (M + M.mT)
+    """Exactly symmetric part M/2 + M^T/2, with no overflow near the float maximum.
 
-
-def _symmetrized(M):
-    """M/2 + M^T/2: sym's bits, except for subnormal entries, and no overflow.
-
-    For a caller's matrix, whose entries may lie near the float maximum,
-    where sym's M + M^T overflows; the kernels' own products keep sym.
+    The bits of (M + M^T) / 2, except where an entry is subnormal.
     """
     half = 0.5 * np.asarray(M, dtype=float)
     return half + half.mT
@@ -88,15 +81,13 @@ def validate_spd(M):
     M must be symmetric to within SYM_RTOL; it is then symmetrized
     exactly, and spd_factor decides the rule lambda_min(M) > spd_tol(M)
     from its Cholesky factor. Entries that already equal their mirror
-    are kept, subnormal ones included, and the others become
-    _symmetrized's M/2 + M^T/2, with no overflow near the float maximum.
-    A non-finite M, and a 0 x 0 one, which has no lambda_min, are
-    rejected.
+    are kept, subnormal ones included, and the others become sym's. A
+    non-finite M, and a 0 x 0 one, which has no lambda_min, are rejected.
     """
     if np.shape(M) == (0, 0):
         raise NotPositiveDefinite("a 0 x 0 matrix has no smallest eigenvalue")
     M = check_symmetric(M)
-    M = np.where(M == M.mT, M, _symmetrized(M))
+    M = np.where(M == M.mT, M, sym(M))
     with np.errstate(over="ignore"):  # an overflowing trace: spd_tol falls back
         spd_factor(M, cholesky(M))
     return M
@@ -154,7 +145,7 @@ def matrix_log(P):
     with c the power of two at or above n, an exact scaling, and log c
     is added back to the logs of its eigenvalues.
     """
-    M = _symmetrized(P)
+    M = sym(P)
     lam, Q = syevd(M)
     c = 1.0
     if lam[-1] == math.inf:
@@ -239,13 +230,13 @@ def _spd_rule(lam_min, tol):
 def pencil_eigvals(P1, P2):
     """Eigenvalues of P1^{-1} P2, ascending, from L^{-1} P2 L^{-T} symmetrized, P1 = L L^T."""
     P1 = np.asarray(P1, dtype=float)
-    if P1.ndim != 2 or P1.shape[0] != P1.shape[1]:  # before _symmetrized, which cannot take it
+    if P1.ndim != 2 or P1.shape[0] != P1.shape[1]:  # before sym, which cannot take it
         raise ValueError(f"expected a square matrix, got shape {P1.shape}")
-    L = cholesky(_symmetrized(P1))
+    L = cholesky(sym(P1))
     if np.isnan(L[0, 0]):  # a NaN pencil would give NaN eigenvalues or ConvergenceFailure
         raise NotPositiveDefinite("Cholesky of the pencil's first matrix failed")
     Linv = lower_inverse(L)
-    return syevd(_symmetrized(Linv @ np.asarray(P2, dtype=float) @ Linv.T), vectors=False)
+    return syevd(sym(Linv @ np.asarray(P2, dtype=float) @ Linv.T), vectors=False)
 
 
 def congruent_eigh(Finv, M):

@@ -119,51 +119,6 @@ class TrainReport:
         return REPORT_HEADER + "\n" + "".join(csv_line(r, REPORT_HEADER) for r in rows)
 
 
-@dataclass
-class Warmup:
-    """A stack's training state up to its first adaptation, for stacks of other kinds to resume.
-
-    Until a run's latch opens, and at beta 0 throughout, its training never
-    reads dist_kind. The first stack that train hands an empty holder
-    fills it at the end of each epoch in which none of its runs has
-    adapted, so it ends with the state at the start of the epoch in
-    which the first latch opened (after the last epoch, if none opened or
-    beta is 0; nothing, if one opened in the first epoch). A later stack
-    whose configs differ from the recording stack's in dist_kind alone, on
-    the same spec, data and batches, loads that state and trains only the
-    epochs from there on.
-    """
-
-    stack: tuple = None  # the recording stack's (configs of one kind, spec, data, batches)
-    epoch: int = 0  # the epoch the state is taken at the start of
-    adam: tuple = None  # Adam's flat, m, v and t; None while nothing is recorded
-    cols: dict = None  # the report columns of the epochs before it
-    gate_open_epoch: list = None
-
-    def record(self, epoch, opt, cols, gate_open_epoch):
-        self.epoch = epoch
-        self.adam = opt.flat.copy(), opt.m.copy(), opt.v.copy(), opt.t
-        self.cols = {k: v[:, :epoch].copy() for k, v in cols.items()}
-        self.gate_open_epoch = list(gate_open_epoch)
-
-    def resume(self, stack, opt, cols, gate_open_epoch):
-        """Load the recorded state into a stack's optimizer, columns and latches."""
-        configs, spec, data, batches = self.stack
-        if (stack[:2] != (configs, spec) or stack[3] is not batches
-                or any(a is not b for a, b in zip(stack[2], data))):
-            raise ValueError("a warm-up resumes only stacks that differ from the one that "
-                             "recorded it in dist_kind alone, on its spec, data and batches")
-        if self.adam is None:  # a latch opened in the first epoch
-            return 0
-        flat, m, v, opt.t = self.adam
-        opt.flat[...] = flat  # in place: the parameters are views of it
-        opt.m, opt.v = m.copy(), v.copy()
-        for k, col in self.cols.items():
-            cols[k][:, : self.epoch] = col
-        gate_open_epoch[:] = self.gate_open_epoch
-        return self.epoch
-
-
 def evaluate(params, spec, dataset):
     """Accuracy for classifier heads, reconstruction MSE for decoder heads."""
     out, _ = stack_forward(full_plan(spec), params, dataset.x)
@@ -207,7 +162,7 @@ def batch_rows(seeds, n_s, bs, n_t, bt, steps_per_epoch):
         yield blocks
 
 
-def train(config, spec, source, target, eval_source, eval_target, batches=None, warmup=None):
+def train(config, spec, source, target, eval_source, eval_target, batches=None):
     """Run the gated two-phase optimization and return the epoch report.
 
     source is a LabeledSet, target a FeatureSet (no labels, by type).
@@ -223,22 +178,37 @@ def train(config, spec, source, target, eval_source, eval_target, batches=None, 
     the one-run stack, kept without a run axis. Each epoch's steps read
     their rows from a batch_rows block: batches[epoch], or drawn lazily.
 
-    A Warmup holder (warmup) needs the batches made up front: an empty
-    one records this stack's training up to its first adaptation (all of
-    it, if no run adapts), and a filled one lets it skip the recorded
-    epochs, with the same reports.
+    The configs may also differ in dist_kind, by blocks: one block per
+    kind, in order of first appearance, each listing the first block's
+    seeds in its order, on the same set objects, and batches then holds
+    one block's rows, made up front. Until a run's latch opens, and at
+    beta 0 throughout, its training never reads dist_kind. So the first
+    kind keeps its state at the end of each epoch in which no run has
+    adapted (Adam's, the report columns and the latches), and every
+    later kind trains only the epochs after it, from a fresh init where
+    a latch opened in the first epoch. The reports come in config order.
     """
     if isinstance(config, TrainConfig):
         return train((config,), spec, (source,), (target,), (eval_source,), (eval_target,),
-                     batches, warmup)[0]
-    configs, sources, targets = tuple(config), tuple(source), tuple(target)
-    eval_sources, eval_targets = tuple(eval_source), tuple(eval_target)
+                     batches)[0]
+    configs = tuple(config)
+    sets = tuple(source), tuple(target), tuple(eval_source), tuple(eval_target)
     R = len(configs)
     cfg = configs[0]
-    if any(dataclasses.replace(c, seed=cfg.seed) != cfg for c in configs):
-        raise ValueError("the configs of a stack may differ in seed only")
-    if not len(sources) == len(targets) == len(eval_sources) == len(eval_targets) == R:
+    if any(dataclasses.replace(c, seed=cfg.seed, dist_kind=cfg.dist_kind) != cfg for c in configs):
+        raise ValueError("the configs of a stack may differ in seed only, and by blocks in "
+                         "dist_kind")
+    if any(len(s) != R for s in sets):
         raise ValueError("a stack needs one source, target and eval set per config")
+    kinds = tuple(dict.fromkeys(c.dist_kind for c in configs))
+    S = R // len(kinds)  # the runs of one kind's block
+    if configs != tuple(dataclasses.replace(c, dist_kind=k) for k in kinds for c in configs[:S]) \
+            or any(a is not b for s in sets for a, b in zip(s, s[:S] * len(kinds))):
+        raise ValueError("each kind's block needs the first block's seeds, in its order, "
+                         "on the same sets")
+    if len(kinds) > 1 and batches is None:
+        raise ValueError("a stack of several kinds needs its batches made up front")
+    sources, targets, eval_sources, eval_targets = (s[:S] for s in sets)
     if len({s.x.shape for s in sources}) > 1 or len({t.x.shape for t in targets}) > 1:
         raise ValueError("the runs of a stack need sources and targets of one shape")
     regime = check_regime(cfg.batch_source, spec.embed_dim)
@@ -251,125 +221,135 @@ def train(config, spec, source, target, eval_source, eval_target, batches=None, 
     if classifier and any(s.y is None for s in sources):
         raise ValueError("classifier task needs source labels")
 
-    params = stack_runs([init_model(spec, c.seed) for c in configs])
-    opt = make_optimizer(params, cfg.learn_rate)
-    run_params = split_runs(params, R)
     ep = encoder_plan(spec)
     hp = head_plan(spec)
     n_enc = len(ep)
-
     sizes = _, bs, _, bt, steps_per_epoch = batch_sizes(cfg, len(sources[0].x), len(targets[0].x))
     if batches is not None and (len(batches) != cfg.epochs or any((s.shape, t.shape) != (
-            (steps_per_epoch, R, bs), (steps_per_epoch, R, bt)) for s, t in batches)):
-        raise ValueError(f"batches needs {cfg.epochs} epochs of ({steps_per_epoch}, {R}, b) rows")
-    if warmup is not None and batches is None:
-        raise ValueError("a warm-up holder needs the batches made up front")
+            (steps_per_epoch, S, bs), (steps_per_epoch, S, bt)) for s, t in batches)):
+        raise ValueError(f"batches needs {cfg.epochs} epochs of ({steps_per_epoch}, {S}, b) rows")
     batches = batches or batch_rows([c.seed for c in configs], *sizes)  # drawn epoch by epoch
     # every run's rows, stacked; a batch indexes them with its run's row offset
     xs = _rows([s.x for s in sources])
     ys = _rows([s.y for s in sources]) if classifier else None
     xt = _rows([t.x for t in targets])
-    run = 0 if R == 1 else slice(None)  # a single run's batch has no run axis
+    run = 0 if S == 1 else slice(None)  # a single run's batch has no run axis
 
-    gate_open_epoch = [-1] * R
-    cols = {
-        k: np.zeros((R, cfg.epochs))
-        for k in ("loss_task", "loss_dist", "det_ps", "source_metric", "target_metric")
-    }
-    skipped = np.zeros((R, cfg.epochs), dtype=int)
-    skipped_by_reason = [dict.fromkeys(GATE_CLOSED_REASONS, 0) for _ in configs]
-    zeroed = [dict.fromkeys(ZERO_GRAD_REASONS, 0) for _ in configs]
+    def train_kind(configs, resume=None, keep=False):
+        """The block's reports, and with keep its state before its first adaptation, if any."""
+        cfg = configs[0]
+        params = stack_runs([init_model(spec, c.seed) for c in configs])
+        opt = make_optimizer(params, cfg.learn_rate)
+        run_params = split_runs(params, S)
+        gate_open_epoch = [-1] * S
+        cols = {
+            k: np.zeros((S, cfg.epochs))
+            for k in ("loss_task", "loss_dist", "det_ps", "source_metric", "target_metric")
+        }
+        skipped = np.zeros((S, cfg.epochs), dtype=int)
+        skipped_by_reason = [dict.fromkeys(GATE_CLOSED_REASONS, 0) for _ in configs]
+        zeroed = [dict.fromkeys(ZERO_GRAD_REASONS, 0) for _ in configs]
 
-    def non_finite(what, epoch, step, r, value):
-        return NonFiniteLoss(
-            f"{what} loss became non-finite at epoch {epoch + 1} step {step + 1}",
-            record={"epoch": epoch + 1, "step": step + 1, f"loss_{what}": float(value),
-                    "seed": configs[r].seed, "dist_kind": cfg.dist_kind},
-        )
+        def non_finite(what, epoch, step, r, value):
+            return NonFiniteLoss(
+                f"{what} loss became non-finite at epoch {epoch + 1} step {step + 1}",
+                record={"epoch": epoch + 1, "step": step + 1, f"loss_{what}": float(value),
+                        "seed": configs[r].seed, "dist_kind": cfg.dist_kind},
+            )
 
-    start, recording = 0, False
-    if warmup is not None:
-        stack = (tuple(dataclasses.replace(c, dist_kind=DIST_KINDS[0]) for c in configs), spec,
-                 sources + targets + eval_sources + eval_targets, batches)
-        if warmup.stack is None:
-            warmup.stack, recording = stack, True
-        else:
-            start = warmup.resume(stack, opt, cols, gate_open_epoch)
+        start, kept = 0, None
+        if resume is not None:
+            start, flat, m, v, opt.t, first_cols, latches = resume
+            opt.flat[...] = flat  # in place: the parameters are views of it
+            opt.m, opt.v = m.copy(), v.copy()
+            for k, col in first_cols.items():
+                cols[k][:, :start] = col[:, :start]
+            gate_open_epoch[:] = latches
 
-    for epoch, (epoch_s, epoch_t) in zip(range(start, cfg.epochs), islice(batches, start, None)):
-        task_sum = 0.0  # a float, or one per run of a stack
-        dist_sum = np.zeros(R)
-        dist_steps = np.zeros(R, dtype=int)
-        det_sum = np.zeros(R)
-        for step in range(steps_per_epoch):
-            rows_s, rows_t = epoch_s[step, run], epoch_t[step, run]
-            xb = xs.take(rows_s, axis=0)  # take: fancy indexing's rows, in fewer dispatches
-            yb = ys.take(rows_s, axis=0) if classifier else None
+        for epoch, (epoch_s, epoch_t) in zip(range(start, cfg.epochs),
+                                             islice(batches, start, None)):
+            task_sum = 0.0  # a float, or one per run of a stack
+            dist_sum = np.zeros(S)
+            dist_steps = np.zeros(S, dtype=int)
+            det_sum = np.zeros(S)
+            for step in range(steps_per_epoch):
+                rows_s, rows_t = epoch_s[step, run], epoch_t[step, run]
+                xb = xs.take(rows_s, axis=0)  # take: fancy indexing's rows, in fewer dispatches
+                yb = ys.take(rows_s, axis=0) if classifier else None
 
-            z_s, enc_caches = stack_forward(ep, params[:n_enc], xb)
-            out, head_caches = stack_forward(hp, params[n_enc:], z_s)
-            loss_task, dout = task_loss(spec, out, xb, yb)
-            task_sum = task_sum + loss_task
-            for r, value in enumerate(loss_task.reshape(R).tolist()):
-                if not math.isfinite(value):
-                    raise non_finite("task", epoch, step, r, value)
-            dz, head_grads = stack_backward(hp, params[n_enc:], head_caches, dout)
+                z_s, enc_caches = stack_forward(ep, params[:n_enc], xb)
+                out, head_caches = stack_forward(hp, params[n_enc:], z_s)
+                loss_task, dout = task_loss(spec, out, xb, yb)
+                task_sum = task_sum + loss_task
+                for r, value in enumerate(loss_task.reshape(S).tolist()):
+                    if not math.isfinite(value):
+                        raise non_finite("task", epoch, step, r, value)
+                dz, head_grads = stack_backward(hp, params[n_enc:], head_caches, dout)
 
-            # the runs' moments, factored once for the gate and the distance loss
-            ms = batch_moments(z_s).factored()
-            gate = schur_gate(ms, cfg.eta)
-            det_sum += gate.det
-            for r, is_open in enumerate(_per_run(gate.open)):
-                if is_open and gate_open_epoch[r] < 0:
-                    gate_open_epoch[r] = epoch + 1
-            adapting = [r for r in range(R) if gate_open_epoch[r] > 0] if cfg.beta > 0 else []
+                # the runs' moments, factored once for the gate and the distance loss
+                ms = batch_moments(z_s).factored()
+                gate = schur_gate(ms, cfg.eta)
+                det_sum += gate.det
+                for r, is_open in enumerate(_per_run(gate.open)):
+                    if is_open and gate_open_epoch[r] < 0:
+                        gate_open_epoch[r] = epoch + 1
+                adapting = [r for r in range(S) if gate_open_epoch[r] > 0] if cfg.beta > 0 else []
 
-            if adapting:
-                sub = slice(None) if len(adapting) == R else adapting  # the adapting runs
-                enc_t = [[W[sub], b[sub]] for W, b in params[:n_enc]]
-                z_t, t_caches = stack_forward(ep, enc_t, xt.take(rows_t[sub], axis=0))
-                le = dist_loss(z_s[sub], z_t, cfg.dist_kind, source_moments=ms[sub])
-                values, reasons = _per_run(le.value), _per_run(le.zero_grad_reason)
-                for k, r in enumerate(adapting):
-                    if reasons[k] in GATE_CLOSED_REASONS:
-                        skipped[r, epoch] += 1
-                        skipped_by_reason[r][reasons[k]] += 1
-                        continue
-                    if not math.isfinite(values[k]):
-                        raise non_finite("dist", epoch, step, r, values[k])
-                    dist_sum[r] += values[k]
-                    dist_steps[r] += 1
-                    if reasons[k]:
-                        zeroed[r][reasons[k]] += 1
-                # a closed or zeroed run's gradients are exact zeros
-                _, grads_t = stack_backward(ep, enc_t, t_caches, cfg.beta * le.grad_target,
-                                            input_grad=False)
-                dz[sub] += cfg.beta * le.grad_source
+                if adapting:
+                    sub = slice(None) if len(adapting) == S else adapting  # the adapting runs
+                    enc_t = [[W[sub], b[sub]] for W, b in params[:n_enc]]
+                    z_t, t_caches = stack_forward(ep, enc_t, xt.take(rows_t[sub], axis=0))
+                    le = dist_loss(z_s[sub], z_t, cfg.dist_kind, source_moments=ms[sub])
+                    values, reasons = _per_run(le.value), _per_run(le.zero_grad_reason)
+                    for k, r in enumerate(adapting):
+                        if reasons[k] in GATE_CLOSED_REASONS:
+                            skipped[r, epoch] += 1
+                            skipped_by_reason[r][reasons[k]] += 1
+                            continue
+                        if not math.isfinite(values[k]):
+                            raise non_finite("dist", epoch, step, r, values[k])
+                        dist_sum[r] += values[k]
+                        dist_steps[r] += 1
+                        if reasons[k]:
+                            zeroed[r][reasons[k]] += 1
+                    # a closed or zeroed run's gradients are exact zeros
+                    _, grads_t = stack_backward(ep, enc_t, t_caches, cfg.beta * le.grad_target,
+                                                input_grad=False)
+                    dz[sub] += cfg.beta * le.grad_source
 
-            _, enc_grads = stack_backward(ep, params[:n_enc], enc_caches, dz, input_grad=False)
-            if adapting:
-                for g, gt in zip(enc_grads, grads_t):
-                    g[0][sub] += gt[0]
-                    g[1][sub] += gt[1]
-            opt.step(params, enc_grads + head_grads)
+                _, enc_grads = stack_backward(ep, params[:n_enc], enc_caches, dz,
+                                              input_grad=False)
+                if adapting:
+                    for g, gt in zip(enc_grads, grads_t):
+                        g[0][sub] += gt[0]
+                        g[1][sub] += gt[1]
+                opt.step(params, enc_grads + head_grads)
 
-        cols["loss_task"][:, epoch] = task_sum / steps_per_epoch
-        cols["det_ps"][:, epoch] = det_sum / steps_per_epoch
-        np.divide(dist_sum, dist_steps, out=cols["loss_dist"][:, epoch], where=dist_steps > 0)
-        for r, p in enumerate(run_params):
-            cols["source_metric"][r, epoch] = evaluate(p, spec, eval_sources[r])
-            cols["target_metric"][r, epoch] = evaluate(p, spec, eval_targets[r])
-        if recording and (cfg.beta == 0 or max(gate_open_epoch) < 0):  # no run adapted yet
-            warmup.record(epoch + 1, opt, cols, gate_open_epoch)
+            cols["loss_task"][:, epoch] = task_sum / steps_per_epoch
+            cols["det_ps"][:, epoch] = det_sum / steps_per_epoch
+            np.divide(dist_sum, dist_steps, out=cols["loss_dist"][:, epoch], where=dist_steps > 0)
+            for r, p in enumerate(run_params):
+                cols["source_metric"][r, epoch] = evaluate(p, spec, eval_sources[r])
+                cols["target_metric"][r, epoch] = evaluate(p, spec, eval_targets[r])
+            if keep and (cfg.beta == 0 or max(gate_open_epoch) < 0):  # no run adapted yet
+                # cols itself: no later epoch writes the columns before this one
+                kept = (epoch + 1, opt.flat.copy(), opt.m.copy(), opt.v.copy(), opt.t, cols,
+                        list(gate_open_epoch))
 
-    return [
-        TrainReport(
-            **{k: v[r] for k, v in cols.items()},
-            skipped_steps=skipped[r],
-            skipped_steps_by_reason=skipped_by_reason[r],
-            gate_open_epoch=gate_open_epoch[r],
-            zeroed_grad_steps=zeroed[r],
-            params=run_params[r],
-        )
-        for r in range(R)
-    ]
+        reports = [
+            TrainReport(
+                **{k: v[r] for k, v in cols.items()},
+                skipped_steps=skipped[r],
+                skipped_steps_by_reason=skipped_by_reason[r],
+                gate_open_epoch=gate_open_epoch[r],
+                zeroed_grad_steps=zeroed[r],
+                params=run_params[r],
+            )
+            for r in range(S)
+        ]
+        return reports, kept
+
+    reports, kept = train_kind(configs[:S], keep=S < R)
+    for block in range(S, R, S):  # every later kind, from the first kind's state
+        reports += train_kind(configs[block : block + S], kept)[0]
+    return reports

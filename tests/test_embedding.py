@@ -14,6 +14,7 @@ from geomoment.embedding import (
     unembed,
 )
 from geomoment.errors import NotInImage, NotPositiveDefinite, NotSymmetric
+from geomoment.matrixio import read_moments
 from geomoment.moments import batch_moments
 from geomoment.spd import validate_spd
 from geomoment.rng import stream
@@ -86,6 +87,20 @@ def test_moments_reject_an_asymmetric_covariance():
     for cov in (np.eye(3), np.ones((2, 3))):
         with pytest.raises(ValueError, match="does not match"):
             GaussianMoments([0.0, 0.0], cov)
+
+
+def test_moments_near_the_float_maximum_are_symmetrized_without_overflow(tmp_path):
+    cov = np.diag([1e308, 1e308])  # (M + M^T) / 2 would overflow on it
+    path = tmp_path / "moments.txt"
+    path.write_text("dim=2\n0 0\n1e308 0\n0 1e308\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in (GaussianMoments(np.zeros(2), cov), read_moments(path),
+                  unembed(embed(GaussianMoments(np.zeros(2), cov)))):
+            assert np.array_equal(m.mean, [0.0, 0.0]) and np.array_equal(m.cov, cov)
+        off = np.nextafter(1e300, np.inf)  # within SYM_RTOL of its mirror
+        m = GaussianMoments(np.zeros(2), [[1e308, 1e300], [off, 1e308]])
+        assert m.cov[0, 1] == m.cov[1, 0] == 0.5 * 1e300 + 0.5 * off
 
 
 def test_roundtrip():

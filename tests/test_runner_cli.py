@@ -116,6 +116,8 @@ ENCODER = _line_of(BLOBS_CFG, "encoder =")
      "key 'task' must be blobs or denoise, got 'images'"),
     (BLOBS_CFG + "sweep.kinds = airm,wasserstein\n", f"bad.cfg:{ADDED}: ",
      "unknown kind 'wasserstein'"),
+    (BLOBS_CFG + "sweep.kinds = airm,hilbert,airm\n", f"bad.cfg:{ADDED}: ",
+     "a kind is listed twice"),
     (BLOBS_CFG.replace("16:relu", "16:gelu"), f"bad.cfg:{ENCODER}: ", "unknown activation 'gelu'"),
     (BLOBS_CFG.replace("encoder = 16:relu,2:identity", "encoder = ,"), f"bad.cfg:{ENCODER}: ",
      "empty layer list"),
@@ -323,38 +325,44 @@ def _tree(root):
 
 
 @pytest.mark.parametrize("beta", [0.1, 0.0])
-def test_sweep_dim_with_a_shared_warmup_writes_what_each_cell_writes_alone(
+def test_sweep_dim_over_all_kinds_writes_each_run_as_one_kind_sweeps_do(
         tmp_path, monkeypatch, beta):
     # At dim 4 the gates of seeds 0 and 159990 never open in these 20 epochs.
     cfg = load_run_config(BLOBS_AIRM_CFG)
     cfg = dataclasses.replace(cfg, sweep_seeds=(0, 159990, 2), train_cfg=dataclasses.replace(
         cfg.train_cfg, epochs=20, beta=beta))
-    holders = []
-    real_run_stack = runner.run_stack
+    stacks = []  # the dist_kind of every config of each train call
+    real_train = runner.train
 
-    def run_stack(*args, warmup, **kwargs):
-        holders.append(warmup)
-        return real_run_stack(*args, warmup=warmup, **kwargs)
+    def train(configs, *args, **kwargs):
+        stacks.append([c.dist_kind for c in configs])
+        return real_train(configs, *args, **kwargs)
 
-    monkeypatch.setattr(runner, "run_stack", run_stack)
-    shared = dataclasses.replace(cfg, out_dir=str(tmp_path / "shared"))
-    rows, _ = sweep_dim(shared, [2, 4])
+    monkeypatch.setattr(runner, "train", train)
+    rows, _ = sweep_dim(dataclasses.replace(cfg, out_dir=str(tmp_path / "all")), [2, 4])
+    kinds = cfg.sweep_kinds
+    assert stacks == [[k for k in kinds for _ in range(3)]] * 2  # one stack per dim
     gates = {r["dim"]: [] for r in rows}
     for r in rows:
         gates[r["dim"]].append(r["gate_open_epoch"])
     if beta:
-        assert gates[4].count(-1) == 2 * len(cfg.sweep_kinds) and min(gates[2]) > 1
-    assert len(holders) == 2 * len(cfg.sweep_kinds)  # one holder per dim, shared by its kinds
-    assert all(h is holders[0] for h in holders[:5]) and all(h is holders[5] for h in holders[5:])
-    assert holders[0] is not holders[5]
-    # the start of the epoch of the first latch, or after the last epoch
-    recorded = [min(g for g in gates[d] if g > 0) - 1 for d in (2, 4)] if beta else [20, 20]
-    assert [h.epoch for h in (holders[0], holders[5])] == recorded
+        assert gates[4].count(-1) == 2 * len(kinds) and min(gates[2]) > 1
 
-    monkeypatch.setattr(runner, "Warmup", lambda: None)  # each cell trained from epoch 0
-    sweep_dim(dataclasses.replace(cfg, out_dir=str(tmp_path / "alone")), [2, 4])
-    shared_files, alone_files = _tree(tmp_path / "shared"), _tree(tmp_path / "alone")
-    assert len(shared_files) == 3 + 2 * 5 * 3 * 2 and shared_files == alone_files
+    for kind in kinds:  # each kind's one-kind sweep, trained from epoch 0
+        sweep_dim(dataclasses.replace(cfg, sweep_kinds=(kind,),
+                                      out_dir=str(tmp_path / "one" / kind)), [2, 4])
+
+    def run_files(root):  # each run's report.csv and summary.json, but its sweep.kinds
+        files = {path: v for path, v in _tree(root).items() if os.sep in path}
+        for path, v in files.items():
+            if path.endswith("summary.json"):
+                del v["config"]["sweep.kinds"]
+        return files
+
+    runs, alone = run_files(tmp_path / "all"), {}
+    for kind in kinds:
+        alone.update(run_files(tmp_path / "one" / kind))
+    assert len(runs) == 2 * len(kinds) * 3 * 2 and runs == alone
 
 
 # ----------------------------------------------------------------------- CLI

@@ -275,7 +275,7 @@ def test_logeuclid_commuting_identity():
 
 
 def test_distances_of_entries_near_the_float_maximum_in_both_orders():
-    # sym's 0.5 * (M + M^T) overflows on these entries; a caller's matrix is symmetrized without it
+    # (M + M^T) / 2 overflows on these entries; sym's M/2 + M^T/2 does not
     A, B = np.eye(2), np.diag([1e308, 1e308])
     log_top = math.log(1e308)  # 709.196...
     want = ((dist_airm, log_top), (dist_hilbert, 0.0), (dist_logeuclid, math.sqrt(2.0) * log_top))

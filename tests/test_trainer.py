@@ -19,7 +19,6 @@ from geomoment.trainer import (
     LabeledSet,
     TrainConfig,
     TrainReport,
-    Warmup,
     evaluate,
     train,
 )
@@ -470,7 +469,7 @@ def test_lone_run_rejects_a_stacks_batches():
 
 @pytest.mark.parametrize("kind", losses.DIST_KINDS)
 def test_rows_before_the_latch_equal_the_beta_zero_runs(kind):
-    # the pre-latch training never reads dist_kind: the premise of Warmup
+    # the pre-latch training never reads dist_kind: the premise of a stack of kinds
     configs, spec, datasets = _sweep_cell(4, kind, (1, 159990, 2), epochs=30)
     sets = [(d.source_train, d.target_train, d.source_eval, d.target_eval) for d in datasets]
     adapting = train(configs, spec, *zip(*sets))
@@ -484,16 +483,18 @@ def test_rows_before_the_latch_equal_the_beta_zero_runs(kind):
         assert (a.to_csv_text() == s.to_csv_text()) == (a.gate_open_epoch < 0)
 
 
-def _warmup_cell(seeds=(0, 159990, 2), beta=0.1, dim=2):
-    """A 20-epoch airm sweep cell with its batches drawn up front, as train's arguments."""
+def _kinds_cell(seeds=(0, 159990, 2), kinds=losses.DIST_KINDS, **keys):
+    """A 20-epoch dim-2 sweep's stack of kinds, as train's arguments, and its block's batches."""
     configs, spec, datasets, batches = _drawn_once(
-        _sweep_cell(dim, "airm", seeds, epochs=20, beta=beta))
+        _sweep_cell(2, kinds[0], seeds, epochs=20, **keys))
     sets = [(d.source_train, d.target_train, d.source_eval, d.target_eval) for d in datasets]
-    return [configs, spec, *zip(*sets)], batches
+    configs = [dataclasses.replace(c, dist_kind=kind) for kind in kinds for c in configs]
+    return [configs, spec, *zip(*(sets * len(kinds)))], batches
 
 
-def _of_kind(args, kind):
-    return [[dataclasses.replace(c, dist_kind=kind) for c in args[0]], *args[1:]]
+def _block(args, k, runs=3):
+    """The train arguments of the stack's k-th kind alone."""
+    return [a[k * runs : (k + 1) * runs] if i != 1 else a for i, a in enumerate(args)]
 
 
 def _same_reports(got, want):
@@ -505,68 +506,94 @@ def _same_reports(got, want):
             assert x.tobytes() == y.tobytes()
 
 
-@pytest.mark.parametrize("beta", [0.1, 0.0])
-def test_later_kinds_train_only_from_the_recorded_epoch(monkeypatch, beta):
-    steps = []
-    real_step = network.Adam.step
+@pytest.mark.parametrize("keys", [{"beta": 0.1}, {"beta": 0.0}, {"beta": 0.1, "eta": 1e-300}])
+def test_later_kinds_train_only_the_epochs_after_the_first_kinds_state(monkeypatch, keys):
+    steps = {}  # each kind's optimizer -> its Adam.step calls
+    real_make_optimizer, real_step = trainer.make_optimizer, network.Adam.step
+
+    def make_optimizer(*args):
+        opt = real_make_optimizer(*args)
+        steps[opt] = 0
+        return opt
 
     def step(self, params, grads):
-        steps.append(1)
+        steps[self] += 1
         return real_step(self, params, grads)
 
+    monkeypatch.setattr(trainer, "make_optimizer", make_optimizer)
     monkeypatch.setattr(network.Adam, "step", step)
-    args, batches = _warmup_cell(beta=beta)
-    warmup = Warmup()
-    first = train(*args, batches=batches, warmup=warmup)
-    assert len(steps) == 20 * 7  # 900 source rows in batches of 128
-    # the state at the start of the epoch in which the first latch opened, or after the last
-    assert warmup.epoch == (min(r.gate_open_epoch for r in first) - 1 if beta else 20)
-    assert 0 < warmup.epoch < 19 or not beta
-    for kind in losses.DIST_KINDS[1:]:
-        steps.clear()
-        resumed = train(*_of_kind(args, kind), batches=batches, warmup=warmup)
-        assert len(steps) == (20 - warmup.epoch) * 7
-        _same_reports(resumed, train(*_of_kind(args, kind), batches=batches))
+    args, batches = _kinds_cell(**keys)
+    stacked = train(*args, batches=batches)
+    opened = [r.gate_open_epoch for r in stacked[:3] if r.gate_open_epoch > 0]
+    # the first kind's state: at the end of the epoch before its first latch, or of the last
+    kept = min(opened) - 1 if keys["beta"] and opened else 20
+    if "eta" in keys:  # a latch in epoch 1: no state, each later kind trains from a fresh init
+        assert kept == 0
+    elif keys["beta"]:
+        assert 0 < kept < 19
+    kinds = len(losses.DIST_KINDS)
+    assert list(steps.values()) == [20 * 7] + [(20 - kept) * 7] * (kinds - 1)  # 900 rows, by 128
+    for k in range(kinds):
+        _same_reports(stacked[3 * k : 3 * k + 3], train(*_block(args, k), batches=batches))
 
 
-def test_a_latch_in_the_first_epoch_leaves_nothing_to_resume():
-    args, batches = _warmup_cell()
-    args[0] = [dataclasses.replace(c, eta=1e-300) for c in args[0]]
-    warmup = Warmup()
-    first = train(*args, batches=batches, warmup=warmup)
-    assert min(r.gate_open_epoch for r in first) == 1
-    assert warmup.epoch == 0 and warmup.adam is None
-    resumed = train(*_of_kind(args, "hilbert"), batches=batches, warmup=warmup)
-    _same_reports(resumed, train(*_of_kind(args, "hilbert"), batches=batches))
+def _replace_in_block(args, field, value, k=1, run=1):
+    """The arguments with one run of the k-th block given another config field."""
+    configs = list(args[0])
+    configs[3 * k + run] = dataclasses.replace(configs[3 * k + run], **{field: value})
+    return [configs, *args[1:]]
 
 
-# name -> the cell's train arguments and batches, changed from those that recorded the holder
-OTHER_STACKS = {
-    "other seeds": lambda args, batches: (_warmup_cell(seeds=(0, 1, 2))[0], batches),
-    "other beta": lambda args, batches: (
-        [[dataclasses.replace(c, beta=0.2) for c in args[0]], *args[1:]], batches),
-    "other eta": lambda args, batches: (
-        [[dataclasses.replace(c, eta=0.01) for c in args[0]], *args[1:]], batches),
-    "other batches": lambda args, batches: (args, list(batches)),
-    "other data": lambda args, batches: (
-        [*args[:2], tuple(dataclasses.replace(s) for s in args[2]), *args[3:]], batches),
-    "other spec": lambda args, batches: (
-        [args[0], dataclasses.replace(args[1], encoder_layers=((32, "tanh"), (2, "identity"))),
-         *args[2:]], batches),
+def _copied_data(args, k=1, run=1):
+    """The arguments with one run of the k-th block given a copy of its source set."""
+    sources = list(args[2])
+    sources[3 * k + run] = dataclasses.replace(sources[3 * k + run])
+    return [*args[:2], sources, *args[3:]]
+
+
+def _interleaved(args):
+    """The arguments with the runs taken seed by seed, not kind by kind."""
+    order = [3 * k + r for r in range(3) for k in range(len(losses.DIST_KINDS))]
+    return [a if i == 1 else [a[j] for j in order] for i, a in enumerate(args)]
+
+
+# name -> the stack of kinds' arguments made wrong, and the error's match
+WRONG_STACKS = {
+    "other seeds": (lambda args: _replace_in_block(args, "seed", 1), "first block's seeds"),
+    "other beta": (lambda args: _replace_in_block(args, "beta", 0.2), "seed only"),
+    "other eta": (lambda args: _replace_in_block(args, "eta", 0.01), "seed only"),
+    "a seed's other data": (_copied_data, "on the same sets"),
+    "kinds interleaved": (_interleaved, "first block's seeds"),
+    "a block short": (lambda args: [a if i == 1 else a[:-1] for i, a in enumerate(args)],
+                      "first block's seeds"),
 }
 
 
-@pytest.mark.parametrize("case", OTHER_STACKS)
-def test_a_filled_warmup_rejects_other_stacks(case):
-    args, batches = _warmup_cell()
-    warmup = Warmup()
-    train(*args, batches=batches, warmup=warmup)
-    other_args, other_batches = OTHER_STACKS[case](_of_kind(args, "hilbert"), batches)
-    with pytest.raises(ValueError, match="differ from the one that recorded it in dist_kind"):
-        train(*other_args, batches=other_batches, warmup=warmup)
+@pytest.mark.parametrize("case", WRONG_STACKS)
+def test_a_stack_of_kinds_rejects_blocks_that_differ_in_more_than_the_kind(case):
+    args, batches = _kinds_cell()
+    wrong, match = WRONG_STACKS[case]
+    with pytest.raises(ValueError, match=match):
+        train(*wrong(args), batches=batches)
 
 
-def test_a_warmup_needs_batches_made_up_front():
-    args, _ = _warmup_cell()
-    with pytest.raises(ValueError, match="needs the batches made up front"):
-        train(*args, warmup=Warmup())
+def test_a_stack_of_kinds_needs_batches_made_up_front():
+    args, _ = _kinds_cell()
+    with pytest.raises(ValueError, match="needs its batches made up front"):
+        train(*args)
+
+
+def test_a_non_finite_distance_in_a_later_kind_names_that_kind(monkeypatch):
+    def infinite_in_hilbert(zs, zt, kind, **kwargs):
+        le = losses.dist_loss(zs, zt, kind, **kwargs)
+        if kind != "hilbert":
+            return le
+        return dataclasses.replace(le, value=np.full(np.shape(le.value), math.inf))
+
+    monkeypatch.setattr(trainer, "dist_loss", infinite_in_hilbert)
+    args, batches = _kinds_cell(kinds=("airm", "hilbert"))
+    with pytest.raises(NonFiniteLoss, match="dist loss became non-finite") as info:
+        train(*args, batches=batches)
+    record = info.value.record
+    assert record["dist_kind"] == "hilbert" and record["loss_dist"] == math.inf
+    assert record["seed"] in (0, 159990, 2)
