@@ -15,8 +15,9 @@ side the median and quartiles of every end-to-end metric that
 operations, and for each metric how many pairs the change won. It also
 holds, per workload and side, the median and quartiles of every
 per-layer metric over TRACE_RUNS traced runs (TRACE_SECONDS long, seeds
-``SEED0``, ``SEED0 + 1``, ..., alternated as the pairs are), one Tier-1
-suite wall time per tree, and each
+``SEED0``, ``SEED0 + 1``, ..., alternated as the pairs are), per
+workload and per-layer metric the median and quartiles of change/parent
+over those traced pairs, one Tier-1 suite wall time per tree, and each
 tree's ``src_lines``, the line count of ``src/geomoment/*.py`` (as
 ``cat src/geomoment/*.py | wc -l``). Runs are serial, and each pins BLAS
 to one thread itself. SIGTERM or SIGINT stops the running child and
@@ -106,15 +107,27 @@ def spread(values):
 
 
 def traced(trees, workload):
-    """Per side and per-layer metric, the spread over TRACE_RUNS alternated traced runs."""
+    """Per side and per-layer metric, the spread over TRACE_RUNS alternated traced runs.
+
+    Under "change_over_parent", per metric, the spread of change/parent
+    over the traced pairs whose parent value is not 0: each pair's ratio
+    cancels the host's drift between pairs.
+    """
     runs = {"parent": [], "change": []}
     for i in range(TRACE_RUNS):
         for side in sides(i):
             _, result = bench(trees[side], workload, SEED0 + i, TRACE_SECONDS, 1)
             runs[side].append(result["metrics"])
-    return {side: {name: spread([r[name]["value"] for r in res if name in r])
-                   for name in sorted(set().union(*res))}
-            for side, res in runs.items()}
+    out = {side: {name: spread([r[name]["value"] for r in res if name in r])
+                  for name in sorted(set().union(*res))}
+           for side, res in runs.items()}
+    ratios = {}
+    for p, c in zip(runs["parent"], runs["change"]):
+        for name in p.keys() & c.keys():
+            if p[name]["value"]:
+                ratios.setdefault(name, []).append(c[name]["value"] / p[name]["value"])
+    out["change_over_parent"] = {name: spread(ratios[name]) for name in sorted(ratios)}
+    return out
 
 
 def summarize(runs, metrics):

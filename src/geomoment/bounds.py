@@ -86,10 +86,15 @@ def fisher_rao_univariate(mu1, sigma1, mu2, sigma2):
 
     Closed form sqrt(2) * arccosh(1 + ((mu1-mu2)^2/2 + (sigma1-sigma2)^2)
     / (2 sigma1 sigma2)); the metric is (dmu^2 + 2 dsigma^2)/sigma^2,
-    i.e. a rescaled hyperbolic half-plane. Cross-validated against
+    i.e. a rescaled hyperbolic half-plane. It is evaluated as the equal
+    2 sqrt(2) * arcsinh(hypot(dmu/sqrt(2), dsigma) / (2 sqrt(sigma1)
+    sqrt(sigma2))), which squares nothing and so keeps small gaps and
+    huge or tiny scales finite and accurate. Cross-validated against
     numerical geodesic integration in the test suite.
     """
-    if not (sigma1 > 0 and sigma2 > 0):  # a NaN sigma fails too
-        raise DomainError(f"standard deviations must be positive, got {sigma1}, {sigma2}")
-    arg = 1.0 + ((mu1 - mu2) ** 2 / 2.0 + (sigma1 - sigma2) ** 2) / (2.0 * sigma1 * sigma2)
-    return math.sqrt(2.0) * math.acosh(max(arg, 1.0))
+    if not (0 < sigma1 < math.inf and 0 < sigma2 < math.inf):  # a NaN sigma fails too
+        raise DomainError(f"standard deviations must be positive and finite, got {sigma1}, {sigma2}")
+    if not (math.isfinite(mu1) and math.isfinite(mu2)):
+        raise DomainError(f"means must be finite, got {mu1}, {mu2}")
+    gap = math.hypot((mu1 - mu2) / math.sqrt(2.0), sigma1 - sigma2)
+    return 2.0 * math.sqrt(2.0) * math.asinh(gap / (2.0 * math.sqrt(sigma1) * math.sqrt(sigma2)))

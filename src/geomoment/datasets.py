@@ -5,7 +5,12 @@ from a Philox stream keyed by (config seed, documented stream id), so
 the same config always yields byte-identical arrays. The order of the
 draws defines a dataset: each denoise signal takes one
 ``integers(1, 4)`` and one ``random((parts, 3))``, in signal order
-(see ``_draw_signals``).
+(see ``_draw_signals``). Those values are read out of one
+``bit_generator.random_raw`` block of the stream, which yields them bit
+for bit because numpy draws them from the same 64-bit Philox words:
+``integers(1, 4)`` maps a 32-bit half, the low one of a new word and
+then the kept high one, by Lemire's rule, and ``random()`` takes the top
+53 bits of a whole word (see ``_unit_draws``).
 """
 
 import math
@@ -189,6 +194,47 @@ class DenoiseData:
     target_eval: EvalSet
 
 
+def _block_words(count):
+    """Raw words that `count` signals read at most when no part count is rejected."""
+    return (count + 1) // 2 + 9 * count
+
+
+def _unit_draws(words, count, more):
+    """Part counts and ``(count, 3, 3)`` unit draws of `count` signals, read from raw words.
+
+    `words` are a fresh Philox stream's first ``random_raw`` words and
+    ``more(n)`` returns its next `n`. Each part count is read as numpy's
+    ``integers(1, 4)`` reads it: ``next_uint32`` takes the low 32-bit half
+    ``x`` of a new word and keeps the high half for the next call, and
+    Lemire's rule maps ``x`` to ``1 + ((3 x) >> 32)``, rejecting only
+    ``x = 0`` (its threshold is ``(2**32 - 3) % 3 = 1``) for the next half. The
+    unit draws of the parts are then the whole words that follow, each
+    ``(w >> 11) * 2**-53`` as ``random()`` reads it. Slot k of a signal
+    holds a draw only if the signal drew part k.
+    """
+    parts = np.empty(count, dtype=np.int64)
+    starts = np.empty(count, dtype=np.int64)
+    pos, high = 0, None  # the next word, and the unread high half of the last count word
+    for i in range(count):
+        x = 0
+        while not x:
+            if high is not None:
+                x, high = high, None
+                continue
+            if pos >= len(words):  # rejections overran the block
+                words = np.concatenate((words, more(pos - len(words) + _block_words(count - i))))
+            w = int(words[pos])
+            pos += 1
+            x, high = w & 0xFFFFFFFF, w >> 32
+        parts[i] = p = 1 + ((3 * x) >> 32)
+        starts[i] = pos
+        pos += 3 * p
+    if pos > len(words):
+        words = np.concatenate((words, more(pos - len(words))))
+    slots = words.take(starts[:, None] + np.arange(9), mode="clip").reshape(count, 3, 3)
+    return parts, (slots >> np.uint64(11)) * 2.0**-53
+
+
 def _draw_signals(cfg, stream_id, count):
     """Sums of 1 to 3 random sinusoids, min-max normalized to [0, 1] per row.
 
@@ -196,22 +242,25 @@ def _draw_signals(cfg, stream_id, count):
     order, one ``rng.integers(1, 4)`` (its part count) and then one
     ``rng.random((parts, 3))``, the unit draws of each part's
     (freq, phase, amp), mapped as ``low + (high - low) * u`` like
-    ``rng.uniform``. The parts are summed in order onto zeros, each wave
-    built only for the signals that drew it.
+    ``rng.uniform``. The draws are read from one ``random_raw`` block of
+    the stream (``_unit_draws``). The parts are summed in order onto
+    zeros, each wave built only for the signals that drew it.
     """
-    rng = stream(cfg.seed, stream_id)
-    parts = np.empty(count, dtype=np.int64)
-    u = np.empty((count, 3, 3))  # slot k of a signal is read only if it drew part k
-    for i in range(count):
-        p = parts[i] = rng.integers(1, 4)
-        rng.random(out=u[i, :p])  # the draw of rng.random((p, 3)), in place
+    bits = stream(cfg.seed, stream_id).bit_generator
+    parts, u = _unit_draws(bits.random_raw(_block_words(count)), count, bits.random_raw)
     low, high = np.array([0.5, 0.0, 0.5]), np.array([4.0, 2.0 * math.pi, 1.0])
+    freq, phase, amp = np.moveaxis(low + (high - low) * u, 2, 0)[..., None]
     t = np.arange(cfg.length) / cfg.length
     s = np.zeros((count, cfg.length))
+    buf = np.empty_like(s)  # each wave, in the rows of the signals that drew it
     for k in range(3):
         rows = np.flatnonzero(parts > k) if k else slice(None)
-        freq, phase, amp = (low + (high - low) * u[rows, k]).T[..., None]
-        s[rows] += amp * np.sin(2.0 * math.pi * freq * t + phase)
+        wave = buf[: np.count_nonzero(parts > k)]
+        np.multiply(2.0 * math.pi * freq[rows, k], t, out=wave)
+        np.add(wave, phase[rows, k], out=wave)
+        np.sin(wave, out=wave)
+        np.multiply(amp[rows, k], wave, out=wave)
+        s[rows] += wave
     lo = s.min(axis=1, keepdims=True)
     s -= lo
     s /= s.max(axis=1, keepdims=True)
@@ -225,12 +274,13 @@ def gen_denoise(cfg):
     src_eval = _draw_signals(cfg, STREAM_SOURCE_EVAL, cfg.samples)
     tgt_eval_ref = _draw_signals(cfg, STREAM_TARGET_EVAL, cfg.samples)
 
-    noise_tr = stream(cfg.seed, STREAM_NOISE_TRAIN)
-    noise_ev = stream(cfg.seed, STREAM_NOISE_EVAL)
-    tgt_noisy = tgt_ref + noise_tr.normal(cfg.noise_mean, cfg.noise_std, tgt_ref.shape)
-    tgt_eval_noisy = tgt_eval_ref + noise_ev.normal(
-        cfg.noise_mean, cfg.noise_std, tgt_eval_ref.shape
-    )
+    # each noisy set is its clean signals added into their noise, in place
+    tgt_noisy = stream(cfg.seed, STREAM_NOISE_TRAIN).normal(
+        cfg.noise_mean, cfg.noise_std, tgt_ref.shape)
+    tgt_noisy += tgt_ref
+    tgt_eval_noisy = stream(cfg.seed, STREAM_NOISE_EVAL).normal(
+        cfg.noise_mean, cfg.noise_std, tgt_eval_ref.shape)
+    tgt_eval_noisy += tgt_eval_ref
 
     return DenoiseData(
         source_train=LabeledSet(x=src, y=None),

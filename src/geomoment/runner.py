@@ -344,8 +344,13 @@ def sweep_dim(cfg, dims):
     (trainer.batch_rows), made once; the later kinds train only from the
     epoch in which the first kind's first latch opened (trainer.train).
     Dims that violate the 10x batch-size regime are flagged rows with NaN
-    metrics, not run.
+    metrics, not run. Every dim is checked before any trains: a repeated
+    or non-positive one is a ValueError.
     """
+    if len(set(dims)) < len(dims):
+        raise ValueError(f"a dim is listed twice in {list(dims)}")
+    if not all(dim > 0 for dim in dims):
+        raise ValueError(f"dims must be positive, got {list(dims)}")
     out_dir = cfg.out_dir
     kinds = cfg.sweep_kinds or (cfg.train_cfg.dist_kind,)
     seeds = cfg.sweep_seeds or (cfg.train_cfg.seed,)

@@ -160,6 +160,38 @@ def test_fr_univariate_rejects_bad_sigma():
         fisher_rao_univariate(0.0, math.nan, 0.0, 1.0)
 
 
+
+def test_fr_univariate_rejects_non_finite_parameters():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="means must be finite"):
+            fisher_rao_univariate(bad, 1.0, 0.0, 1.0)
+        with pytest.raises(DomainError, match="means must be finite"):
+            fisher_rao_univariate(0.0, 1.0, bad, 1.0)
+    with pytest.raises(DomainError):
+        fisher_rao_univariate(0.0, math.inf, 0.0, 1.0)
+
+
+def test_fr_univariate_small_mean_gaps_keep_their_size():
+    # between unit Gaussians d = 2 sqrt(2) asinh(gap / (2 sqrt(2))) = gap (1 - gap^2/48 + ...)
+    for gap in (1e-9, 1e-6, 1e-3):
+        d = fisher_rao_univariate(0.0, 1.0, gap, 1.0)
+        assert d == pytest.approx(gap * (1.0 - gap**2 / 48.0), rel=1e-13)
+
+
+def test_fr_univariate_huge_mean_gap_is_finite():
+    # asinh(y) = log(2y) + O(1/y^2): d = 2 sqrt(2) log(gap / sqrt(2)) for gap = 1e200
+    d = fisher_rao_univariate(1e200, 1.0, 0.0, 1.0)
+    assert d == pytest.approx(2.0 * math.sqrt(2.0) * (200.0 * math.log(10.0) - 0.5 * math.log(2.0)),
+                              rel=1e-14)
+
+
+def test_fr_univariate_tiny_scales_follow_scale_invariance():
+    # the distance is invariant under (mu, sigma) -> (a mu, a sigma), a > 0
+    unit = fisher_rao_univariate(0.0, 1.0, 1.0, 2.0)
+    assert fisher_rao_univariate(0.0, 1e-200, 1e-200, 2e-200) == pytest.approx(unit, rel=1e-14)
+    assert fisher_rao_univariate(0.0, 1e200, 1e200, 2e200) == pytest.approx(unit, rel=1e-14)
+    assert fisher_rao_univariate(5e-200, 1e-200, 5e-200, 1e-200) == 0.0
+
 def test_fr_closed_form_against_quadrature():
     rng = rng_for("fr-quad")
     for _ in range(25):

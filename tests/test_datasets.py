@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from geomoment.datasets import (
     BlobsConfig,
     DenoiseConfig,
+    _block_words,
     _draw_signals,
+    _unit_draws,
     gen_blobs,
     gen_denoise,
 )
@@ -178,8 +180,9 @@ def test_draw_signals_matches_per_signal_reference_bitwise(length, samples, seed
     _assert_rows_span_unit_interval(got)
 
 
-def test_gen_denoise_full_size_matches_reference_bitwise():
-    cfg = DenoiseConfig(length=64, samples=1200, seed=0)
+@pytest.mark.parametrize("seed", [0, 2**63 + 7])
+def test_gen_denoise_full_size_matches_reference_bitwise(seed):
+    cfg = DenoiseConfig(length=64, samples=1200, seed=seed)
     d = gen_denoise(cfg)
     src, tgt_ref, src_eval, tgt_eval_ref = (
         _reference_signals(cfg, sid, cfg.samples) for sid in SIGNAL_STREAMS
@@ -202,6 +205,111 @@ def test_gen_denoise_full_size_matches_reference_bitwise():
         assert got.tobytes() == want.tobytes()
     for clean in (d.source_train.x, d.target_train_refs, d.source_eval.x, d.target_eval.ref):
         _assert_rows_span_unit_interval(clean)
+
+
+def _injected_philox(words):
+    """A Philox stream whose next raw words are `words` (at most 4), then its counter's."""
+    bits = np.random.Philox(key=[5, 7])
+    state = bits.state
+    state["buffer"] = np.array([0] * (4 - len(words)) + list(words), dtype=np.uint64)
+    state["buffer_pos"] = 4 - len(words)
+    bits.state = state
+    return bits
+
+
+def _numpy_draws(words, count):
+    """Part counts and per-signal unit draws, one numpy call at a time, of _injected_philox(words)."""
+    rng = np.random.Generator(_injected_philox(words))
+    parts, draws = [], []
+    for _ in range(count):
+        parts.append(int(rng.integers(1, 4)))
+        draws.append(rng.random((parts[-1], 3)))
+    return parts, draws
+
+
+def _assert_same_draws(got, want):
+    parts, u = got
+    assert parts.tolist() == want[0]
+    for i, drawn in enumerate(want[1]):
+        assert u[i, : len(drawn)].tobytes() == drawn.tobytes()
+
+
+def _unit(words):
+    return [(int(w) >> 11) * 2.0**-53 for w in words]
+
+
+def _count(half):
+    """Part count of an accepted 32-bit half by Lemire's rule for integers(1, 4)."""
+    return 1 + ((3 * half) >> 32)
+
+
+HALF = 2**32
+X3 = 0xAAAAAAAB  # 3x = 2 * 2**32 + 1: three parts
+X1 = 0x55555555  # 3x = 2**32 - 1: one part
+
+
+# numpy's buffered_bounded_lemire_uint32 for integers(1, 4) rejects a half x
+# iff (3x mod 2**32) < (2**32 - 3) % 3 = 1, that is x == 0, and reads the
+# next 32-bit half in its place.
+
+
+def test_unit_draws_reject_a_zero_low_half_as_numpy_does():
+    # signal 0 rejects w0's low half, takes its high one and draws w1..w9
+    words = [X3 * HALF, 2**63, 2**11, 2**64 - 1]
+    bits = _injected_philox(words)
+    block = bits.random_raw(_block_words(2))
+    parts, u = _unit_draws(block, 2, bits.random_raw)
+    assert parts[0] == 3
+    assert u[0, 0].tolist() == [0.5, 2.0**-53, 1.0 - 2.0**-53]
+    assert u[0].ravel().tolist() == _unit(block[1:10])
+    assert parts[1] == _count(int(block[10]) % HALF)  # a new word's low half
+    assert u[1, : parts[1]].ravel().tolist() == _unit(block[11 : 11 + 3 * parts[1]])
+    _assert_same_draws((parts, u), _numpy_draws(words, 2))
+
+
+def test_unit_draws_reject_a_zero_kept_half_as_numpy_does():
+    # signal 0 takes w0's low half and draws w1..w3; signal 1 rejects the
+    # kept high half, 0, and reads the low half of the word after them
+    words = [X1, 2**63, 2**62, 2**61]
+    bits = _injected_philox(words)
+    block = bits.random_raw(_block_words(2))
+    parts, u = _unit_draws(block, 2, bits.random_raw)
+    assert parts[0] == 1 and u[0, 0].tolist() == [0.5, 0.25, 0.125]
+    assert parts[1] == _count(int(block[4]) % HALF)
+    assert u[1, : parts[1]].ravel().tolist() == _unit(block[5 : 5 + 3 * parts[1]])
+    _assert_same_draws((parts, u), _numpy_draws(words, 2))
+
+
+def test_unit_draws_fetch_past_their_block_after_rejections():
+    # four zero halves push one three-part signal's draws to w3..w11,
+    # past its block of _block_words(1) = 10 words
+    words = [0, 0, X3, 2**63]
+    bits = _injected_philox(words)
+    block = bits.random_raw(_block_words(1))
+    assert len(block) == 10
+    parts, u = _unit_draws(block, 1, bits.random_raw)
+    assert parts.tolist() == [3]
+    assert u[0].ravel().tolist() == _unit(_injected_philox(words).random_raw(12)[3:])
+    _assert_same_draws((parts, u), _numpy_draws(words, 1))
+
+
+@pytest.mark.parametrize("words", [[0, 0, X3, 2**63], [5 * HALF, 0, X1, 7]])
+def test_unit_draws_read_the_same_from_any_block_prefix(words):
+    # a block cut anywhere, the rest fetched through `more` mid-scan or at
+    # its end, reads numpy's draws
+    count = 3
+    full = _injected_philox(words).random_raw(_block_words(count) + 12)
+    want = _numpy_draws(words, count)
+    for cut in range(len(full) + 1):
+        fetched = []
+
+        def more(n, cut=cut, fetched=fetched):
+            start = cut + sum(fetched)
+            fetched.append(n)
+            return full[start : start + n]
+
+        _assert_same_draws(_unit_draws(full[:cut], count, more), want)
+        assert cut + sum(fetched) <= len(full)
 
 
 NON_FINITE_SETTINGS = {

@@ -306,6 +306,20 @@ def test_sweep_dim_draws_each_seeds_batch_rows_once(tmp_path, monkeypatch):
         assert calls == [(0, 1)], dims
 
 
+
+@pytest.mark.parametrize("dims,message", [
+    ("2,2", "a dim is listed twice in [2, 2]"),
+    ("2,0", "dims must be positive, got [2, 0]"),
+    ("3,-1", "dims must be positive, got [3, -1]"),
+])
+def test_cli_sweep_checks_every_dim_before_training_any(tmp_path, capsys, dims, message):
+    out = tmp_path / "sw"
+    code = main(["sweep-dim", "--config", write_cfg(tmp_path, BLOBS_CFG), "--dims", dims,
+                 "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()  # no run trained, no file written
+
 BLOBS_AIRM_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "blobs_airm.cfg")
 
 
@@ -433,6 +447,13 @@ def test_cli_oracle_fr(capsys):
     val = float(capsys.readouterr().out.strip())
     assert val == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
+
+
+def test_cli_oracle_fr_extreme_gap_and_non_finite_mean(capsys):
+    assert main(["oracle-fr", "1e200", "1", "0", "1"]) == 0
+    assert math.isfinite(float(capsys.readouterr().out.strip()))
+    assert main(["oracle-fr", "nan", "1", "0", "1"]) == 1
+    assert capsys.readouterr().err.startswith("error: means must be finite")
 
 def test_cli_bound_check(tmp_path):
     out = tmp_path / "bound.csv"
