@@ -92,6 +92,9 @@ def _cmd_train(args):
 
 def _cmd_sweep_dim(args):
     cfg = load_run_config(args.config, seed=args.seed, out_dir=args.out)
+    if args.seed is not None and cfg.sweep_seeds:
+        raise ConfigError(f"{args.config}: --seed {args.seed} conflicts with sweep.seeds = "
+                          f"{','.join(map(str, cfg.sweep_seeds))}; set the seeds in one place")
     dims = [int(d) for d in args.dims.split(",") if d.strip()]
     rows, best = sweep_dim(cfg, dims)
     print(f"wrote {len(rows)} rows; best dims: {best}")

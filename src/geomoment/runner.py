@@ -60,11 +60,14 @@ def _parse_kind(v):
     return v
 
 
-def _parse_kinds(v):
-    kinds = _parse_list(_parse_kind)(v)
-    if len(set(kinds)) < len(kinds):  # a sweep trains each kind once, as one block of runs
-        raise ValueError(f"a kind is listed twice in {v!r}")
-    return kinds
+def _parse_distinct(item, what):
+    """Parser of a comma-separated list whose items differ: a sweep runs each one once."""
+    def parse(v):
+        items = _parse_list(item)(v)
+        if len(set(items)) < len(items):
+            raise ValueError(f"a {what} is listed twice in {v!r}")
+        return items
+    return parse
 
 
 def _parse_layer(part):
@@ -107,8 +110,8 @@ _SCHEMA = {
     "batch_target": (_parse_int, "train_cfg", "batch_target"),
     "learn_rate": (float, "train_cfg", "learn_rate"),
     "encoder": (_parse_layers, "model_spec", "encoder_layers"),
-    "sweep.kinds": (_parse_kinds, "run", "sweep_kinds"),
-    "sweep.seeds": (_parse_list(_parse_int), "run", "sweep_seeds"),
+    "sweep.kinds": (_parse_distinct(_parse_kind, "kind"), "run", "sweep_kinds"),
+    "sweep.seeds": (_parse_distinct(_parse_int, "seed"), "run", "sweep_seeds"),
     "blobs.num_classes": (_parse_int, "blobs", "num_classes"),
     "blobs.samples_per_class": (_parse_int, "blobs", "samples_per_class"),
     "blobs.input_dim": (_parse_int, "blobs", "input_dim"),
@@ -240,13 +243,14 @@ def run_stack(cfgs, metrics_path=None, datasets=None, batches=None):
     """Train configurations as one stack (trainer.train) and write each run's files.
 
     The configurations differ in seed alone or, by blocks of the same
-    seeds on the same datasets, also in dist_kind. Each run writes its
-    files as run_experiment does, and the (metrics row, report) pairs
-    are returned, in the given order. A run's wall_time_s is the stack's
-    training time divided by its number of runs. datasets, batches: the
-    runs' _datasets and train's batches, if made.
+    seeds, also in dist_kind. Each run writes its files as run_experiment
+    does, and the (metrics row, report) pairs are returned, in the given
+    order. A run's wall_time_s is the stack's training time divided by
+    its number of runs. datasets, batches: the first block's _datasets
+    (one per seed) and train's batches, if made.
     """
-    sources, targets, eval_sources, eval_targets = zip(*(datasets or map(_datasets, cfgs)))
+    first = cfgs[: len(cfgs) // len({cfg.train_cfg.dist_kind for cfg in cfgs})]  # one per seed
+    sources, targets, eval_sources, eval_targets = zip(*(datasets or map(_datasets, first)))
     t0 = time.perf_counter()
     reports = train(
         [cfg.train_cfg for cfg in cfgs], cfgs[0].model_spec, sources, targets,
@@ -299,20 +303,6 @@ def _jsonable(v):
     return v
 
 
-def _with_dim(cfg, dim, kind, seed):
-    """Derive a run config with a new embedding width, kind and seed."""
-    enc = list(cfg.model_spec.encoder_layers)
-    enc[-1] = (dim, enc[-1][1])
-    spec = dataclasses.replace(cfg.model_spec, encoder_layers=tuple(enc))
-    tc = dataclasses.replace(cfg.train_cfg, dist_kind=kind, seed=seed)
-    blobs = dataclasses.replace(cfg.blobs, seed=seed) if cfg.blobs else None
-    denoise = dataclasses.replace(cfg.denoise, seed=seed) if cfg.denoise else None
-    out = os.path.join(cfg.out_dir, f"d{dim}_{kind}_s{seed}")
-    return dataclasses.replace(
-        cfg, model_spec=spec, train_cfg=tc, blobs=blobs, denoise=denoise, out_dir=out
-    )
-
-
 def _sweep_row(dim, kind, seed, ratio, report=None):
     """One sweep.csv row; a dim that was never run (report None) is flagged with NaN metrics."""
     nan = float("nan")
@@ -343,10 +333,14 @@ def sweep_dim(cfg, dims):
     (run_stack), kind by kind, on each seed's datasets and batch rows
     (trainer.batch_rows), made once; the later kinds train only from the
     epoch in which the first kind's first latch opened (trainer.train).
-    Dims that violate the 10x batch-size regime are flagged rows with NaN
-    metrics, not run. Every dim is checked before any trains: a repeated
-    or non-positive one is a ValueError.
+    A run's config is cfg's config block with the last encoder width,
+    kind, seed and out_dir set (build_run_config). Dims that violate the
+    10x batch-size regime are flagged rows with NaN metrics, not run.
+    Every dim is checked before any trains: no dim, a repeated one or a
+    non-positive one is a ValueError.
     """
+    if not dims:
+        raise ValueError("no dim to sweep")
     if len(set(dims)) < len(dims):
         raise ValueError(f"a dim is listed twice in {list(dims)}")
     if not all(dim > 0 for dim in dims):
@@ -356,20 +350,24 @@ def sweep_dim(cfg, dims):
     seeds = cfg.sweep_seeds or (cfg.train_cfg.seed,)
     os.makedirs(out_dir, exist_ok=True)
     points = [(kind, seed) for kind in kinds for seed in seeds]  # a dim's runs, in order
+    block = config_block(cfg)
     rows = []
     datasets = batches = None  # each seed's: they depend on the seed alone
     for dim in dims:
         regime = check_regime(cfg.train_cfg.batch_source, dim)
         reports = [None] * len(points)
         if regime.ok:
-            cfgs = [_with_dim(cfg, dim, kind, seed) for kind, seed in points]
+            encoder = (*block["encoder"][:-1], (dim, block["encoder"][-1][1]))
+            cfgs = [build_run_config({**block, "encoder": encoder, "dist_kind": kind}, seed=seed,
+                                     out_dir=os.path.join(out_dir, f"d{dim}_{kind}_s{seed}"))
+                    for kind, seed in points]
             if datasets is None:
                 datasets = [_datasets(run_cfg) for run_cfg in cfgs[: len(seeds)]]
                 draws = batch_rows(seeds, *batch_sizes(
                     cfg.train_cfg, len(datasets[0][0].x), len(datasets[0][1].x)))
                 batches = [next(draws) for _ in range(cfg.train_cfg.epochs)]
             runs = run_stack(cfgs, metrics_path=os.path.join(out_dir, "metrics.csv"),
-                             datasets=datasets * len(kinds), batches=batches)
+                             datasets=datasets, batches=batches)
             reports = [report for _, report in runs]
         rows += [_sweep_row(dim, kind, seed, regime.ratio, report)
                  for (kind, seed), report in zip(points, reports)]

@@ -180,8 +180,10 @@ def train(config, spec, source, target, eval_source, eval_target, batches=None):
 
     The configs may also differ in dist_kind, by blocks: one block per
     kind, in order of first appearance, each listing the first block's
-    seeds in its order, on the same set objects, and batches then holds
-    one block's rows, made up front. Until a run's latch opens, and at
+    seeds in its order. The sets and batches are then the first block's,
+    one source, target and pair of eval sets per seed, and every block
+    trains on them; batches not given are drawn once, up front, as every
+    block reads the same epochs. Until a run's latch opens, and at
     beta 0 throughout, its training never reads dist_kind. So the first
     kind keeps its state at the end of each epoch in which no run has
     adapted (Adam's, the report columns and the latches), and every
@@ -198,17 +200,13 @@ def train(config, spec, source, target, eval_source, eval_target, batches=None):
     if any(dataclasses.replace(c, seed=cfg.seed, dist_kind=cfg.dist_kind) != cfg for c in configs):
         raise ValueError("the configs of a stack may differ in seed only, and by blocks in "
                          "dist_kind")
-    if any(len(s) != R for s in sets):
-        raise ValueError("a stack needs one source, target and eval set per config")
     kinds = tuple(dict.fromkeys(c.dist_kind for c in configs))
     S = R // len(kinds)  # the runs of one kind's block
-    if configs != tuple(dataclasses.replace(c, dist_kind=k) for k in kinds for c in configs[:S]) \
-            or any(a is not b for s in sets for a, b in zip(s, s[:S] * len(kinds))):
-        raise ValueError("each kind's block needs the first block's seeds, in its order, "
-                         "on the same sets")
-    if len(kinds) > 1 and batches is None:
-        raise ValueError("a stack of several kinds needs its batches made up front")
-    sources, targets, eval_sources, eval_targets = (s[:S] for s in sets)
+    if configs != tuple(dataclasses.replace(c, dist_kind=k) for k in kinds for c in configs[:S]):
+        raise ValueError("each kind's block needs the first block's seeds, in its order")
+    if any(len(s) != S for s in sets):
+        raise ValueError("a stack needs one source, target and eval set per seed")
+    sources, targets, eval_sources, eval_targets = sets
     if len({s.x.shape for s in sources}) > 1 or len({t.x.shape for t in targets}) > 1:
         raise ValueError("the runs of a stack need sources and targets of one shape")
     regime = check_regime(cfg.batch_source, spec.embed_dim)
@@ -228,7 +226,10 @@ def train(config, spec, source, target, eval_source, eval_target, batches=None):
     if batches is not None and (len(batches) != cfg.epochs or any((s.shape, t.shape) != (
             (steps_per_epoch, S, bs), (steps_per_epoch, S, bt)) for s, t in batches)):
         raise ValueError(f"batches needs {cfg.epochs} epochs of ({steps_per_epoch}, {S}, b) rows")
-    batches = batches or batch_rows([c.seed for c in configs], *sizes)  # drawn epoch by epoch
+    if batches is None:
+        batches = batch_rows([c.seed for c in configs[:S]], *sizes)  # drawn epoch by epoch
+        if S < R:  # every kind reads the same epochs: drawn once
+            batches = list(islice(batches, cfg.epochs))
     # every run's rows, stacked; a batch indexes them with its run's row offset
     xs = _rows([s.x for s in sources])
     ys = _rows([s.y for s in sources]) if classifier else None

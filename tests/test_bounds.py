@@ -192,6 +192,48 @@ def test_fr_univariate_tiny_scales_follow_scale_invariance():
     assert fisher_rao_univariate(0.0, 1e200, 1e200, 2e200) == pytest.approx(unit, rel=1e-14)
     assert fisher_rao_univariate(5e-200, 1e-200, 5e-200, 1e-200) == 0.0
 
+
+def _fr_mpmath(mu1, sigma1, mu2, sigma2):
+    """The closed form at 50 digits, from the exact binary values of the inputs."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        mu1, sigma1, mu2, sigma2 = map(mp.mpf, (mu1, sigma1, mu2, sigma2))
+        gap = mp.sqrt((mu1 - mu2) ** 2 / 2 + (sigma1 - sigma2) ** 2)
+        return float(2 * mp.sqrt(2) * mp.asinh(gap / (2 * mp.sqrt(sigma1 * sigma2))))
+
+
+@pytest.mark.parametrize("args, value", [
+    ((0.0, 1e-300, 1e300, 1e-300), 3906.64),  # the quotient overflows
+    ((1e308, 1.0, -1e308, 1.0), 2006.89),  # mu1 - mu2 overflows
+    ((1e308, 1e308, -1e308, 1e308), 1.862),  # the gap and 2 sqrt(s1) sqrt(s2) overflow: was NaN
+    ((0.0, 1.7e308, 1e308, 1.7e308), 0.584),  # 2 sqrt(s1) sqrt(s2) overflows: was 0
+    ((-1.7976931348623157e308, 5e-324, 1.7976931348623157e308, 5e-324), 4114.14),
+])
+def test_fr_univariate_overflowing_gaps_match_mpmath(args, value):
+    d = fisher_rao_univariate(*args)
+    assert d == pytest.approx(value, rel=1e-3)
+    assert d == pytest.approx(_fr_mpmath(*args), rel=1e-15)
+
+
+def test_fr_univariate_matches_mpmath_at_every_magnitude():
+    rng = rng_for("fr-magnitudes")
+    for _ in range(400):
+        mu = rng.choice([-1.0, 1.0], size=2) * 10.0 ** rng.uniform(-300, 308, size=2)
+        sigma = 10.0 ** rng.uniform(-300, 308, size=2)
+        args = mu[0], sigma[0], mu[1], sigma[1]
+        assert fisher_rao_univariate(*args) == pytest.approx(_fr_mpmath(*args), rel=1e-15)
+
+
+def test_fr_univariate_keeps_its_bits_where_nothing_overflows():
+    rng = rng_for("fr-bits")
+    for _ in range(2000):
+        mu1, mu2 = rng.uniform(-3, 3, size=2) * 10.0 ** rng.uniform(-150, 150)
+        s1, s2 = rng.uniform(0.2, 5.0, size=2) * 10.0 ** rng.uniform(-150, 150, size=2)
+        gap = math.hypot((mu1 - mu2) / math.sqrt(2.0), s1 - s2)
+        plain = 2.0 * math.sqrt(2.0) * math.asinh(gap / (2.0 * math.sqrt(s1) * math.sqrt(s2)))
+        assert fisher_rao_univariate(mu1, s1, mu2, s2) == plain
+
+
 def test_fr_closed_form_against_quadrature():
     rng = rng_for("fr-quad")
     for _ in range(25):

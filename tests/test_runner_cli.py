@@ -59,6 +59,8 @@ denoise.length = 32
 denoise.samples = 120
 """
 
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
 
 def write_cfg(tmp_path, text, name="run.cfg"):
     p = tmp_path / name
@@ -118,6 +120,8 @@ ENCODER = _line_of(BLOBS_CFG, "encoder =")
      "unknown kind 'wasserstein'"),
     (BLOBS_CFG + "sweep.kinds = airm,hilbert,airm\n", f"bad.cfg:{ADDED}: ",
      "a kind is listed twice"),
+    (BLOBS_CFG + "sweep.seeds = 1,0,0x1\n", f"bad.cfg:{ADDED}: ",
+     "a seed is listed twice in '1,0,0x1'"),
     (BLOBS_CFG.replace("16:relu", "16:gelu"), f"bad.cfg:{ENCODER}: ", "unknown activation 'gelu'"),
     (BLOBS_CFG.replace("encoder = 16:relu,2:identity", "encoder = ,"), f"bad.cfg:{ENCODER}: ",
      "empty layer list"),
@@ -165,13 +169,25 @@ def test_eta_inf_parses(tmp_path):
 
 
 def test_config_block_carries_every_key_a_config_file_sets():
-    configs = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
     for name in ("blobs_airm.cfg", "denoise_hilbert.cfg"):
-        with open(os.path.join(configs, name)) as fh:
+        with open(os.path.join(CONFIGS, name)) as fh:
             parsed = parse_config_text(fh.read(), name)
         block = config_block(build_run_config(parsed))
         for key, value in parsed.items():
             assert json.loads(json.dumps(block[key])) == json.loads(json.dumps(value)), key
+
+
+@pytest.mark.parametrize("name", ["blobs_airm.cfg", "denoise_hilbert.cfg"])
+def test_config_block_builds_back_the_config_it_was_read_from(name):
+    # sweep_dim derives each run's config through this round trip
+    cfg = load_run_config(os.path.join(CONFIGS, name))
+    assert build_run_config(config_block(cfg)) == cfg
+    moved = load_run_config(os.path.join(CONFIGS, name), seed=2**63 + 7, out_dir="elsewhere")
+    assert build_run_config(config_block(cfg), seed=2**63 + 7, out_dir="elsewhere") == moved
+    # a config edited field by field, as a bench's source-only baseline is
+    source_only = dataclasses.replace(cfg, sweep_seeds=(4, 9), sweep_kinds=("airm",),
+                                      train_cfg=dataclasses.replace(cfg.train_cfg, beta=0.0))
+    assert build_run_config(config_block(source_only)) == source_only
 
 
 def test_dataset_fields_default_to_the_dataset_configs():
@@ -311,6 +327,8 @@ def test_sweep_dim_draws_each_seeds_batch_rows_once(tmp_path, monkeypatch):
     ("2,2", "a dim is listed twice in [2, 2]"),
     ("2,0", "dims must be positive, got [2, 0]"),
     ("3,-1", "dims must be positive, got [3, -1]"),
+    ("", "no dim to sweep"),
+    (",", "no dim to sweep"),
 ])
 def test_cli_sweep_checks_every_dim_before_training_any(tmp_path, capsys, dims, message):
     out = tmp_path / "sw"
@@ -320,7 +338,24 @@ def test_cli_sweep_checks_every_dim_before_training_any(tmp_path, capsys, dims, 
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()  # no run trained, no file written
 
-BLOBS_AIRM_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "blobs_airm.cfg")
+
+
+def test_cli_sweep_seed_conflicts_with_sweep_seeds(tmp_path, capsys):
+    path = write_cfg(tmp_path, BLOBS_CFG + "sweep.seeds = 0,1\n")
+    out = tmp_path / "sw"
+    assert main(["sweep-dim", "--config", path, "--dims", "2", "--seed", "7",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {path}: --seed 7 conflicts with sweep.seeds = 0,1; "
+        "set the seeds in one place\n")
+    assert not out.exists()
+    # without sweep.seeds, --seed is the sweep's one seed
+    assert main(["sweep-dim", "--config", write_cfg(tmp_path, BLOBS_CFG), "--dims", "2",
+                 "--seed", "7", "--out", str(out)]) == 0
+    assert sorted(os.listdir(out))[0] == "d2_airm_s7"
+
+
+BLOBS_AIRM_CFG = os.path.join(CONFIGS, "blobs_airm.cfg")
 
 
 def _tree(root):

@@ -484,17 +484,20 @@ def test_rows_before_the_latch_equal_the_beta_zero_runs(kind):
 
 
 def _kinds_cell(seeds=(0, 159990, 2), kinds=losses.DIST_KINDS, **keys):
-    """A 20-epoch dim-2 sweep's stack of kinds, as train's arguments, and its block's batches."""
+    """A 20-epoch dim-2 sweep's stack of kinds, as train's arguments, and its block's batches.
+
+    The arguments hold each seed's sets once: every kind's block trains on them.
+    """
     configs, spec, datasets, batches = _drawn_once(
         _sweep_cell(2, kinds[0], seeds, epochs=20, **keys))
     sets = [(d.source_train, d.target_train, d.source_eval, d.target_eval) for d in datasets]
     configs = [dataclasses.replace(c, dist_kind=kind) for kind in kinds for c in configs]
-    return [configs, spec, *zip(*(sets * len(kinds)))], batches
+    return [configs, spec, *zip(*sets)], batches
 
 
 def _block(args, k, runs=3):
-    """The train arguments of the stack's k-th kind alone."""
-    return [a[k * runs : (k + 1) * runs] if i != 1 else a for i, a in enumerate(args)]
+    """The train arguments of the stack's k-th kind alone, on the same per-seed sets."""
+    return [args[0][k * runs : (k + 1) * runs], *args[1:]]
 
 
 def _same_reports(got, want):
@@ -544,17 +547,10 @@ def _replace_in_block(args, field, value, k=1, run=1):
     return [configs, *args[1:]]
 
 
-def _copied_data(args, k=1, run=1):
-    """The arguments with one run of the k-th block given a copy of its source set."""
-    sources = list(args[2])
-    sources[3 * k + run] = dataclasses.replace(sources[3 * k + run])
-    return [*args[:2], sources, *args[3:]]
-
-
 def _interleaved(args):
     """The arguments with the runs taken seed by seed, not kind by kind."""
     order = [3 * k + r for r in range(3) for k in range(len(losses.DIST_KINDS))]
-    return [a if i == 1 else [a[j] for j in order] for i, a in enumerate(args)]
+    return [[args[0][j] for j in order], *args[1:]]
 
 
 # name -> the stack of kinds' arguments made wrong, and the error's match
@@ -562,10 +558,9 @@ WRONG_STACKS = {
     "other seeds": (lambda args: _replace_in_block(args, "seed", 1), "first block's seeds"),
     "other beta": (lambda args: _replace_in_block(args, "beta", 0.2), "seed only"),
     "other eta": (lambda args: _replace_in_block(args, "eta", 0.01), "seed only"),
-    "a seed's other data": (_copied_data, "on the same sets"),
     "kinds interleaved": (_interleaved, "first block's seeds"),
-    "a block short": (lambda args: [a if i == 1 else a[:-1] for i, a in enumerate(args)],
-                      "first block's seeds"),
+    "a block short": (lambda args: [args[0][:-1], *args[1:]], "first block's seeds"),
+    "a set per run": (lambda args: [*args[:2], *(a * 5 for a in args[2:])], "set per seed"),
 }
 
 
@@ -577,10 +572,18 @@ def test_a_stack_of_kinds_rejects_blocks_that_differ_in_more_than_the_kind(case)
         train(*wrong(args), batches=batches)
 
 
-def test_a_stack_of_kinds_needs_batches_made_up_front():
-    args, _ = _kinds_cell()
-    with pytest.raises(ValueError, match="needs its batches made up front"):
-        train(*args)
+def test_a_stack_of_kinds_draws_its_blocks_rows_once_as_given_batches(monkeypatch):
+    calls = []  # the seeds of every batch_rows call
+    real_batch_rows = trainer.batch_rows
+
+    def batch_rows(seeds, *sizes):
+        calls.append(tuple(seeds))
+        return real_batch_rows(seeds, *sizes)
+
+    args, batches = _kinds_cell(kinds=("airm", "hilbert", "coral_frob"))
+    monkeypatch.setattr(trainer, "batch_rows", batch_rows)
+    _same_reports(train(*args), train(*args, batches=batches))
+    assert calls == [(0, 159990, 2)]
 
 
 def test_a_non_finite_distance_in_a_later_kind_names_that_kind(monkeypatch):
