@@ -89,11 +89,9 @@ def fisher_rao_univariate(mu1, sigma1, mu2, sigma2):
     i.e. a rescaled hyperbolic half-plane. It is evaluated as the equal
     2 sqrt(2) * arcsinh(hypot(dmu/sqrt(2), dsigma) / (2 sqrt(sigma1)
     sqrt(sigma2))), which squares nothing and so keeps small gaps and
-    huge or tiny scales finite and accurate. Where the gap, the
-    denominator or the quotient overflows, the gap is taken from the
-    halved means and deviations, and arcsinh(x) as log 2 + log x where x
-    itself overflows. Cross-validated against numerical geodesic
-    integration and mpmath in the test suite.
+    huge or tiny scales finite and accurate; where a step overflows, it
+    halves the inputs, and takes arcsinh(x) as log 2 + log x if x does.
+    Cross-validated against geodesic quadrature and mpmath in the tests.
     """
     if not (0 < sigma1 < math.inf and 0 < sigma2 < math.inf):  # a NaN sigma fails too
         raise DomainError(f"standard deviations must be positive and finite, got {sigma1}, {sigma2}")

@@ -49,25 +49,20 @@ def _parse_int(v):
     return int(v, 0)
 
 
-def _parse_list(item):
-    """Parser of a comma-separated list, item parsing each non-blank part."""
-    return lambda v: tuple(item(p.strip()) for p in v.split(",") if p.strip())
+def _parse_list(item, what=None):
+    """Parser of a comma-separated list, item parsing each non-blank part; with what, distinct."""
+    def parse(v):
+        items = tuple(item(p.strip()) for p in v.split(",") if p.strip())
+        if what and len(set(items)) < len(items):  # a sweep runs each kind and seed once
+            raise ValueError(f"a {what} is listed twice in {v!r}")
+        return items
+    return parse
 
 
 def _parse_kind(v):
     if v not in DIST_KINDS:
         raise ValueError(f"unknown kind {v!r}, expected one of {', '.join(DIST_KINDS)}")
     return v
-
-
-def _parse_distinct(item, what):
-    """Parser of a comma-separated list whose items differ: a sweep runs each one once."""
-    def parse(v):
-        items = _parse_list(item)(v)
-        if len(set(items)) < len(items):
-            raise ValueError(f"a {what} is listed twice in {v!r}")
-        return items
-    return parse
 
 
 def _parse_layer(part):
@@ -110,8 +105,8 @@ _SCHEMA = {
     "batch_target": (_parse_int, "train_cfg", "batch_target"),
     "learn_rate": (float, "train_cfg", "learn_rate"),
     "encoder": (_parse_layers, "model_spec", "encoder_layers"),
-    "sweep.kinds": (_parse_distinct(_parse_kind, "kind"), "run", "sweep_kinds"),
-    "sweep.seeds": (_parse_distinct(_parse_int, "seed"), "run", "sweep_seeds"),
+    "sweep.kinds": (_parse_list(_parse_kind, "kind"), "run", "sweep_kinds"),
+    "sweep.seeds": (_parse_list(_parse_int, "seed"), "run", "sweep_seeds"),
     "blobs.num_classes": (_parse_int, "blobs", "num_classes"),
     "blobs.samples_per_class": (_parse_int, "blobs", "samples_per_class"),
     "blobs.input_dim": (_parse_int, "blobs", "input_dim"),
@@ -217,8 +212,7 @@ def config_block(cfg):
 
 def load_run_config(path, seed=None, out_dir=None):
     with open(path) as fh:
-        text = fh.read()
-    return build_run_config(parse_config_text(text, path), seed=seed, out_dir=out_dir)
+        return build_run_config(parse_config_text(fh.read(), path), seed=seed, out_dir=out_dir)
 
 
 def _datasets(cfg):
@@ -278,12 +272,9 @@ def _write_run(cfg, report, wall, metrics_path):
         "gate_open_epoch": report.gate_open_epoch,
         "skipped_steps": int(report.skipped_steps.sum()),
     }
-    summary = dict(row)
-    summary["wall_time_s"] = wall
-    summary["zeroed_grad_steps"] = report.zeroed_grad_steps
-    summary["skipped_steps_by_reason"] = report.skipped_steps_by_reason
-    summary["blas_threads"] = blas_threads()
-    summary["config"] = config_block(cfg)
+    summary = {**row, "wall_time_s": wall, "zeroed_grad_steps": report.zeroed_grad_steps,
+               "skipped_steps_by_reason": report.skipped_steps_by_reason,
+               "blas_threads": blas_threads(), "config": config_block(cfg)}
     with open(os.path.join(cfg.out_dir, "summary.json"), "w") as fh:
         json.dump(_jsonable(summary), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
@@ -333,11 +324,10 @@ def sweep_dim(cfg, dims):
     (run_stack), kind by kind, on each seed's datasets and batch rows
     (trainer.batch_rows), made once; the later kinds train only from the
     epoch in which the first kind's first latch opened (trainer.train).
-    A run's config is cfg's config block with the last encoder width,
-    kind, seed and out_dir set (build_run_config). Dims that violate the
-    10x batch-size regime are flagged rows with NaN metrics, not run.
-    Every dim is checked before any trains: no dim, a repeated one or a
-    non-positive one is a ValueError.
+    A run's config is cfg's config_block with its dim, kind, seed and
+    out_dir set. Dims that violate the 10x batch-size regime are flagged
+    rows with NaN metrics, not run. No dim, or a repeated or non-positive
+    one, is a ValueError before any trains.
     """
     if not dims:
         raise ValueError("no dim to sweep")
@@ -378,7 +368,6 @@ def sweep_dim(cfg, dims):
         for r in rows:
             fh.write(csv_line(r, SWEEP_HEADER))
 
-    higher_better = cfg.task == "blobs"
     best = {}
     for kind in kinds:
         scored = {}
@@ -388,7 +377,7 @@ def sweep_dim(cfg, dims):
         if not scored:
             continue
         means = {d: sum(v) / len(v) for d, v in scored.items()}
-        pick = max(means, key=means.get) if higher_better else min(means, key=means.get)
+        pick = (max if cfg.task == "blobs" else min)(means, key=means.get)  # accuracy or MSE
         best[kind] = {"best_dim": pick, "mean_target_metric": means[pick]}
     with open(os.path.join(out_dir, "sweep_summary.json"), "w") as fh:
         json.dump(best, fh, indent=2, sort_keys=True)
