@@ -1,6 +1,7 @@
 """Command-line entry points. All numeric output uses 17 significant digits."""
 
 import argparse
+import re
 import sys
 
 import numpy as np
@@ -128,6 +129,8 @@ def build_parser():
     p.set_defaults(func=_cmd_bound_check)
 
     p = sub.add_parser("oracle-fr", help="univariate Fisher-Rao distance")
+    # argparse's own pattern takes "-1e308" for an option: here any negative float is a value
+    p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
     p.add_argument("mu1", type=float)
     p.add_argument("sigma1", type=float)
     p.add_argument("mu2", type=float)

@@ -212,20 +212,13 @@ def config_block(cfg):
 
 def load_run_config(path, seed=None, out_dir=None):
     with open(path) as fh:
-        return build_run_config(parse_config_text(fh.read(), path), seed=seed, out_dir=out_dir)
+        text = fh.read()
+    return build_run_config(parse_config_text(text, path), seed=seed, out_dir=out_dir)
 
 
 def _datasets(cfg):
     d = gen_blobs(cfg.blobs) if cfg.task == "blobs" else gen_denoise(cfg.denoise)
     return d.source_train, d.target_train, d.source_eval, d.target_eval
-
-
-def append_metrics(path, row):
-    write_header = not os.path.exists(path)
-    with open(path, "a") as fh:
-        if write_header:
-            fh.write(METRICS_HEADER + "\n")
-        fh.write(csv_line(row, METRICS_HEADER))
 
 
 def run_experiment(cfg, metrics_path=None):
@@ -279,7 +272,10 @@ def _write_run(cfg, report, wall, metrics_path):
         json.dump(_jsonable(summary), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
-    append_metrics(metrics_path or os.path.join(cfg.out_dir, "metrics.csv"), row)
+    metrics_path = metrics_path or os.path.join(cfg.out_dir, "metrics.csv")
+    header = "" if os.path.exists(metrics_path) else METRICS_HEADER + "\n"
+    with open(metrics_path, "a") as fh:
+        fh.write(header + csv_line(row, METRICS_HEADER))
     return row, report
 
 

@@ -487,6 +487,8 @@ def test_cli_oracle_fr(capsys):
 def test_cli_oracle_fr_extreme_gap_and_non_finite_mean(capsys):
     assert main(["oracle-fr", "1e200", "1", "0", "1"]) == 0
     assert math.isfinite(float(capsys.readouterr().out.strip()))
+    assert main(["oracle-fr", "1e308", "1", "-1e308", "1"]) == 0  # mu1 - mu2 overflows
+    assert float(capsys.readouterr().out.strip()) == pytest.approx(2006.89, rel=1e-6)
     assert main(["oracle-fr", "nan", "1", "0", "1"]) == 1
     assert capsys.readouterr().err.startswith("error: means must be finite")
 
