@@ -180,9 +180,9 @@ def train(config, spec, source, target, eval_source, eval_target, batches=None):
 
     The configs may also differ in dist_kind, by blocks: one block per
     kind, in order of first appearance, each listing the first block's
-    seeds in its order; every block trains on the first block's sets,
-    one source, target and eval pair per seed, and batches, which are
-    drawn up front if not given. Until a run's latch opens, and at
+    seeds in its order; every block trains on the same sets, one source,
+    target and eval pair per seed, and on the same batches, drawn up
+    front if not given. Until a run's latch opens, and at
     beta 0 throughout, its training never reads dist_kind. So the first
     kind keeps its state at the end of each epoch in which no run has
     adapted (Adam's, the report columns and the latches), and every

@@ -339,7 +339,6 @@ def test_cli_sweep_checks_every_dim_before_training_any(tmp_path, capsys, dims, 
     assert not out.exists()  # no run trained, no file written
 
 
-
 def test_cli_sweep_seed_conflicts_with_sweep_seeds(tmp_path, capsys):
     path = write_cfg(tmp_path, BLOBS_CFG + "sweep.seeds = 0,1\n")
     out = tmp_path / "sw"
