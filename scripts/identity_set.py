@@ -7,7 +7,9 @@ Run from the root of a checkout:
 The parent revision and HEAD are exported with ``git archive`` (the export
 of ``scripts/bench_pairs.py``) to a temporary directory. In each tree,
 ``geomoment sweep-dim`` runs with ``OPENBLAS_NUM_THREADS=1`` on the tree's
-own configs: ``configs/blobs_airm.cfg`` at embedding dims 2 and 4,
+own configs: ``configs/blobs_airm.cfg`` at embedding dims 2, 4 and 16
+(dim 16 is flagged, as 128 source rows are below 10 x 16, so its
+``sweep.csv`` rows compare the regime check's flag and ratio),
 ``configs/denoise_hilbert.cfg`` at dim 2, and ``configs/blobs_airm.cfg``
 with a relu embedding (``encoder = 32:relu,2:relu``) and ``eta = 1e-8``
 at dim 2, each over the five kinds and seeds 0-2, once at beta 0.1 and
@@ -62,7 +64,7 @@ SCRIPTS = os.path.dirname(os.path.abspath(__file__))
 KINDS = "airm,hilbert,mean_euclid,coral_frob,log_euclid"
 # (name, config, embedding dims, config keys set, seed of the single run) of each sweep
 SWEEPS = (
-    ("blobs", "configs/blobs_airm.cfg", "2,4", {}, "0"),
+    ("blobs", "configs/blobs_airm.cfg", "2,4,16", {}, "0"),
     ("denoise", "configs/denoise_hilbert.cfg", "2", {}, "0"),
     ("blobs_relu", "configs/blobs_airm.cfg", "2", {"encoder": "32:relu,2:relu", "eta": "1e-8"},
      "1"),

@@ -66,7 +66,7 @@ def _cmd_bound_check(args):
             f"{k},{i},{fmt(tv_discrete(p, q))},{fmt(hilbert_discrete(p, q))},"
             f"{fmt(res.rhs)},{fmt(res.slack)},{int(res.holds)}"
         )
-    text = "k,seed,tv,hilbert,rhs,slack,holds\n" + "\n".join(rows) + "\n"
+    text = "".join(f"{line}\n" for line in ["k,seed,tv,hilbert,rhs,slack,holds", *rows])
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -102,6 +102,12 @@ def _cmd_sweep_dim(args):
     return 0
 
 
+def _count(v):
+    if int(v) < 0:
+        raise argparse.ArgumentTypeError(f"expected a count >= 0, got {v}")
+    return int(v)
+
+
 def build_parser():
     ap = argparse.ArgumentParser(prog="geomoment")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -124,7 +130,7 @@ def build_parser():
 
     p = sub.add_parser("bound-check", help="TV vs tanh-of-Hilbert bound sweep -> CSV")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pairs", type=int, default=10000)
+    p.add_argument("--pairs", type=_count, default=10000)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_bound_check)
 

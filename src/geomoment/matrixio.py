@@ -51,7 +51,7 @@ def matrix_text(M):
 
 def read_matrix(path):
     n, body = _read_body(path)
-    rows = [[float(v) for v in ln.split()] for ln in body[:n]]
+    rows = [[float(v) for v in ln.split()] for ln in body]
     M = np.array(rows, dtype=float)
     if M.shape != (n, n):
         raise ValueError(f"{path}: expected {n}x{n} matrix, got shape {M.shape}")
@@ -63,7 +63,7 @@ def read_moments(path):
     if not body:
         raise ValueError(f"{path}: no mean row after the header")
     mean = np.array([float(v) for v in body[0].split()], dtype=float)
-    cov = np.array([[float(v) for v in ln.split()] for ln in body[1 : 1 + n]], dtype=float)
+    cov = np.array([[float(v) for v in ln.split()] for ln in body[1:]], dtype=float)
     if mean.size != n or cov.shape != (n, n):
-        raise ValueError(f"{path}: inconsistent moments file for dim={n}")
+        raise ValueError(f"{path}: dim={n} with {mean.size} means and a {cov.shape} covariance")
     return GaussianMoments(mean=mean, cov=cov)

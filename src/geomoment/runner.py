@@ -12,6 +12,7 @@ import math
 import os
 import time
 from dataclasses import dataclass
+from itertools import islice
 
 from .blas import blas_threads
 from .datasets import BlobsConfig, DenoiseConfig, gen_blobs, gen_denoise
@@ -221,30 +222,13 @@ def _datasets(cfg):
     return d.source_train, d.target_train, d.source_eval, d.target_eval
 
 
-def run_experiment(cfg, metrics_path=None):
+def run_experiment(cfg):
     """Train one configuration, write report.csv / summary.json / metrics.csv."""
-    return run_stack([cfg], metrics_path)[0]
-
-
-def run_stack(cfgs, metrics_path=None, datasets=None, batches=None):
-    """Train configurations as one stack (trainer.train) and write each run's files.
-
-    The configurations differ in seed alone or, by blocks of the same
-    seeds, also in dist_kind. Each run writes its files as run_experiment
-    does, and the (metrics row, report) pairs are returned, in the given
-    order. A run's wall_time_s is the stack's training time divided by
-    its number of runs. datasets, batches: the first block's _datasets
-    (one per seed) and train's batches, if made.
-    """
-    first = cfgs[: len(cfgs) // len({cfg.train_cfg.dist_kind for cfg in cfgs})]  # one per seed
-    sources, targets, eval_sources, eval_targets = zip(*(datasets or map(_datasets, first)))
+    sets = _datasets(cfg)
     t0 = time.perf_counter()
-    reports = train(
-        [cfg.train_cfg for cfg in cfgs], cfgs[0].model_spec, sources, targets,
-        eval_source=eval_sources, eval_target=eval_targets, batches=batches,
-    )
-    wall = (time.perf_counter() - t0) / len(cfgs)
-    return [_write_run(cfg, report, wall, metrics_path) for cfg, report in zip(cfgs, reports)]
+    report = train(cfg.train_cfg, cfg.model_spec, *sets)
+    wall = time.perf_counter() - t0
+    return _write_run(cfg, report, wall, os.path.join(cfg.out_dir, "metrics.csv"))
 
 
 def _write_run(cfg, report, wall, metrics_path):
@@ -272,7 +256,6 @@ def _write_run(cfg, report, wall, metrics_path):
         json.dump(_jsonable(summary), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
-    metrics_path = metrics_path or os.path.join(cfg.out_dir, "metrics.csv")
     header = "" if os.path.exists(metrics_path) else METRICS_HEADER + "\n"
     with open(metrics_path, "a") as fh:
         fh.write(header + csv_line(row, METRICS_HEADER))
@@ -314,16 +297,16 @@ def _sweep_row(dim, kind, seed, ratio, report=None):
 def sweep_dim(cfg, dims):
     """Run the dimensionality sweep and write sweep.csv plus a best-dim summary.
 
-    Every output lands under cfg.out_dir: the sweep files at its root and
-    each run's report in a d{dim}_{kind}_s{seed} subdirectory. The runs
-    of one dim, every kind over every seed, train as one stack
-    (run_stack), kind by kind, on each seed's datasets and batch rows
-    (trainer.batch_rows), made once; the later kinds train only from the
-    epoch in which the first kind's first latch opened (trainer.train).
+    Every output lands under cfg.out_dir: the sweep files and every run's
+    metrics.csv row at its root, each run's other files in a
+    d{dim}_{kind}_s{seed} subdirectory. Each seed's datasets and batch
+    rows (trainer.batch_rows) are made once, before any dim; the runs of
+    one dim, every kind over every seed, train as one trainer.train stack.
     A run's config is cfg's config_block with its dim, kind, seed and
-    out_dir set. Dims that violate the 10x batch-size regime are flagged
-    rows with NaN metrics, not run. No dim, or a repeated or non-positive
-    one, is a ValueError before any trains.
+    out_dir set. A dim below the 10x regime on the source batch a step
+    draws (trainer.batch_sizes) is a flagged row with NaN metrics, not
+    run. No dim, or a repeated or non-positive one, is a ValueError
+    before any trains.
     """
     if not dims:
         raise ValueError("no dim to sweep")
@@ -337,24 +320,25 @@ def sweep_dim(cfg, dims):
     os.makedirs(out_dir, exist_ok=True)
     points = [(kind, seed) for kind in kinds for seed in seeds]  # a dim's runs, in order
     block = config_block(cfg)
+    # each seed's sets and batch rows, which depend on the seed alone
+    sources, targets, *evals = zip(*(_datasets(build_run_config(block, seed=s)) for s in seeds))
+    sizes = batch_sizes(cfg.train_cfg, len(sources[0].x), len(targets[0].x))
+    batches = list(islice(batch_rows(seeds, *sizes), cfg.train_cfg.epochs))
     rows = []
-    datasets = batches = None  # each seed's: they depend on the seed alone
     for dim in dims:
-        regime = check_regime(cfg.train_cfg.batch_source, dim)
+        regime = check_regime(sizes[1], dim)  # the source rows a step draws
         reports = [None] * len(points)
         if regime.ok:
             encoder = (*block["encoder"][:-1], (dim, block["encoder"][-1][1]))
             cfgs = [build_run_config({**block, "encoder": encoder, "dist_kind": kind}, seed=seed,
                                      out_dir=os.path.join(out_dir, f"d{dim}_{kind}_s{seed}"))
                     for kind, seed in points]
-            if datasets is None:
-                datasets = [_datasets(run_cfg) for run_cfg in cfgs[: len(seeds)]]
-                draws = batch_rows(seeds, *batch_sizes(
-                    cfg.train_cfg, len(datasets[0][0].x), len(datasets[0][1].x)))
-                batches = [next(draws) for _ in range(cfg.train_cfg.epochs)]
-            runs = run_stack(cfgs, metrics_path=os.path.join(out_dir, "metrics.csv"),
-                             datasets=datasets, batches=batches)
-            reports = [report for _, report in runs]
+            t0 = time.perf_counter()
+            reports = train([c.train_cfg for c in cfgs], cfgs[0].model_spec, sources, targets,
+                            *evals, batches=batches)
+            wall = (time.perf_counter() - t0) / len(cfgs)
+            for run_cfg, report in zip(cfgs, reports):
+                _write_run(run_cfg, report, wall, os.path.join(out_dir, "metrics.csv"))
         rows += [_sweep_row(dim, kind, seed, regime.ratio, report)
                  for (kind, seed), report in zip(points, reports)]
 

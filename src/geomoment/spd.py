@@ -227,16 +227,23 @@ def _spd_rule(lam_min, tol):
         raise NotPositiveDefinite(msg, lambda_min=lam_min)
 
 
-def pencil_eigvals(P1, P2):
-    """Eigenvalues of P1^{-1} P2, ascending, from L^{-1} P2 L^{-T} symmetrized, P1 = L L^T."""
-    P1 = np.asarray(P1, dtype=float)
+def _pair(P1, P2):
+    P1, P2 = np.asarray(P1, dtype=float), np.asarray(P2, dtype=float)
     if P1.ndim != 2 or P1.shape[0] != P1.shape[1]:  # before sym, which cannot take it
         raise ValueError(f"expected a square matrix, got shape {P1.shape}")
+    if P1.shape != P2.shape:
+        raise ValueError(f"matrices of different shapes: {P1.shape} and {P2.shape}")
+    return P1, P2
+
+
+def pencil_eigvals(P1, P2):
+    """Eigenvalues of P1^{-1} P2, ascending, from L^{-1} P2 L^{-T} symmetrized, P1 = L L^T."""
+    P1, P2 = _pair(P1, P2)
     L = cholesky(sym(P1))
     if np.isnan(L[0, 0]):  # a NaN pencil would give NaN eigenvalues or ConvergenceFailure
         raise NotPositiveDefinite("Cholesky of the pencil's first matrix failed")
     Linv = lower_inverse(L)
-    return syevd(sym(Linv @ np.asarray(P2, dtype=float) @ Linv.T), vectors=False)
+    return syevd(sym(Linv @ P2 @ Linv.T), vectors=False)
 
 
 def congruent_eigh(Finv, M):
@@ -332,5 +339,6 @@ def dist_hilbert(P1, P2):
 
 def dist_logeuclid(P1, P2):
     """Frobenius distance between matrix logarithms."""
+    P1, P2 = _pair(P1, P2)
     return float(np.linalg.norm(matrix_log(P1) - matrix_log(P2), "fro"))
 

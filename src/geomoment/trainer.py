@@ -166,7 +166,8 @@ def train(config, spec, source, target, eval_source, eval_target, batches=None):
     """Run the gated two-phase optimization and return the epoch report.
 
     source is a LabeledSet, target a FeatureSet (no labels, by type).
-    The eval sets only feed the per-epoch metric columns.
+    The eval sets only feed the per-epoch metric columns. A source batch
+    (batch_sizes) below 10 rows per embedding dim raises RegimeViolation.
 
     A stack of runs passes a sequence of configs that differ in seed
     alone and, per run, one source, target and pair of eval sets, all
@@ -208,11 +209,12 @@ def train(config, spec, source, target, eval_source, eval_target, batches=None):
     sources, targets, eval_sources, eval_targets = sets
     if len({s.x.shape for s in sources}) > 1 or len({t.x.shape for t in targets}) > 1:
         raise ValueError("the runs of a stack need sources and targets of one shape")
-    regime = check_regime(cfg.batch_source, spec.embed_dim)
+    sizes = _, bs, _, bt, steps_per_epoch = batch_sizes(cfg, len(sources[0].x), len(targets[0].x))
+    regime = check_regime(bs, spec.embed_dim)  # the source rows a step draws
     if not regime.ok:
         raise RegimeViolation(
-            f"batch_source={cfg.batch_source} is below 10 x embed_dim="
-            f"{spec.embed_dim} (ratio {regime.ratio:.2f})"
+            f"a source batch of {bs} rows (batch_source={cfg.batch_source}) is below "
+            f"10 x embed_dim={spec.embed_dim} (ratio {regime.ratio:.2f})"
         )
     classifier = isinstance(spec.head, ClassifierHead)
     if classifier and any(s.y is None for s in sources):
@@ -221,7 +223,6 @@ def train(config, spec, source, target, eval_source, eval_target, batches=None):
     ep = encoder_plan(spec)
     hp = head_plan(spec)
     n_enc = len(ep)
-    sizes = _, bs, _, bt, steps_per_epoch = batch_sizes(cfg, len(sources[0].x), len(targets[0].x))
     if batches is not None and (len(batches) != cfg.epochs or any((s.shape, t.shape) != (
             (steps_per_epoch, S, bs), (steps_per_epoch, S, bt)) for s, t in batches)):
         raise ValueError(f"batches needs {cfg.epochs} epochs of ({steps_per_epoch}, {S}, b) rows")

@@ -10,9 +10,9 @@ import pytest
 from geomoment import blas, gradcheck, runner, trainer
 from geomoment.cli import main
 from geomoment.datasets import BlobsConfig, DenoiseConfig
-from geomoment.errors import ConfigError
+from geomoment.errors import ConfigError, RegimeViolation
 from geomoment.losses import LossEval
-from geomoment.matrixio import read_matrix, write_matrix
+from geomoment.matrixio import read_matrix, read_moments, write_matrix
 from geomoment.runner import (
     build_run_config,
     config_block,
@@ -60,6 +60,7 @@ denoise.samples = 120
 """
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+BLOBS_AIRM_CFG = os.path.join(CONFIGS, "blobs_airm.cfg")
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -266,14 +267,12 @@ def test_denoise_run(tmp_path):
 
 
 def test_metrics_accumulate_across_runs(tmp_path):
-    shared = str(tmp_path / "metrics.csv")
+    out = str(tmp_path / "runs")
     for seed in (0, 1, 2):
-        cfg = load_run_config(
-            write_cfg(tmp_path, BLOBS_CFG), seed=seed, out_dir=str(tmp_path / f"r{seed}")
-        )
-        run_experiment(cfg, metrics_path=shared)
-    lines = open(shared).read().strip().split("\n")
-    assert len(lines) == 4  # header + 3 completed runs
+        run_experiment(load_run_config(write_cfg(tmp_path, BLOBS_CFG), seed=seed, out_dir=out))
+    lines = (tmp_path / "runs" / "metrics.csv").read_text().strip().split("\n")
+    assert lines[0] == runner.METRICS_HEADER
+    assert [ln.split(",")[2] for ln in lines[1:]] == ["0", "1", "2"]  # 3 completed runs
 
 
 def test_sweep_dim_cardinality_and_flags(tmp_path):
@@ -305,21 +304,49 @@ def test_sweep_dim_cardinality_and_flags(tmp_path):
 
 def test_sweep_dim_draws_each_seeds_batch_rows_once(tmp_path, monkeypatch):
     calls = []  # the seeds of every batch_rows call
-    real_batch_rows = trainer.batch_rows
+    made = []  # the seed of every _datasets call
+    real_batch_rows, real_datasets = trainer.batch_rows, runner._datasets
 
     def batch_rows(seeds, *sizes):
         calls.append(tuple(seeds))
         return real_batch_rows(seeds, *sizes)
 
+    def datasets(cfg):
+        made.append(cfg.train_cfg.seed)
+        return real_datasets(cfg)
+
     monkeypatch.setattr(trainer, "batch_rows", batch_rows)
     monkeypatch.setattr(runner, "batch_rows", batch_rows)
+    monkeypatch.setattr(runner, "_datasets", datasets)
     text = BLOBS_CFG + "sweep.kinds = airm,mean_euclid,hilbert\nsweep.seeds = 0,1\n"
-    for dims in ([2], [2, 3], [32, 2, 3]):  # dim 32 is flagged, not run
+    # dim 32 is flagged, not run; the ratio column reads the seeds' sets all the same
+    for dims in ([2], [2, 3], [32, 2, 3], [32]):
         calls.clear()
+        made.clear()
         cfg = load_run_config(write_cfg(tmp_path, text),
                               out_dir=str(tmp_path / "_".join(map(str, dims))))
         sweep_dim(cfg, dims)
         assert calls == [(0, 1)], dims
+        assert made == [0, 1], dims
+
+
+def test_regime_check_uses_the_source_batch_a_step_draws(tmp_path):
+    # 3 classes x 20 samples: each step draws all 60 source rows, not batch_source = 128
+    keys = {"blobs.samples_per_class": "20", "encoder": "32:relu,8:identity", "epochs": "2",
+            "sweep.kinds": "airm", "sweep.seeds": "0"}
+    with open(BLOBS_AIRM_CFG) as fh:
+        kept = [ln for ln in fh.read().splitlines() if ln.split("=")[0].strip() not in keys]
+    text = "\n".join(kept + [f"{k} = {v}" for k, v in keys.items()]) + "\n"
+    cfg = load_run_config(write_cfg(tmp_path, text), out_dir=str(tmp_path / "sweep"))
+    with pytest.raises(RegimeViolation) as info:
+        run_experiment(cfg)
+    assert str(info.value).startswith("a source batch of 60 rows (batch_source=128) is below "
+                                      "10 x embed_dim=8 (ratio 7.50)")
+    rows, _ = sweep_dim(cfg, [2, 8])
+    assert [(r["dim"], r["regime_ok"], r["ratio"]) for r in rows] == [(2, 1, 30.0), (8, 0, 7.5)]
+    assert math.isnan(rows[1]["target_metric"])
+    assert sorted(os.listdir(tmp_path / "sweep")) == [
+        "d2_airm_s0", "metrics.csv", "sweep.csv", "sweep_summary.json"]
 
 
 
@@ -353,8 +380,6 @@ def test_cli_sweep_seed_conflicts_with_sweep_seeds(tmp_path, capsys):
                  "--seed", "7", "--out", str(out)]) == 0
     assert sorted(os.listdir(out))[0] == "d2_airm_s7"
 
-
-BLOBS_AIRM_CFG = os.path.join(CONFIGS, "blobs_airm.cfg")
 
 
 def _tree(root):
@@ -476,6 +501,33 @@ def test_cli_embed_and_dist_reject_empty_files(tmp_path, capsys):
             assert captured.err.startswith(f"error: {path}: ")
 
 
+def test_matrix_and_moments_files_reject_rows_past_their_body(tmp_path, capsys):
+    matrix = tmp_path / "matrix.txt"
+    matrix.write_text("dim=2\n1 0\n0 1\n5 5\n")
+    moments = tmp_path / "moments.txt"
+    moments.write_text("dim=2\n0 0\n1 0\n0 1\n9 9\n")
+    with pytest.raises(ValueError, match=f"^{matrix}: expected 2x2 matrix, got shape \\(3, 2\\)$"):
+        read_matrix(matrix)
+    with pytest.raises(ValueError, match=f"^{moments}: dim=2 with 2 means and a \\(3, 2\\) "
+                                         "covariance$"):
+        read_moments(moments)
+    for args in (["dist", str(matrix), str(matrix), "--kind", "airm"], ["embed", str(moments)]):
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {args[1]}: ")
+
+
+def test_cli_dist_of_matrices_of_different_sizes_names_both_shapes(tmp_path, capsys):
+    p2, p3 = tmp_path / "p2.txt", tmp_path / "p3.txt"
+    write_matrix(p2, np.eye(2))
+    write_matrix(p3, np.eye(3))
+    for kind in ("airm", "hilbert", "logeuclid"):
+        assert main(["dist", str(p2), str(p3), "--kind", kind]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: matrices of different shapes: (2, 2) and (3, 3)\n"
+
+
 def test_cli_oracle_fr(capsys):
     assert main(["oracle-fr", "0", "1", "0", str(np.e)]) == 0
     val = float(capsys.readouterr().out.strip())
@@ -498,6 +550,15 @@ def test_cli_bound_check(tmp_path):
     assert lines[0] == "k,seed,tv,hilbert,rhs,slack,holds"
     assert len(lines) == 201
     assert all(ln.split(",")[6] == "1" for ln in lines[1:])
+
+
+def test_cli_bound_check_of_no_pairs_prints_the_header_alone(capsys):
+    assert main(["bound-check", "--pairs", "0"]) == 0
+    assert capsys.readouterr().out == "k,seed,tv,hilbert,rhs,slack,holds\n"
+    with pytest.raises(SystemExit) as info:
+        main(["bound-check", "--pairs", "-1"])
+    assert info.value.code == 2
+    assert "argument --pairs: expected a count >= 0, got -1" in capsys.readouterr().err
 
 
 def test_cli_gradcheck(capsys, monkeypatch):

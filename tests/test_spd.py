@@ -274,6 +274,14 @@ def test_logeuclid_commuting_identity():
         assert got == pytest.approx(want, abs=1e-10)
 
 
+@pytest.mark.parametrize("dist", [dist_airm, dist_hilbert, dist_logeuclid])
+def test_distances_of_matrices_of_different_sizes_name_both_shapes(dist):
+    for A, B in ((np.eye(2), np.eye(3)), (np.eye(3), np.eye(2))):
+        with pytest.raises(ValueError) as info:
+            dist(A, B)
+        assert str(info.value) == f"matrices of different shapes: {A.shape} and {B.shape}"
+
+
 def test_distances_of_entries_near_the_float_maximum_in_both_orders():
     # (M + M^T) / 2 overflows on these entries; sym's M/2 + M^T/2 does not
     A, B = np.eye(2), np.diag([1e308, 1e308])
