@@ -66,7 +66,7 @@ def _cmd_bound_check(args):
             f"{k},{i},{fmt(tv_discrete(p, q))},{fmt(hilbert_discrete(p, q))},"
             f"{fmt(res.rhs)},{fmt(res.slack)},{int(res.holds)}"
         )
-    text = "".join(f"{line}\n" for line in ["k,seed,tv,hilbert,rhs,slack,holds", *rows])
+    text = "\n".join(["k,seed,tv,hilbert,rhs,slack,holds", *rows]) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
