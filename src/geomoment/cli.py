@@ -103,8 +103,8 @@ def _cmd_sweep_dim(args):
 
 
 def _count(v):
-    if int(v) < 0:
-        raise argparse.ArgumentTypeError(f"expected a count >= 0, got {v}")
+    if not v.isdecimal():  # int's digits, with no sign
+        raise argparse.ArgumentTypeError(f"expected a count >= 0, got {v!r}")
     return int(v)
 
 

@@ -555,10 +555,11 @@ def test_cli_bound_check(tmp_path):
 def test_cli_bound_check_of_no_pairs_prints_the_header_alone(capsys):
     assert main(["bound-check", "--pairs", "0"]) == 0
     assert capsys.readouterr().out == "k,seed,tv,hilbert,rhs,slack,holds\n"
-    with pytest.raises(SystemExit) as info:
-        main(["bound-check", "--pairs", "-1"])
-    assert info.value.code == 2
-    assert "argument --pairs: expected a count >= 0, got -1" in capsys.readouterr().err
+    for pairs in ("-1", "2.5", "x"):
+        with pytest.raises(SystemExit) as info:
+            main(["bound-check", "--pairs", pairs])
+        assert info.value.code == 2
+        assert f"argument --pairs: expected a count >= 0, got {pairs!r}" in capsys.readouterr().err
 
 
 def test_cli_gradcheck(capsys, monkeypatch):
